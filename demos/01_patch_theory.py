@@ -17,7 +17,6 @@ from expmarket import (
     compose,
     diff,
     invert_patch,
-    state_digest,
 )
 
 ids = NodeIdGenerator(seed=2018, robot=0)
@@ -29,7 +28,7 @@ def place(x, quality):
 
 print("== repository states are content digests ==")
 g = Graph()
-print(f"empty graph digest : {state_digest(g).hex()[:24]}...")
+print(f"empty graph digest : {g.digest().hex()[:24]}...")
 
 common = [place(0.0, 10), place(5.0, 12), place(10.0, 9)]
 base_patch = build_patch(
@@ -39,11 +38,11 @@ base_patch = build_patch(
                   for a, b in zip(common, common[1:])],
 )
 g = apply_patch(g, base_patch)
-print(f"after first foray  : {state_digest(g).hex()[:24]}... ({len(g)} nodes)")
+print(f"after first foray  : {g.digest().hex()[:24]}... ({len(g)} nodes)")
 
 print("\n== every patch is invertible ==")
 undone = apply_patch(g, invert_patch(base_patch))
-print(f"applying the inverse returns to empty: {state_digest(undone) == state_digest(Graph())}")
+print(f"applying the inverse returns to empty: {undone.digest() == Graph().digest()}")
 
 print("\n== patches compose ==")
 second = build_patch(g, insert_nodes=[place(15.0, 20)])
@@ -55,7 +54,7 @@ print(f"compose(A, B) spans {combined.input_state.hex()[:8]}.. -> "
 via_steps = apply_patch(third_graph, fourth)
 via_combined = apply_patch(g, combined)
 print(f"sequential and composed application agree: "
-      f"{state_digest(via_steps) == state_digest(via_combined)}")
+      f"{via_steps.digest() == via_combined.digest()}")
 
 print("\n== diff produces the divergent pair of a trade ==")
 left = Repository(0, g.copy())
@@ -67,5 +66,5 @@ incoming, outgoing = diff(left.graph, right.graph)
 print(f"left lacks {len(incoming.inserts())} nodes, right lacks {len(outgoing.inserts())}")
 u_left = apply_patch(left.graph, incoming)
 u_right = apply_patch(right.graph, outgoing)
-print(f"both sides reach the union state: {state_digest(u_left) == state_digest(u_right)}"
+print(f"both sides reach the union state: {u_left.digest() == u_right.digest()}"
       f" ({len(u_left)} nodes)")

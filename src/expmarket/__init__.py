@@ -32,7 +32,6 @@ from .graph import (
     connected_components,
     export_text,
     neighbourhood,
-    state_digest,
 )
 from .ids import NodeId, NodeIdGenerator, RobotId, derive_seed
 from .integrity import (

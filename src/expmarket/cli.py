@@ -10,6 +10,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -42,6 +43,8 @@ def _parse_rates(text: str, robots: int, flag: str) -> list[float]:
         values = [float(p) for p in parts]
     except ValueError:
         raise _usage_error(f"{flag}: expected a number or comma list") from None
+    if not all(math.isfinite(v) for v in values):
+        raise _usage_error(f"{flag}: values must be finite")
     if len(values) == 1:
         return values * robots
     if len(values) != robots:
@@ -54,8 +57,12 @@ def cmd_verify_convergence(args) -> int:
         raise _usage_error("--robots: need at least 2")
     if args.forays < 1 or args.trials < 1:
         raise _usage_error("--forays and --trials must be >= 1")
+    if not 0.0 <= args.overlap <= 1.0:
+        raise _usage_error("--overlap: must lie in [0, 1]")
     mu = _parse_rates(args.mu, args.robots, "--mu")
     sigma = _parse_rates(args.sigma, args.robots, "--sigma")
+    if any(v < 0 for v in sigma):
+        raise _usage_error("--sigma: must be >= 0")
     choice_kind = Choice(args.gamma)
     import random as _random
 
@@ -76,6 +83,8 @@ def cmd_verify_convergence(args) -> int:
 
 
 def cmd_run_scenario(args) -> int:
+    if args.trials < 1 or args.jobs < 1:
+        raise _usage_error("--trials and --jobs must be >= 1")
     try:
         config = load_scenario_config(args.config)
     except ConfigError as exc:

@@ -7,6 +7,19 @@ order it was built in. The digest covers the versioned content only:
 independently, so it is deliberately excluded (otherwise two agents holding
 identical traded content would never agree on a state).
 
+A graph keeps its item hashes up to date as it changes: each insert or
+remove hashes that one item and updates a hash-to-item dict and a sorted
+hash list (by bisection, or by one sort after a bulk change). A digest is
+then a single join and SHA-256, and ``Graph.items_missing_from`` finds the
+items one graph holds and another lacks by a C-level scan of the hashes.
+The digest bytes are the same as hashing every item afresh
+(``compute_digest_from_scratch``).
+
+``Graph.copy`` is copy-on-write: the outer dicts are copied, and a node's
+adjacency containers are copied only when one of the two graphs first
+mutates them. Insertion order, and so every iteration order, is kept. A
+graph handed to ``copy`` is never changed by what its copy does.
+
 The digest of the empty graph is SHA-256 of the empty string:
 ``e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855``.
 """
@@ -15,7 +28,9 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
+from itertools import filterfalse
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -92,18 +107,35 @@ def _edge_item_hash(edge: Edge) -> bytes:
     return hashlib.sha256(b"E" + edge.content_bytes()).digest()
 
 
+# Bisect updates the sorted hash list takes between two digests before it is
+# dropped and rebuilt by one sort: past this, a bulk change sorts faster.
+_BISECT_LIMIT = 256
+
+
 class Graph:
-    """Mutable node/edge store with in- and out-adjacency and a digest cache.
+    """Mutable node/edge store with in- and out-adjacency and item hashes.
 
     Instances are confined to one owning agent; the patch layer exposes the
     value-semantics API (apply returns a fresh graph).
+
+    ``copy`` is copy-on-write. It copies the outer dicts; each node's
+    adjacency containers stay shared until a graph first mutates them.
+    ``_owned`` holds the ids whose containers this graph may change in
+    place, and ``copy`` clears it on both graphs.
+
+    ``_items`` maps every item hash to its node or edge and ``_sorted`` holds
+    the hashes in order, both updated on each mutation. A node entry may
+    carry a stale ``path_memory``; the current record is in ``_nodes``.
     """
 
     def __init__(self) -> None:
         self._nodes: dict[NodeId, Node] = {}
         self._out: dict[NodeId, dict[NodeId, Edge]] = {}
         self._in: dict[NodeId, set[NodeId]] = {}
-        self._item_hashes: dict[tuple, bytes] = {}
+        self._owned: set[NodeId] = set()
+        self._items: dict[bytes, Node | Edge] = {}
+        self._sorted: list[bytes] | None = []  # None: rebuild by one sort
+        self._pending = 0  # bisect updates since the last digest
         self._digest: StateDigest | None = EMPTY_GRAPH_DIGEST
         self._desc_index: tuple[list[NodeId], np.ndarray] | None = None
 
@@ -125,7 +157,7 @@ class Graph:
         return iter(self._nodes.values())
 
     def edge_count(self) -> int:
-        return sum(len(m) for m in self._out.values())
+        return len(self._items) - len(self._nodes)
 
     def edges(self) -> Iterator[Edge]:
         for out in self._out.values():
@@ -143,24 +175,43 @@ class Graph:
     def in_edges(self, node_id: NodeId) -> list[Edge]:
         return [self._out[src][node_id] for src in self._in.get(node_id, ())]
 
+    def items_missing_from(self, other: "Graph") -> tuple[list[Node], list[Edge]]:
+        """This graph's nodes and edges whose item hash ``other`` lacks.
+
+        The scan over the hashes runs in C; only the missing items are
+        visited in Python. They come in this graph's insertion order.
+        """
+        nodes: list[Node] = []
+        edges: list[Edge] = []
+        items = self._items
+        for h in filterfalse(other._items.__contains__, items):
+            item = items[h]
+            if type(item) is Edge:
+                edges.append(item)
+            else:
+                nodes.append(self._nodes[item.id])
+        return nodes, edges
+
     # -- mutation (used by the patch layer and the owning agent) ---------
 
     def insert_node(self, node: Node) -> None:
         if node.id in self._nodes:
             raise ValueError(f"duplicate node {node.id}")
         self._nodes[node.id] = node
-        self._out.setdefault(node.id, {})
-        self._in.setdefault(node.id, set())
-        self._dirty()
+        self._out[node.id] = {}
+        self._in[node.id] = set()
+        self._owned.add(node.id)
+        self._add_item(_node_item_hash(node), node)
 
     def remove_node(self, node_id: NodeId) -> Node:
         """Remove a node; its incident edges must already be gone."""
         if self._out.get(node_id) or self._in.get(node_id):
             raise ValueError(f"node {node_id} still has incident edges")
         node = self._nodes.pop(node_id)
-        self._out.pop(node_id, None)
-        self._in.pop(node_id, None)
-        self._dirty()
+        del self._out[node_id]
+        del self._in[node_id]
+        self._owned.discard(node_id)
+        self._drop_item(_node_item_hash(node))
         return node
 
     def insert_edge(self, edge: Edge) -> None:
@@ -170,14 +221,19 @@ class Graph:
             raise ValueError(f"dangling edge {edge.src}->{edge.dst}")
         if edge.dst in self._out[edge.src]:
             raise ValueError(f"duplicate edge {edge.src}->{edge.dst}")
+        self._own(edge.src)
+        self._own(edge.dst)
         self._out[edge.src][edge.dst] = edge
         self._in[edge.dst].add(edge.src)
-        self._dirty()
+        self._add_item(_edge_item_hash(edge), edge)
 
     def remove_edge(self, src: NodeId, dst: NodeId) -> Edge:
-        edge = self._out[src].pop(dst)
+        edge = self._out[src][dst]
+        self._own(src)
+        self._own(dst)
+        del self._out[src][dst]
         self._in[dst].discard(src)
-        self._dirty()
+        self._drop_item(_edge_item_hash(edge))
         return edge
 
     def bump_path_memory(self, node_id: NodeId) -> None:
@@ -187,44 +243,65 @@ class Graph:
         # digest unaffected: path_memory is not versioned content
 
     def copy(self) -> "Graph":
-        g = Graph()
-        g._nodes = dict(self._nodes)
-        g._out = {k: dict(v) for k, v in self._out.items()}
-        g._in = {k: set(v) for k, v in self._in.items()}
-        g._item_hashes = dict(self._item_hashes)
+        g = Graph.__new__(Graph)
+        g._nodes = self._nodes.copy()
+        g._out = self._out.copy()
+        g._in = self._in.copy()
+        # the adjacency containers are shared now: neither graph owns them
+        self._owned = set()
+        g._owned = set()
+        g._items = self._items.copy()
+        g._sorted = self._sorted_hashes().copy()
+        g._pending = self._pending
         g._digest = self._digest
+        g._desc_index = self._desc_index
         return g
 
+    def _own(self, node_id: NodeId) -> None:
+        """Give this graph private adjacency containers for ``node_id``."""
+        if node_id not in self._owned:
+            self._out[node_id] = dict(self._out[node_id])
+            self._in[node_id] = set(self._in[node_id])
+            self._owned.add(node_id)
+
     # -- digests ----------------------------------------------------------
+
+    def _add_item(self, h: bytes, item: Node | Edge) -> None:
+        self._items[h] = item
+        self._track(h, added=True)
+
+    def _drop_item(self, h: bytes) -> None:
+        del self._items[h]
+        self._track(h, added=False)
+
+    def _track(self, h: bytes, added: bool) -> None:
+        """Keep the sorted hash list in step with one added or dropped hash."""
+        hashes = self._sorted
+        if hashes is not None:
+            if self._pending >= _BISECT_LIMIT:
+                self._sorted = None
+            elif added:
+                insort(hashes, h)
+            else:
+                del hashes[bisect_left(hashes, h)]
+            self._pending += 1
+        self._dirty()
 
     def _dirty(self) -> None:
         self._digest = None
         self._desc_index = None
 
+    def _sorted_hashes(self) -> list[bytes]:
+        if self._sorted is None:
+            self._sorted = sorted(self._items)
+            self._pending = 0
+        return self._sorted
+
     def digest(self) -> StateDigest:
         if self._digest is None:
-            self._digest = self._recompute_digest()
+            self._digest = hashlib.sha256(b"".join(self._sorted_hashes())).digest()
+            self._pending = 0
         return self._digest
-
-    def _recompute_digest(self) -> StateDigest:
-        hashes = []
-        cache = self._item_hashes
-        for node in self._nodes.values():
-            key = ("n", node.id, node.descriptor, node.inlier_count,
-                   node.fabmap_score, node.product, node.creator, node.foray)
-            h = cache.get(key)
-            if h is None:
-                h = cache[key] = _node_item_hash(node)
-            hashes.append(h)
-        for out in self._out.values():
-            for edge in out.values():
-                key = ("e", edge.src, edge.dst, edge.pose)
-                h = cache.get(key)
-                if h is None:
-                    h = cache[key] = _edge_item_hash(edge)
-                hashes.append(h)
-        hashes.sort()
-        return hashlib.sha256(b"".join(hashes)).digest()
 
     def descriptor_index(self) -> tuple[list[NodeId], np.ndarray]:
         """Node ids (ascending) and their descriptors as a matrix (cached)."""
@@ -238,14 +315,12 @@ class Graph:
         return self._desc_index
 
 
-def state_digest(graph: Graph) -> StateDigest:
-    """Permutation-invariant 256-bit digest of a graph's versioned content."""
-    return graph.digest()
-
-
 def compute_digest_from_scratch(graph: Graph) -> StateDigest:
-    """Uncached recomputation, for coherence checks."""
-    return graph._recompute_digest()
+    """Digest rehashed from every node and edge, for coherence checks."""
+    hashes = [_node_item_hash(n) for n in graph.nodes()]
+    hashes += [_edge_item_hash(e) for e in graph.edges()]
+    hashes.sort()
+    return hashlib.sha256(b"".join(hashes)).digest()
 
 
 def graph_from_content(nodes: Iterable[Node], edges: Iterable[Edge]) -> Graph:

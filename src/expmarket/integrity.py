@@ -341,7 +341,8 @@ def monte_carlo_convergence(R: int, K: int, M: int,
                 size = max(0, round(rng.gauss(mus[i], sigmas[i])))
                 patch = _toy_patch(repos[i], size, rng, idgens[i], k, dim,
                                    spread, pool, overlap if i > 0 else 0.0, dup_scale)
-                pool = list(patch.inserted_nodes())
+                # id order: a frozenset's iteration order follows the string-hash seed
+                pool = sorted(patch.inserted_nodes(), key=lambda n: n.id)
                 repos[i].commit(patch)
             repos = sweep_all_pairs(repos, policy)
             digests = [r.digest() for r in repos]

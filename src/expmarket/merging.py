@@ -120,10 +120,6 @@ class ConvergentPatchPair:
     drops_left: dict = field(default_factory=dict, hash=False, compare=False)
     drops_right: dict = field(default_factory=dict, hash=False, compare=False)
 
-    @property
-    def drop_to_keep(self) -> dict:
-        return self.drops_left
-
 
 def reconnect(graph: Graph, drop: Node, keep: NodeId,
               pose_drop_to_keep: Pose = Pose.identity()) -> set[Edge]:
@@ -171,7 +167,10 @@ def _side_patch(side: Graph, carried: Patch, drop_map: dict[NodeId, NodeId],
                     if no_delete or nid not in drop_map]
     own_drops = {nid for nid in drop_map if nid in side}
     delete_ids = set() if no_delete else own_drops
-    present_after = (side.node_ids() - delete_ids) | {n.id for n in insert_nodes}
+    inserted = {n.id for n in insert_nodes}
+
+    def present_after(nid: NodeId) -> bool:
+        return (nid in side and nid not in delete_ids) or nid in inserted
 
     candidates: dict[tuple[NodeId, NodeId], list[Edge]] = {}
 
@@ -184,14 +183,14 @@ def _side_patch(side: Graph, carried: Patch, drop_map: dict[NodeId, NodeId],
         dst = drop_map.get(e.dst, e.dst)
         if no_reconnect and (src != e.src or dst != e.dst):
             return None
-        if src == dst or src not in present_after or dst not in present_after:
+        if src == dst or not present_after(src) or not present_after(dst):
             return None
         # matched nodes represent the same place: the drop-to-keep transform
         # is the identity, so rewired edges keep their pose
         return e if (src == e.src and dst == e.dst) else Edge(src, dst, e.pose)
 
     for e in carried.flat_edge_inserts():
-        if no_delete and e.src in present_after and e.dst in present_after and e.src != e.dst:
+        if no_delete and present_after(e.src) and present_after(e.dst) and e.src != e.dst:
             offer(e)
         offer(remap(e))
     for nid in own_drops:
@@ -268,6 +267,11 @@ def _check_reconnected(pre: Graph, post: Graph, drop_map: dict[NodeId, NodeId]) 
                     f"neighbour {nb} of dropped {drop_id} lost contact with keeper {keep_id}")
 
 
+def _advanced(repo: Repository, patch: Patch) -> Repository:
+    """The repository after its side of a trade; empty patches are not recorded."""
+    return repo.copy() if patch.is_empty() else repo.committed(patch)
+
+
 @dataclass(frozen=True)
 class TradeOutcome:
     left: Repository
@@ -293,13 +297,13 @@ def execute_trade(left: Repository, right: Repository, policy: CommutationPolicy
             and not policy.allow_asymmetric:
         raise NonSymmetricPolicy(f"{policy.choice.kind.value} is not team-symmetric")
     incoming, outgoing = diff(left.graph, right.graph, products=products)
-    pair = commute(incoming, outgoing, policy, left.graph, right.graph,
-                   counter=counter, _faults=_faults)
-    new_left, new_right = left.copy(), right.copy()
-    if not pair.for_left.is_empty():
-        new_left.commit(pair.for_left)
-    if not pair.for_right.is_empty():
-        new_right.commit(pair.for_right)
+    if incoming.is_empty() and outgoing.is_empty():
+        # nothing to exchange: every policy commutes an empty pair to itself
+        pair = ConvergentPatchPair(for_left=incoming, for_right=outgoing)
+    else:
+        pair = commute(incoming, outgoing, policy, left.graph, right.graph,
+                       counter=counter, _faults=_faults)
+    new_left, new_right = _advanced(left, pair.for_left), _advanced(right, pair.for_right)
     if enforce and not _faults:
         if products is None and new_left.digest() != new_right.digest():
             raise IntegrityViolation("trade did not converge to a common state")

@@ -291,6 +291,8 @@ def build_patch(
     edge_inserts = set(insert_edges)
     patch = _regroup(base.digest(), EMPTY_GRAPH_DIGEST,
                      node_inserts, node_deletes, edge_inserts, edge_deletes)
+    if patch.is_empty():  # nothing to apply: the state stays put
+        return Patch(base.digest(), base.digest(), frozenset())
     probe = base.copy()
     _apply_content(probe, patch)
     return _regroup(base.digest(), probe.digest(),
@@ -311,25 +313,18 @@ def diff(mine: Graph, theirs: Graph,
     """
 
     def one_way(dst_graph: Graph, src_graph: Graph) -> Patch:
-        dst_ids = dst_graph.node_ids()
-        new_ids = {
-            nid
-            for nid in src_graph.node_ids() - dst_ids
-            if products is None or src_graph.node(nid).product in products
-        }
-        surviving = dst_ids | new_ids
-        nodes = [src_graph.node(nid) for nid in new_ids]
-        edges: set[Edge] = set()
-        for nid in new_ids:
-            edges.update(e for e in src_graph.out_edges(nid) if e.dst in surviving)
-        edges.update(
+        # every item the patch carries is one whose hash dst_graph lacks
+        cand_nodes, cand_edges = src_graph.items_missing_from(dst_graph)
+        nodes = [n for n in cand_nodes
+                 if n.id not in dst_graph and (products is None or n.product in products)]
+        new_ids = {n.id for n in nodes}
+        edges = {
             e
-            for e in src_graph.edges()
-            if e.src not in new_ids
-            and e.src in dst_ids
-            and e.dst in surviving
-            and not dst_graph.has_edge(e.src, e.dst)
-        )
+            for e in cand_edges
+            if (e.dst in dst_graph or e.dst in new_ids)
+            and (e.src in new_ids
+                 or (e.src in dst_graph and not dst_graph.has_edge(e.src, e.dst)))
+        }
         return build_patch(dst_graph, insert_nodes=nodes, insert_edges=edges)
 
     return one_way(mine, theirs), one_way(theirs, mine)
@@ -387,6 +382,13 @@ class Repository:
     def commit(self, patch: Patch) -> None:
         self.graph = apply_patch(self.graph, patch)
         self.history.append(patch)
+
+    def committed(self, patch: Patch) -> "Repository":
+        """A new repository with ``patch`` committed; this one is unchanged."""
+        graph = apply_patch(self.graph, patch)
+        history = self.history.copy()
+        history.append(patch)
+        return Repository(self.robot, graph, history)
 
     def copy(self) -> "Repository":
         return Repository(self.robot, self.graph.copy(), self.history.copy())

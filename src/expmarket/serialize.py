@@ -95,6 +95,10 @@ class _Reader:
     def f64(self) -> float:
         return _F64.unpack(self.raw(8))[0]
 
+    def finish(self) -> None:
+        if self.pos != len(self.data):
+            raise ValueError(f"{len(self.data) - self.pos} trailing bytes after the encoding")
+
 
 def _write_node(w: _Writer, n: Node) -> None:
     w.raw(n.id.bytes)
@@ -165,6 +169,7 @@ def graph_from_bytes(data: bytes) -> Graph:
         raise ValueError("not a serialized graph")
     nodes = [_read_node(r) for _ in range(r.u64())]
     edges = _read_edge_set(r)
+    r.finish()
     return graph_from_content(nodes, edges)
 
 
@@ -198,9 +203,22 @@ def patch_from_bytes(data: bytes) -> Patch:
         elements.append(PatchElement(action, node, out_edges))
     edge_inserts = frozenset(_read_edge_set(r))
     edge_deletes = frozenset(_read_edge_set(r))
+    r.finish()
     return Patch(input_state, output_state, frozenset(elements), edge_inserts, edge_deletes)
 
 
+# fixed-width parts of the layout above
+_EDGE_BYTES = 16 + 16 + 7 * 8
+_NODE_BYTES = 16 + 4 + 8 + 8 + 8 + 4 + 4 + 4  # plus 8 per descriptor value
+_ELEMENT_BYTES = 1 + _NODE_BYTES + 8  # action, node, n_out
+_PATCH_BYTES = len(PATCH_MAGIC) + 3 * 8  # magic and the three set counts
+
+
 def patch_wire_size(patch: Patch) -> int:
-    """Bytes on the wire for a patch transfer."""
-    return len(patch_to_bytes(patch))
+    """Bytes on the wire for a patch transfer: ``len(patch_to_bytes(patch))``,
+    counted from the fixed-width layout without encoding anything."""
+    size = (_PATCH_BYTES + len(patch.input_state) + len(patch.output_state)
+            + _EDGE_BYTES * (len(patch.edge_inserts) + len(patch.edge_deletes)))
+    for el in patch.elements:
+        size += _ELEMENT_BYTES + 8 * len(el.node.descriptor) + _EDGE_BYTES * len(el.out_edges)
+    return size

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from expmarket.cli import main
@@ -164,3 +167,64 @@ def test_report_handles_empty_dropouts(tmp_path):
     header, rows = read_csv(report / "failure_ccdf.csv")
     assert header == ["strategy", "x_meters", "p_ge_x"]
     assert rows == []
+
+
+def _usage_exit(argv, capsys) -> str:
+    """Run the CLI expecting a usage error; return what it printed."""
+    try:
+        main(argv)
+        raised = None
+    except SystemExit as exc:
+        raised = exc.code
+    assert raised == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+def test_run_scenario_rejects_non_positive_trials_and_jobs(tmp_path, capsys):
+    path = _write_scenario(tmp_path)
+    for flags in (["--trials", "0"], ["--jobs", "0"], ["--jobs", "-3"]):
+        err = _usage_exit(["run-scenario", "--config", str(path),
+                           "--out", str(tmp_path / "out"), *flags], capsys)
+        assert flags[0] in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_convergence_rejects_bad_overlap_and_sigma(capsys):
+    base = ["verify-convergence", "--robots", "2", "--forays", "2", "--trials", "2"]
+    for flags in (["--overlap", "2"], ["--overlap", "-0.1"], ["--overlap", "nan"],
+                  ["--sigma", "-1"], ["--sigma", "2,-1"], ["--mu", "inf"]):
+        err = _usage_exit(base + flags, capsys)
+        assert flags[0] in err
+
+
+def test_cli_usage_error_exit_code_from_a_process(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "expmarket.cli", "run-scenario",
+                           "--config", str(_write_scenario(tmp_path)), "--trials", "0",
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_match_convergence_output_ignores_string_hash_seed(tmp_path):
+    """Under MATCH with overlap, near-duplicates are drawn from an id-ordered
+    pool, so the report does not depend on PYTHONHASHSEED."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    trees = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"hashseed{hash_seed}"
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed}
+        proc = subprocess.run([sys.executable, "-m", "expmarket.cli", "verify-convergence",
+                               "--robots", "2", "--forays", "3", "--trials", "4",
+                               "--policy", "match", "--overlap", "0.5", "--seed", "3",
+                               "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        trees.append({p.relative_to(out): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    assert trees[0] == trees[1]
+    assert trees[0]

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from expmarket.graph import Edge, Graph, connected_components
+from expmarket.graph import Edge, Graph, compute_digest_from_scratch, connected_components
 from expmarket.ids import NodeIdGenerator, derive_seed
-from expmarket.localiser import LocaliserConfig
+from expmarket.localiser import LocaliserConfig, MatchCounter
 from expmarket.merging import (
     Choice,
     ChoicePolicy,
@@ -16,12 +16,14 @@ from expmarket.merging import (
     NonSymmetricPolicy,
     choose,
     commute,
+    execute_trade,
     gamma_score,
     reconnect,
     trade_merge,
 )
-from expmarket.patches import Repository, apply_patch, diff
+from expmarket.patches import Repository, apply_patch, build_patch, diff
 from expmarket.pose import Pose
+from expmarket.serialize import graph_to_bytes, patch_wire_size
 
 from _builders import chain_graph, mknode
 
@@ -367,3 +369,36 @@ def test_trade_merge_product_scope_restricts_transfer():
     assert wanted.id in l2.graph
     assert unwanted.id not in l2.graph
     assert stats.nodes_in == 1
+
+
+def test_trade_leaves_its_inputs_untouched():
+    """Trades have value semantics: neither the input repositories nor their
+    graphs change, even when the outputs are mutated afterwards."""
+    for case in range(40):
+        left, right = _random_divergent_repos(case + 5000, overlap=0.5)
+        policy = match_policy(tau_m=0.1) if case % 2 else union_policy()
+        before = [(graph_to_bytes(r.graph), r.digest(), len(r.history)) for r in (left, right)]
+        out = execute_trade(left, right, policy)
+        for new in (out.left, out.right):
+            assert new.graph is not left.graph and new.graph is not right.graph
+            for nid in sorted(new.graph.node_ids())[:2]:
+                new.graph.bump_path_memory(nid)
+            gen = NodeIdGenerator(derive_seed("after", case), 7)
+            new.commit(build_patch(new.graph, insert_nodes=[mknode(gen, [0.0, 0.0, 0.0])]))
+        after = [(graph_to_bytes(r.graph), r.digest(), len(r.history)) for r in (left, right)]
+        assert after == before
+        assert left.digest() == compute_digest_from_scratch(left.graph)
+
+
+def test_trade_of_one_shared_graph_is_a_noop():
+    left, _, *_ = fig2_repos()
+    shared = left.graph
+    counter = MatchCounter()
+    out = execute_trade(Repository(0, shared), Repository(1, shared), match_policy(),
+                        counter=counter)
+    assert out.pair.for_left.is_empty() and out.pair.for_right.is_empty()
+    assert counter.ops == 0  # nothing to exchange, so nothing was matched
+    assert out.left.graph is not shared and out.right.graph is not out.left.graph
+    assert out.left.digest() == out.right.digest() == shared.digest()
+    assert len(out.left.history) == 0
+    assert out.stats.bytes == 2 * patch_wire_size(out.pair.for_left)

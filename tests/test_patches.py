@@ -10,7 +10,6 @@ from expmarket.graph import (
     Graph,
     Node,
     compute_digest_from_scratch,
-    state_digest,
 )
 from expmarket.ids import NodeIdGenerator, derive_seed
 from expmarket.patches import (
@@ -43,7 +42,7 @@ def gen(seed=0, robot=0):
 
 
 def test_empty_graph_digest_is_documented_constant():
-    assert state_digest(Graph()) == EMPTY_GRAPH_DIGEST
+    assert Graph().digest() == EMPTY_GRAPH_DIGEST
     assert EMPTY_GRAPH_DIGEST.hex() == (
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
     )

@@ -1,9 +1,21 @@
 """Canonical binary encoding: round trips and bit-stability."""
 
-import pytest
+import uuid
 
-from expmarket.graph import Graph, state_digest
-from expmarket.patches import apply_patch, build_patch, patches_equal
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from expmarket.graph import Edge, Graph, Node
+from expmarket.patches import (
+    Patch,
+    PatchAction,
+    PatchElement,
+    apply_patch,
+    build_patch,
+    patches_equal,
+)
+from expmarket.pose import Pose
 from expmarket.serialize import (
     graph_from_bytes,
     graph_to_bytes,
@@ -20,7 +32,7 @@ def test_graph_round_trip_preserves_digest():
         g = random_graph(seed, 10, edge_prob=0.3)
         data = graph_to_bytes(g)
         back = graph_from_bytes(data)
-        assert state_digest(back) == state_digest(g)
+        assert back.digest() == g.digest()
         assert len(back) == len(g)
         assert back.edge_count() == g.edge_count()
 
@@ -63,3 +75,53 @@ def test_magic_checked():
         graph_from_bytes(b"nope" + b"\x00" * 16)
     with pytest.raises(ValueError):
         patch_from_bytes(b"nope" + b"\x00" * 80)
+
+
+_ids = st.uuids()
+_floats = st.floats(allow_nan=False, width=64)
+_nodes = st.builds(Node, id=_ids, descriptor=st.lists(_floats, max_size=6).map(tuple),
+                   inlier_count=st.integers(-2**63, 2**63 - 1),
+                   fabmap_score=_floats, path_memory=st.integers(0, 2**63 - 1),
+                   product=st.integers(-2**31, 2**31 - 1),
+                   creator=st.integers(0, 2**31 - 1), foray=st.integers(0, 2**31 - 1))
+_poses = st.builds(Pose, *([_floats] * 7))
+_edges = st.builds(Edge, _ids, _ids, _poses)
+
+
+@st.composite
+def _patches(draw) -> Patch:
+    elements = []
+    for node in draw(st.lists(_nodes, max_size=5, unique_by=lambda n: n.id)):
+        out = draw(st.lists(_poses, max_size=3).map(
+            lambda poses: frozenset(Edge(node.id, uuid.UUID(int=i), p)
+                                    for i, p in enumerate(poses))))
+        elements.append(PatchElement(draw(st.sampled_from(PatchAction)), node, out))
+    return Patch(draw(st.binary(min_size=32, max_size=32)),
+                 draw(st.binary(min_size=32, max_size=32)), frozenset(elements),
+                 frozenset(draw(st.lists(_edges, max_size=4))),
+                 frozenset(draw(st.lists(_edges, max_size=4))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_patches())
+def test_wire_size_equals_encoded_length(patch):
+    assert patch_wire_size(patch) == len(patch_to_bytes(patch))
+
+
+def test_wire_size_of_built_patches():
+    base = random_graph(6, 8, edge_prob=0.4)
+    grown = random_insert_patch(base, 12, 5)
+    shrunk = build_patch(base, delete_ids=sorted(base.node_ids())[:3])
+    for patch in (grown, shrunk):
+        assert patch_wire_size(patch) == len(patch_to_bytes(patch))
+
+
+@settings(max_examples=50, deadline=None)
+@given(junk=st.binary(min_size=1, max_size=40))
+def test_trailing_bytes_rejected(junk):
+    g = random_graph(2, 5)
+    with pytest.raises(ValueError):
+        graph_from_bytes(graph_to_bytes(g) + junk)
+    patch = random_insert_patch(g, 3, 2)
+    with pytest.raises(ValueError):
+        patch_from_bytes(patch_to_bytes(patch) + junk)
