@@ -108,7 +108,10 @@ def _edge_item_hash(edge: Edge) -> bytes:
 
 
 # Bisect updates the sorted hash list takes between two digests before it is
-# dropped and rebuilt by one sort: past this, a bulk change sorts faster.
+# dropped and rebuilt by one sort. Measured on CPython 3.11: m insorts cost as
+# much as one sort at m ~ 250 on a 300-hash list, ~ 1000 on 3k hashes and
+# ~ 2000 on 30k. 256 is the small-map crossover; on large maps it errs
+# towards sorting, which only bulk builds reach.
 _BISECT_LIMIT = 256
 
 

@@ -297,12 +297,8 @@ def execute_trade(left: Repository, right: Repository, policy: CommutationPolicy
             and not policy.allow_asymmetric:
         raise NonSymmetricPolicy(f"{policy.choice.kind.value} is not team-symmetric")
     incoming, outgoing = diff(left.graph, right.graph, products=products)
-    if incoming.is_empty() and outgoing.is_empty():
-        # nothing to exchange: every policy commutes an empty pair to itself
-        pair = ConvergentPatchPair(for_left=incoming, for_right=outgoing)
-    else:
-        pair = commute(incoming, outgoing, policy, left.graph, right.graph,
-                       counter=counter, _faults=_faults)
+    pair = commute(incoming, outgoing, policy, left.graph, right.graph,
+                   counter=counter, _faults=_faults)
     new_left, new_right = _advanced(left, pair.for_left), _advanced(right, pair.for_right)
     if enforce and not _faults:
         if products is None and new_left.digest() != new_right.digest():

@@ -199,17 +199,6 @@ def test_verify_convergence_rejects_bad_overlap_and_sigma(capsys):
         assert flags[0] in err
 
 
-def test_cli_usage_error_exit_code_from_a_process(tmp_path):
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-m", "expmarket.cli", "run-scenario",
-                           "--config", str(_write_scenario(tmp_path)), "--trials", "0",
-                           "--out", str(tmp_path / "out")],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-
-
 def test_match_convergence_output_ignores_string_hash_seed(tmp_path):
     """Under MATCH with overlap, near-duplicates are drawn from an id-ordered
     pool, so the report does not depend on PYTHONHASHSEED."""
