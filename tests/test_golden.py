@@ -1,0 +1,92 @@
+"""Golden outputs pinned across commits.
+
+The other tests compare a run with itself; these compare it with values
+recorded from an earlier build, so a restructuring that reorders one
+random draw or one written byte fails here even when every run still
+repeats exactly. The pinned values do not depend on the interpreter's
+string-hash seed. Do not edit a pinned value to make a change pass: a
+different value means the program computes something else.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from expmarket.cli import main
+from expmarket.config import bundled_scenario
+from expmarket.integrity import generate_configurations, merge_coverage, run_battery_trial
+from expmarket.localiser import LocaliserConfig
+from expmarket.merging import Choice, ChoicePolicy, Commutation, CommutationPolicy
+
+
+def _tree_hash(root: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            digest.update(str(path.relative_to(root)).encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+SCENARIOS = {
+    "robustness-bandit-recommend": (
+        "robustness", {"strategies.trading": "BANDIT_EXPLORE_EXPLOIT",
+                       "strategies.shopping": "RECOMMEND"},
+        "8070fa514e49ac22b076d0f95b369fbe911d504021e77bb6169584ebc0769c8b"),
+    "robustness-central": (
+        "robustness", {"strategies.trading": "CENTRAL"},
+        "7957122b5a9bf5d7f3aac7d41a03945761f053aa77e539ce01c2ae2591cd60ce"),
+    "robustness-none": (
+        "robustness", {"strategies.trading": "NONE"},
+        "6b29c84871ad2af67d736aacb267c3b9ddfc40356b0df3d2a7a94d333d291540"),
+    "scaling-match": (
+        "scaling", {"team.robots": 3},
+        "aa1a23fbbcbd1d47b8da942e8a22203991cddcc8a12b8ba0bc681bccdc4f7640"),
+    "shopping": (
+        "shopping", {},
+        "b5198860efd98c826a0e7263cff30704b39dc58a02b35b577fb16cacb307e991"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_run_scenario_tree_is_pinned(tmp_path, name):
+    bundled, overrides, expected = SCENARIOS[name]
+    doc = bundled_scenario(bundled)
+    doc["sim"]["forays"] = 4
+    for dotted, value in overrides.items():
+        section, key = dotted.split(".")
+        doc[section][key] = value
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    out = tmp_path / "run"
+    assert main(["run-scenario", "--config", str(config), "--seed", "3",
+                 "--out", str(out)]) == 0
+    assert _tree_hash(out) == expected
+
+
+def test_match_convergence_tree_is_pinned(tmp_path):
+    out = tmp_path / "conv"
+    assert main(["verify-convergence", "--robots", "3", "--forays", "3",
+                 "--trials", "4", "--policy", "match", "--overlap", "0.3",
+                 "--seed", "3", "--out", str(out)]) == 0
+    assert _tree_hash(out) == "0498a8b01b8ee6e723ffa0472e33a21b83b8fe04ba1e263a53acf75b02222e5f"
+
+
+BATTERY = {
+    (): {(1, 1): 596},
+    ("no_reconnect",): {(0, 1): 112, (1, 1): 484},
+    ("no_delete",): {(1, 0): 232, (1, 1): 364},
+    ("no_delete", "no_reconnect"): {(0, 0): 112, (1, 0): 120, (1, 1): 364},
+}
+
+
+@pytest.mark.parametrize("faults", sorted(BATTERY))
+def test_battery_coverage_is_pinned(faults):
+    policy = CommutationPolicy(Commutation.MATCH, ChoicePolicy(Choice.INLIERS),
+                               LocaliserConfig(tau_m=0.1))
+    configs = generate_configurations(5, 60)
+    coverage = merge_coverage([run_battery_trial(c, policy, frozenset(faults))
+                               for c in configs])
+    assert coverage.multiset == BATTERY[faults]
