@@ -13,7 +13,6 @@ from .catalogue import (
     ShoppingKind,
     ShoppingStrategy,
     TradeDirection,
-    advertise,
     advise,
     bundled_catalogue,
     load_catalogue,
@@ -73,7 +72,6 @@ from .merging import (
     choose,
     commute,
     gamma_score,
-    reconnect,
     trade_merge,
 )
 from .patches import (

@@ -59,9 +59,6 @@ class Catalogue:
             out.append(out[-1] + s.metres)
         return out
 
-    def section_start(self, index: ProductIndex) -> float:
-        return self.boundaries()[index]
-
 
 def product_of(position: float, catalogue: Catalogue) -> ProductIndex:
     """Ground-truth lookup from route position to section index."""
@@ -193,16 +190,6 @@ class ProductLedger:
             if best is None or count > best[0]:
                 best = (count, product)
         return None if best is None else best[1]
-
-
-def record_trade(ledger: ProductLedger, patch: Patch,
-                 direction: TradeDirection) -> ProductLedger:
-    ledger.record_trade(patch, direction)
-    return ledger
-
-
-def advertise(ledger: ProductLedger) -> ProductIndex | None:
-    return ledger.advertise()
 
 
 def advise(per_product_beliefs: dict[ProductIndex, dict[RobotId, Belief]],

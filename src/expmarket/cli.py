@@ -92,10 +92,7 @@ def cmd_run_scenario(args) -> int:
         return EXIT_USAGE
     trials = run_scenario(config, args.seed, args.trials, jobs=args.jobs)
     out_dir = Path(args.out)
-    import json
-
-    config_doc = json.loads(Path(args.config).read_text())
-    write_run(out_dir, config_doc, args.seed, trials)
+    write_run(out_dir, config.raw, args.seed, trials)
     total = sum(t.total_dropout() for t in trials)
     print(f"{len(trials)} trial(s) -> {out_dir}  strategy={trials[0].strategy} "
           f"total_dropout={total:g} m")

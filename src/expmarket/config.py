@@ -61,7 +61,6 @@ def _enum(section: str, key: str, value: str, enum_cls):
 @dataclass
 class ScenarioConfig:
     catalogue: Catalogue
-    catalogue_name: str
     world: WorldConfig
     robots: int
     quality_inlier_means: list[float]
@@ -184,7 +183,6 @@ def parse_scenario_config(doc: dict, base_dir: Path | None = None) -> ScenarioCo
 
     return ScenarioConfig(
         catalogue=catalogue,
-        catalogue_name=cat_name,
         world=world_cfg,
         robots=robots,
         quality_inlier_means=[float(v) for v in inlier_means],

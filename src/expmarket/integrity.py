@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .graph import Edge, Graph, Node
-from .ids import NodeId, NodeIdGenerator, derive_seed
+from .ids import NodeIdGenerator, derive_seed
 from .localiser import MatchCounter
-from .merging import Commutation, CommutationPolicy, commute, trade_merge
-from .patches import Patch, Repository, apply_patch, build_patch, diff
+from .merging import Commutation, CommutationPolicy, _stranded_neighbour, execute_trade
+from .patches import Patch, Repository, apply_patch, build_patch
 from .pose import Pose
 
 TestVector = tuple[int, ...]
@@ -32,7 +32,6 @@ TestVector = tuple[int, ...]
 class MergeTrial:
     """One divergent configuration together with its merge outcome."""
 
-    base: Graph
     left_patch: Patch
     right_patch: Patch
     left_graph: Graph
@@ -54,32 +53,17 @@ class IntegrityTest:
     predicate: Callable[[Node, MergeTrial], bool]
 
 
-def _home_graphs(node_id: NodeId, trial: MergeTrial) -> tuple[Graph, Graph]:
-    """(pre, post) graphs of the side that held this node before the merge."""
-    if node_id in trial.left_graph:
-        return trial.left_graph, trial.post_left
-    return trial.right_graph, trial.post_right
-
-
 def _test_connectivity(node: Node, trial: MergeTrial) -> bool:
     """Dropped content must not strand its neighbourhood: every former
     neighbour of the dropped node ends adjacent (1-hop) to the kept node."""
     drops = {**trial.drops_left, **trial.drops_right}
-    keep_id = drops.get(node.id)
-    if keep_id is None:
+    if node.id not in drops:
         return True
-    pre, _ = _home_graphs(node.id, trial)
+    pre = trial.left_graph if node.id in trial.left_graph else trial.right_graph
     # judge connectivity in the graph of the side that performed the delete
     post = trial.post_left if node.id in trial.drops_left and node.id in trial.left_graph \
         else trial.post_right if node.id in trial.right_graph else trial.post_left
-    neighbours = {e.src for e in pre.in_edges(node.id)} | {e.dst for e in pre.out_edges(node.id)}
-    for nb in neighbours:
-        nb = drops.get(nb, nb)
-        if nb == keep_id or nb not in post:
-            continue
-        if not (post.has_edge(nb, keep_id) or post.has_edge(keep_id, nb)):
-            return False
-    return True
+    return _stranded_neighbour(pre, post, node.id, drops) is None
 
 
 def _test_no_coexistence(node: Node, trial: MergeTrial) -> bool:
@@ -230,21 +214,17 @@ def run_battery_trial(config: DivergentConfig, policy: CommutationPolicy,
                       faults: frozenset[str] = frozenset(),
                       counter: MatchCounter | None = None) -> MergeTrial:
     """Merge one configuration (optionally faulted) and package the outcome."""
-    left_graph = config.left_graph()
-    right_graph = config.right_graph()
-    incoming, outgoing = diff(left_graph, right_graph)
-    pair = commute(incoming, outgoing, policy, left_graph, right_graph,
-                   counter=counter, _faults=faults)
+    left, right = Repository(0, config.left_graph()), Repository(1, config.right_graph())
+    out = execute_trade(left, right, policy, enforce=False, _faults=faults, counter=counter)
     return MergeTrial(
-        base=config.base,
         left_patch=config.left,
         right_patch=config.right,
-        left_graph=left_graph,
-        right_graph=right_graph,
-        post_left=apply_patch(left_graph, pair.for_left),
-        post_right=apply_patch(right_graph, pair.for_right),
-        drops_left=pair.drops_left,
-        drops_right=pair.drops_right,
+        left_graph=left.graph,
+        right_graph=right.graph,
+        post_left=out.left.graph,
+        post_right=out.right.graph,
+        drops_left=out.pair.drops_left,
+        drops_right=out.pair.drops_right,
     )
 
 
@@ -298,8 +278,9 @@ def sweep_all_pairs(repos: list[Repository], policy: CommutationPolicy,
         for i in range(len(repos)):
             for j in range(i + 1, len(repos)):
                 before = (repos[i].digest(), repos[j].digest())
-                repos[i], repos[j], _ = trade_merge(
-                    repos[i], repos[j], policy, counter=counter, enforce=enforce)
+                out = execute_trade(repos[i], repos[j], policy, counter=counter,
+                                    enforce=enforce)
+                repos[i], repos[j] = out.left, out.right
                 if (repos[i].digest(), repos[j].digest()) != before:
                     changed = True
         if not changed:

@@ -15,7 +15,6 @@ import numpy as np
 from .graph import Graph, Observation, neighbourhood
 from .ids import NodeId
 from .patches import Patch
-from .pose import Pose
 
 
 @dataclass
@@ -48,7 +47,6 @@ class MatchCounter:
 class MatchPair:
     left: NodeId
     right: NodeId
-    relative_pose: Pose
     distance: float
 
 
@@ -57,12 +55,6 @@ class MatchSet:
     """One-to-one pairing between two divergent patches' nodes."""
 
     pairs: frozenset[MatchPair] = frozenset()
-
-    def left_ids(self) -> set[NodeId]:
-        return {p.left for p in self.pairs}
-
-    def right_ids(self) -> set[NodeId]:
-        return {p.right for p in self.pairs}
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -142,5 +134,5 @@ def match_patches(left: Patch, right: Patch, cfg: LocaliserConfig,
             continue
         used_l.add(i)
         used_r.add(j)
-        pairs.append(MatchPair(lnodes[i].id, rnodes[j].id, Pose.identity(), dist))
+        pairs.append(MatchPair(lnodes[i].id, rnodes[j].id, dist))
     return MatchSet(frozenset(pairs))

@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .ids import NodeId, RobotId
+from .ids import RobotId
 from .merging import ChoicePolicy, gamma_score
 from .patches import Patch, build_patch
 from .graph import Graph
@@ -40,7 +40,6 @@ class Measurement:
     seller: RobotId
     k: int
     value: float
-    patch_node_ids: frozenset[NodeId] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,7 @@ def price_patch(patch: Patch, policy: ChoicePolicy) -> float:
     nodes = patch.inserted_nodes()
     if not nodes:
         raise EmptyPatch("cannot price a patch with no inserts")
-    return sum(gamma_score(n, policy) for n in nodes) / len(nodes)
+    return price_nodes(nodes, policy)
 
 
 def price_nodes(nodes, policy: ChoicePolicy) -> float:

@@ -9,7 +9,7 @@ description of the outcome, so applying them yields equal content digests.
 
 Choice policies must be symmetric functions of the two node payloads; LHS
 and COIN exist as counterexamples for the test battery and are refused by
-trade_merge unless explicitly allowed.
+execute_trade unless explicitly allowed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .graph import Edge, Graph, Node
 from .ids import NodeId, RobotId
 from .localiser import LocaliserConfig, MatchCounter, MatchSet, match_patches
 from .patches import Patch, Repository, build_patch, diff
-from .pose import Pose
 from .serialize import patch_wire_size
 
 
@@ -119,35 +118,6 @@ class ConvergentPatchPair:
     matches: MatchSet = MatchSet()
     drops_left: dict = field(default_factory=dict, hash=False, compare=False)
     drops_right: dict = field(default_factory=dict, hash=False, compare=False)
-
-
-def reconnect(graph: Graph, drop: Node, keep: NodeId,
-              pose_drop_to_keep: Pose = Pose.identity()) -> set[Edge]:
-    """Edges rewiring a dropped node's neighbourhood onto its keeper.
-
-    Every in-edge (x -> drop) becomes (x -> keep) and every out-edge
-    (drop -> y) becomes (keep -> y), with poses composed through the
-    drop-to-keep transform. Self-loops and duplicate (src, dst) pairs are
-    suppressed, keeping the first by node-id order.
-    """
-    if drop.id not in graph:
-        raise KeyError(f"drop node {drop.id} not in graph")
-    out: set[Edge] = set()
-    seen: set[tuple[NodeId, NodeId]] = set()
-    for e in sorted(graph.in_edges(drop.id), key=lambda e: e.src):
-        src = e.src
-        if src == keep or (src, keep) in seen:
-            continue
-        seen.add((src, keep))
-        out.add(Edge(src, keep, e.pose.compose(pose_drop_to_keep)))
-    inv = pose_drop_to_keep.inverse()
-    for e in sorted(graph.out_edges(drop.id), key=lambda e: e.dst):
-        dst = e.dst
-        if dst == keep or (keep, dst) in seen:
-            continue
-        seen.add((keep, dst))
-        out.add(Edge(keep, dst, inv.compose(e.pose)))
-    return out
 
 
 def _side_patch(side: Graph, carried: Patch, drop_map: dict[NodeId, NodeId],
@@ -250,21 +220,35 @@ class TradeStats:
     nodes_in: int
     nodes_deleted: int
     matches: int
-    bytes: int
+    bytes_in: int  # wire size of the patch the buyer receives
+    bytes_out: int  # wire size of the patch the seller receives
+
+    @property
+    def bytes(self) -> int:
+        return self.bytes_in + self.bytes_out
+
+
+def _stranded_neighbour(pre: Graph, post: Graph, drop_id: NodeId,
+                        drop_map: dict[NodeId, NodeId]) -> NodeId | None:
+    """A former neighbour of a dropped node not adjacent (1-hop) to its
+    keeper in ``post``, or None when the whole neighbourhood was rewired."""
+    keep_id = drop_map[drop_id]
+    neighbours = {e.src for e in pre.in_edges(drop_id)} | {e.dst for e in pre.out_edges(drop_id)}
+    for nb in neighbours:
+        nb = drop_map.get(nb, nb)
+        if nb == keep_id or nb not in post:
+            continue
+        if not (post.has_edge(nb, keep_id) or post.has_edge(keep_id, nb)):
+            return nb
+    return None
 
 
 def _check_reconnected(pre: Graph, post: Graph, drop_map: dict[NodeId, NodeId]) -> None:
     for drop_id, keep_id in drop_map.items():
-        if drop_id not in pre:
-            continue
-        neighbours = {e.src for e in pre.in_edges(drop_id)} | {e.dst for e in pre.out_edges(drop_id)}
-        for nb in neighbours:
-            nb = drop_map.get(nb, nb)
-            if nb == keep_id or nb not in post:
-                continue
-            if not (post.has_edge(nb, keep_id) or post.has_edge(keep_id, nb)):
-                raise IntegrityViolation(
-                    f"neighbour {nb} of dropped {drop_id} lost contact with keeper {keep_id}")
+        nb = _stranded_neighbour(pre, post, drop_id, drop_map) if drop_id in pre else None
+        if nb is not None:
+            raise IntegrityViolation(
+                f"neighbour {nb} of dropped {drop_id} lost contact with keeper {keep_id}")
 
 
 def _advanced(repo: Repository, patch: Patch) -> Repository:
@@ -312,16 +296,17 @@ def execute_trade(left: Repository, right: Repository, policy: CommutationPolicy
         nodes_in=len(pair.for_left.inserts()),
         nodes_deleted=len(pair.drops_left),
         matches=len(pair.matches),
-        bytes=patch_wire_size(pair.for_left) + patch_wire_size(pair.for_right),
+        bytes_in=patch_wire_size(pair.for_left),
+        bytes_out=patch_wire_size(pair.for_right),
     )
     return TradeOutcome(new_left, new_right, stats, pair)
 
 
 def trade_merge(left: Repository, right: Repository, policy: CommutationPolicy,
                 *, products: set[int] | None = None, k: int = 0,
-                counter: MatchCounter | None = None, enforce: bool = True,
-                _faults: frozenset[str] = frozenset()) -> tuple[Repository, Repository, TradeStats]:
+                counter: MatchCounter | None = None,
+                enforce: bool = True) -> tuple[Repository, Repository, TradeStats]:
     """Pairwise trade returning the two advanced repositories and its stats."""
     out = execute_trade(left, right, policy, products=products, k=k,
-                        counter=counter, enforce=enforce, _faults=_faults)
+                        counter=counter, enforce=enforce)
     return out.left, out.right, out.stats

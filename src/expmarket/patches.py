@@ -343,9 +343,6 @@ class History:
             raise StateMismatch("patch does not extend this history")
         self.patches.append(patch)
 
-    def head(self) -> StateDigest:
-        return self.patches[-1].output_state if self.patches else self.origin
-
     def replay(self) -> Graph:
         """Rebuild the working copy from the empty graph."""
         if self.origin != EMPTY_GRAPH_DIGEST:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from .catalogue import (
     Advisory,
@@ -25,7 +26,7 @@ from .catalogue import (
 )
 from .config import ScenarioConfig
 from .foray import explain_observations, record_foray_patch
-from .graph import Graph, Observation
+from .graph import Graph
 from .ids import NodeIdGenerator, RobotId, derive_seed
 from .localiser import LocaliserConfig, MatchCounter
 from .market import (
@@ -42,7 +43,6 @@ from .market import (
 )
 from .merging import TradeStats, execute_trade
 from .patches import Patch, Repository
-from .serialize import patch_wire_size
 from .world import Route, World
 
 TENDER_REPLY_BYTES = 16
@@ -98,11 +98,10 @@ def barrier_sync(team_states: dict[RobotId, FsmState]) -> bool:
 
 @dataclass
 class NetworkModel:
-    """Simulated transport: uniform latency, per-robot byte ledgers."""
+    """Simulated transport: uniform latency, per-robot byte ledgers of one epoch."""
 
     latency_low_ms: float = 50.0
     latency_high_ms: float = 500.0
-    bytes_per_node_packet: int = 256
     clock_ms: float = 0.0
     sent: dict = field(default_factory=dict)       # robot -> {kind: bytes}
     received: dict = field(default_factory=dict)
@@ -144,7 +143,6 @@ def failure_distribution(dropouts) -> list[tuple[float, float]]:
 class ForayResult:
     patch: Patch
     dropouts: list[float]
-    observations: list[Observation]
     final_position: float
 
 
@@ -178,7 +176,7 @@ def run_foray(repo: Repository, world: World, route: Route, epoch: int,
     patch = record_foray_patch(repo.graph, observations, repo.robot, epoch,
                                localiser, ids, metadata=metadata,
                                _explained=explained)
-    return ForayResult(patch, dropouts, observations, positions[-1])
+    return ForayResult(patch, dropouts, positions[-1])
 
 
 @dataclass
@@ -224,17 +222,23 @@ class TrialMetrics:
 
 
 class _Agent:
-    def __init__(self, robot: RobotId, cfg: ScenarioConfig, trial_seed: int):
+    def __init__(self, robot: RobotId, trial_seed: int):
         self.robot = robot
         self.repo = Repository(robot)
         self.ledger = ProductLedger()
         self.beliefs: dict[RobotId, Belief] = {}
         self.product_beliefs: dict[int, dict[RobotId, Belief]] = {}
-        self.counter = MatchCounter()
+        self.counter = MatchCounter()  # this epoch's descriptor comparisons
         self.ids = NodeIdGenerator(trial_seed, robot)
         self.partner_rng = random.Random(derive_seed(trial_seed, "partners", robot))
         self.fsm = FsmState()
-        self.trade_count = 0
+        # this epoch's work, published phase by phase
+        self.foray: Patch | None = None  # MAPPING: what the foray recorded
+        self.position = 0.0  # MAPPING: where the route ended
+        self.sample: Patch | None = None  # SAMPLING: the market query
+        self.offers: dict[RobotId, float] = {}  # TENDERING: candidate seller -> offer
+        self.sellers: list[RobotId] = []  # PURCHASING: who to buy from
+        self.wanted: set[int] = set()  # PURCHASING: the shopping list
 
     def belief_about(self, seller: RobotId) -> Belief:
         return self.beliefs.get(seller, Belief(seller))
@@ -242,9 +246,7 @@ class _Agent:
     def observe_trade(self, seller: RobotId, k: int, patch: Patch,
                       choice_policy) -> None:
         nodes = patch.inserted_nodes()
-        value = price_nodes(nodes, choice_policy)
-        m = Measurement(seller=seller, k=k, value=value,
-                        patch_node_ids=frozenset(n.id for n in nodes))
+        m = Measurement(seller=seller, k=k, value=price_nodes(nodes, choice_policy))
         self.beliefs[seller] = update_belief(self.belief_about(seller), m)
         by_product: dict[int, list] = {}
         for n in nodes:
@@ -268,8 +270,6 @@ def _tender_offer(seller_graph: Graph, sample: Patch | None, choice_policy) -> f
     if sample is None:
         return 0.0
     sampled = sample.inserted_nodes()
-    if not sampled:
-        return 0.0
     products = {n.product for n in sampled}
     sample_ids = {n.id for n in sampled}
     supply = [n for n in seller_graph.nodes()
@@ -277,206 +277,212 @@ def _tender_offer(seller_graph: Graph, sample: Patch | None, choice_policy) -> f
     return price_nodes(supply, choice_policy)
 
 
+class _Trial:
+    """One trial's world, network, team and gossip, handed from phase to phase."""
+
+    def __init__(self, config: ScenarioConfig, seed: int, trial: int):
+        self.config = config
+        self.trial_seed = derive_seed(seed, "trial", trial)
+        self.world = World(config.catalogue, derive_seed(self.trial_seed, "world"),
+                           config.world)
+        self.net = NetworkModel(config.latency_low_ms, config.latency_high_ms)
+        self.net_rng = random.Random(derive_seed(self.trial_seed, "net"))
+        self.team = set(range(config.robots))
+        self.agents = [_Agent(i, self.trial_seed) for i in range(config.robots)]
+        self.metrics = TrialMetrics(trial=trial, seed=seed, robots=config.robots,
+                                    forays=config.forays,
+                                    strategy=config.trading.kind.value)
+        self.advisories: dict[RobotId, Advisory] = {}
+
+
+def _advance_all(agents: list[_Agent], expected: Phase) -> None:
+    """Step every robot's FSM and hold the barrier at the expected phase."""
+    for a in agents:
+        a.fsm = a.fsm.advance()
+    states = {a.robot: a.fsm for a in agents}
+    if not barrier_sync(states):
+        raise DesyncDetected("lockstep pipeline lost synchronization")
+    if agents and agents[0].fsm.theta is not expected:
+        raise DesyncDetected(f"expected {expected}, at {agents[0].fsm.theta}")
+
+
+def _quality(config: ScenarioConfig, trial_seed: int, robot: RobotId, epoch: int,
+             m: int) -> tuple[int, float]:
+    """Seeded (inliers, FAB-MAP score) of the m-th node a robot records."""
+    inlier_mu = config.quality_inlier_means[robot]
+    fabmap_mu = config.quality_fabmap_means[robot]
+    rng = random.Random(derive_seed(trial_seed, "quality", robot, epoch, m))
+    inliers = max(0, round(rng.gauss(inlier_mu, max(inlier_mu / 10.0, 0.5))))
+    fabmap = min(1.0, max(0.0, rng.gauss(fabmap_mu, 0.1)))
+    return inliers, fabmap
+
+
+def _mapping(t: _Trial, k: int) -> None:
+    """MAPPING: every robot walks its route and commits what it recorded."""
+    _advance_all(t.agents, Phase.MAPPING)
+    for a in t.agents:
+        route = t.config.routes.route_for(a.robot, k)
+        result = run_foray(a.repo, t.world, route, k, t.config.commutation.localiser,
+                           a.ids, metadata=partial(_quality, t.config, t.trial_seed, a.robot, k),
+                           counter=a.counter)
+        if not result.patch.is_empty():
+            a.repo.commit(result.patch)
+            for node in result.patch.inserted_nodes():
+                a.ledger.hold(node.id, node.product)
+        a.foray, a.position = result.patch, result.final_position
+        for d in result.dropouts:
+            t.metrics.dropouts.append((k, a.robot, d))
+
+
+def _sampling(t: _Trial) -> None:
+    """SAMPLING: each robot down-samples its new content into a market query."""
+    _advance_all(t.agents, Phase.SAMPLING)
+    for a in t.agents:
+        a.sample = (
+            sample_for_query(a.foray, t.config.budget, t.config.commutation.choice)
+            if a.foray.inserts() else None
+        )
+
+
+def _tendering(t: _Trial) -> None:
+    """TENDERING: each buyer queries its candidate sellers, who reply with offers."""
+    _advance_all(t.agents, Phase.TENDERING)
+    config, net = t.config, t.net
+    arrivals = [net.clock_ms]
+    for a in t.agents:
+        chosen = select_partners(config.trading, a.beliefs, a.robot,
+                                 t.team, a.partner_rng)
+        a.offers = {}
+        qb = query_bytes(a.sample, config.budget) if a.sample is not None else 0
+        for j in sorted(chosen):
+            arrivals.append(deliver(net, qb, t.net_rng, src=a.robot, dst=j,
+                                    kind="query"))
+            offer = _tender_offer(t.agents[j].repo.graph, a.sample, config.commutation.choice)
+            arrivals.append(deliver(net, TENDER_REPLY_BYTES, t.net_rng,
+                                    src=j, dst=a.robot, kind="query"))
+            a.offers[j] = offer
+    net.clock_ms = max(arrivals)
+
+
+def _purchasing(t: _Trial) -> None:
+    """PURCHASING: each buyer settles on its seller(s) and its shopping list."""
+    _advance_all(t.agents, Phase.PURCHASING)
+    config = t.config
+    for a in t.agents:
+        cands = list(a.offers)  # sorted by seller id
+        if len(cands) <= 1 or config.trading.kind is Strategy.ALL:
+            a.sellers = cands
+        else:
+            initialized = {j: offer for j, offer in a.offers.items()
+                           if a.belief_about(j).initialized}
+            try:
+                a.sellers = [adjudicate(initialized, a.beliefs)]
+            except NoEligibleSellers:
+                a.sellers = [cands[0]]
+        if a.sellers:
+            current = product_of(a.position, config.catalogue)
+            a.wanted = shopping_list(config.shopping, current, config.catalogue,
+                                     t.advisories, buyer=a.robot)
+
+
+def _merging(t: _Trial, k: int) -> None:
+    """MERGING: every buyer trades with its sellers, then advisories go out."""
+    _advance_all(t.agents, Phase.MERGING)
+    config, net = t.config, t.net
+    arrivals = [net.clock_ms]
+    for a_buy in t.agents:
+        for seller in a_buy.sellers:
+            a_sell = t.agents[seller]
+            merge_counter = MatchCounter()
+            out = execute_trade(a_buy.repo, a_sell.repo, config.commutation,
+                                products=a_buy.wanted, k=k,
+                                counter=merge_counter)
+            a_buy.repo, a_sell.repo = out.left, out.right
+            t.metrics.trades.append(out.stats)
+            # each side: the patch it receives, the patch it delivers, the bytes in
+            for me, other, received, delivered, size in (
+                    (a_buy, a_sell, out.pair.for_left, out.pair.for_right, out.stats.bytes_in),
+                    (a_sell, a_buy, out.pair.for_right, out.pair.for_left, out.stats.bytes_out)):
+                me.counter.add(merge_counter.ops)
+                arrivals.append(deliver(net, size, t.net_rng, src=other.robot,
+                                        dst=me.robot, kind="patch"))
+                me.observe_trade(other.robot, k, received, config.commutation.choice)
+                me.apply_ledger(received=received, delivered=delivered)
+
+    # advisories travel at the barrier out of MERGING
+    if config.trading.kind is not Strategy.NONE:
+        for a in t.agents:
+            favourites = {}
+            for product in sorted(a.product_beliefs):
+                best = advise(a.product_beliefs, product)
+                if best is not None:
+                    favourites[product] = best
+            t.advisories[a.robot] = Advisory(
+                favourite_sellers=favourites,
+                advertisement=a.ledger.advertise(),
+            )
+            for other in sorted(t.team - {a.robot}):
+                arrivals.append(deliver(net, ADVISORY_BYTES, t.net_rng,
+                                        src=a.robot, dst=other, kind="advisory"))
+    net.clock_ms = max(arrivals)
+
+
+def _snapshot(t: _Trial, k: int) -> None:
+    """IDLE: record the epoch, check its invariants, open the next epoch's ledgers."""
+    _advance_all(t.agents, Phase.IDLE)
+    net, metrics = t.net, t.metrics
+    for a in t.agents:
+        metrics.map_sizes.append((k, a.robot, len(a.repo.graph),
+                                  a.repo.graph.edge_count()))
+        sent, received = net.sent.get(a.robot, {}), net.received.get(a.robot, {})
+        metrics.traffic.append((k, a.robot,
+                                *(sent.get(kind, 0) for kind in metrics._KIND_COLS),
+                                *(received.get(kind, 0) for kind in metrics._KIND_COLS),
+                                a.counter.ops))
+        for seller in sorted(a.beliefs):
+            b = a.beliefs[seller]
+            metrics.beliefs.append((k, a.robot, seller, b.count,
+                                    b.mean, b.variance))
+        _check_wares_partition(a, metrics.trial, k)
+        a.counter = MatchCounter()
+    _check_byte_conservation(net, metrics.trial, k)
+    net.sent, net.received = {}, {}
+
+
 def run_trial(config: ScenarioConfig, seed: int, trial: int) -> TrialMetrics:
     """One seeded trial of the scenario: K epochs of map-then-trade."""
-    trial_seed = derive_seed(seed, "trial", trial)
-    world = World(config.catalogue, derive_seed(trial_seed, "world"), config.world)
-    net = NetworkModel(config.latency_low_ms, config.latency_high_ms,
-                       config.budget.bytes_per_node)
-    net_rng = random.Random(derive_seed(trial_seed, "net"))
-    team = set(range(config.robots))
-    agents = [_Agent(i, config, trial_seed) for i in range(config.robots)]
-    choice_policy = config.commutation.choice
-    metrics = TrialMetrics(trial=trial, seed=seed, robots=config.robots,
-                           forays=config.forays,
-                           strategy=config.trading.kind.value)
-    advisories: dict[RobotId, Advisory] = {}
-    prev_sent: dict[RobotId, dict] = {}
-    prev_recv: dict[RobotId, dict] = {}
-    prev_ops = [0] * config.robots
-
-    def quality_fn(robot: RobotId, epoch: int):
-        inlier_mu = config.quality_inlier_means[robot]
-        fabmap_mu = config.quality_fabmap_means[robot]
-
-        def metadata(m: int) -> tuple[int, float]:
-            rng = random.Random(derive_seed(trial_seed, "quality", robot, epoch, m))
-            inliers = max(0, round(rng.gauss(inlier_mu, max(inlier_mu / 10.0, 0.5))))
-            fabmap = min(1.0, max(0.0, rng.gauss(fabmap_mu, 0.1)))
-            return inliers, fabmap
-
-        return metadata
-
-    def advance_all(expected: Phase) -> None:
-        for a in agents:
-            a.fsm = a.fsm.advance()
-        states = {a.robot: a.fsm for a in agents}
-        if not barrier_sync(states):
-            raise DesyncDetected("lockstep pipeline lost synchronization")
-        if agents and agents[0].fsm.theta is not expected:
-            raise DesyncDetected(f"expected {expected}, at {agents[0].fsm.theta}")
-
+    t = _Trial(config, seed, trial)
     for k in range(1, config.forays + 1):
-        # -- MAPPING ------------------------------------------------------
-        advance_all(Phase.MAPPING)
-        foray_patches: dict[RobotId, Patch] = {}
-        last_positions: dict[RobotId, float] = {}
-        for a in agents:
-            route = config.routes.route_for(a.robot, k)
-            result = run_foray(a.repo, world, route, k, config.commutation.localiser,
-                               a.ids, metadata=quality_fn(a.robot, k),
-                               counter=a.counter)
-            if not result.patch.is_empty():
-                a.repo.commit(result.patch)
-                for node in result.patch.inserted_nodes():
-                    a.ledger.hold(node.id, node.product)
-            foray_patches[a.robot] = result.patch
-            last_positions[a.robot] = result.final_position
-            for d in result.dropouts:
-                metrics.dropouts.append((k, a.robot, d))
-
-        # -- SAMPLING -----------------------------------------------------
-        advance_all(Phase.SAMPLING)
-        samples: dict[RobotId, Patch | None] = {}
-        for a in agents:
-            patch = foray_patches[a.robot]
-            samples[a.robot] = (
-                sample_for_query(patch, config.budget, choice_policy)
-                if patch.inserts() else None
-            )
-
-        # -- TENDERING ----------------------------------------------------
-        advance_all(Phase.TENDERING)
-        candidates: dict[RobotId, list[RobotId]] = {}
-        offers: dict[RobotId, dict[RobotId, float]] = {}
-        arrivals = [net.clock_ms]
-        for a in agents:
-            chosen = select_partners(config.trading, a.beliefs, a.robot,
-                                     team, a.partner_rng)
-            candidates[a.robot] = sorted(chosen)
-            offers[a.robot] = {}
-            sample = samples[a.robot]
-            qb = query_bytes(sample, config.budget) if sample is not None else 0
-            for j in candidates[a.robot]:
-                arrivals.append(deliver(net, qb, net_rng, src=a.robot, dst=j,
-                                        kind="query"))
-                offer = _tender_offer(agents[j].repo.graph, sample, choice_policy)
-                arrivals.append(deliver(net, TENDER_REPLY_BYTES, net_rng,
-                                        src=j, dst=a.robot, kind="query"))
-                offers[a.robot][j] = offer
-        net.clock_ms = max(arrivals)
-
-        # -- PURCHASING ---------------------------------------------------
-        advance_all(Phase.PURCHASING)
-        orders: list[tuple[RobotId, RobotId, frozenset[int]]] = []
-        for a in agents:
-            cands = candidates[a.robot]
-            if not cands:
-                continue
-            if config.trading.kind is Strategy.ALL or len(cands) == 1:
-                sellers = cands
-            else:
-                initialized = {j: offers[a.robot][j] for j in cands
-                               if a.belief_about(j).initialized}
-                try:
-                    sellers = [adjudicate(initialized, a.beliefs)]
-                except NoEligibleSellers:
-                    sellers = [cands[0]]
-            current = product_of(last_positions[a.robot], config.catalogue)
-            wanted = shopping_list(config.shopping, current, config.catalogue,
-                                   advisories, buyer=a.robot)
-            orders.append((a.robot, tuple(sellers), frozenset(wanted)))
-
-        # -- MERGING ------------------------------------------------------
-        advance_all(Phase.MERGING)
-        arrivals = [net.clock_ms]
-        for buyer, sellers, wanted in sorted(orders, key=lambda o: o[0]):
-            for seller in sellers:
-                a_buy, a_sell = agents[buyer], agents[seller]
-                merge_counter = MatchCounter()
-                out = execute_trade(a_buy.repo, a_sell.repo, config.commutation,
-                                    products=set(wanted), k=k,
-                                    counter=merge_counter)
-                a_buy.repo, a_sell.repo = out.left, out.right
-                a_buy.counter.add(merge_counter.ops)
-                a_sell.counter.add(merge_counter.ops)
-                metrics.trades.append(out.stats)
-                arrivals.append(deliver(net, patch_wire_size(out.pair.for_left),
-                                        net_rng, src=seller, dst=buyer, kind="patch"))
-                arrivals.append(deliver(net, patch_wire_size(out.pair.for_right),
-                                        net_rng, src=buyer, dst=seller, kind="patch"))
-                a_buy.observe_trade(seller, k, out.pair.for_left, choice_policy)
-                a_sell.observe_trade(buyer, k, out.pair.for_right, choice_policy)
-                a_buy.apply_ledger(received=out.pair.for_left,
-                                   delivered=out.pair.for_right)
-                a_sell.apply_ledger(received=out.pair.for_right,
-                                    delivered=out.pair.for_left)
-                a_buy.trade_count += 1
-
-        # advisories travel at the barrier out of MERGING
-        if config.trading.kind is not Strategy.NONE:
-            new_advisories = {}
-            for a in agents:
-                favourites = {}
-                for product in sorted(a.product_beliefs):
-                    best = advise(a.product_beliefs, product)
-                    if best is not None:
-                        favourites[product] = best
-                new_advisories[a.robot] = Advisory(
-                    favourite_sellers=favourites,
-                    advertisement=a.ledger.advertise(),
-                )
-                for other in sorted(team - {a.robot}):
-                    arrivals.append(deliver(net, ADVISORY_BYTES, net_rng,
-                                            src=a.robot, dst=other, kind="advisory"))
-            advisories = new_advisories
-        net.clock_ms = max(arrivals)
-
-        # -- IDLE: snapshot the epoch -------------------------------------
-        advance_all(Phase.IDLE)
-        for a in agents:
-            metrics.map_sizes.append((k, a.robot, len(a.repo.graph),
-                                      a.repo.graph.edge_count()))
-            sent_now = [net.sent.get(a.robot, {}).get(kind, 0)
-                        for kind in ("query", "patch", "advisory")]
-            recv_now = [net.received.get(a.robot, {}).get(kind, 0)
-                        for kind in ("query", "patch", "advisory")]
-            sent_was = [prev_sent.get(a.robot, {}).get(kind, 0)
-                        for kind in ("query", "patch", "advisory")]
-            recv_was = [prev_recv.get(a.robot, {}).get(kind, 0)
-                        for kind in ("query", "patch", "advisory")]
-            metrics.traffic.append((k, a.robot,
-                                    *(n - w for n, w in zip(sent_now, sent_was)),
-                                    *(n - w for n, w in zip(recv_now, recv_was)),
-                                    a.counter.ops - prev_ops[a.robot]))
-            prev_ops[a.robot] = a.counter.ops
-            for seller in sorted(a.beliefs):
-                b = a.beliefs[seller]
-                metrics.beliefs.append((k, a.robot, seller, b.count,
-                                        b.mean, b.variance))
-        prev_sent = {r: dict(kinds) for r, kinds in net.sent.items()}
-        prev_recv = {r: dict(kinds) for r, kinds in net.received.items()}
-
-    metrics.final_digests = [a.repo.digest().hex() for a in agents]
-    metrics.clock_ms = net.clock_ms
-    total_sent = sum(sum(kinds.values()) for kinds in net.sent.values())
-    total_recv = sum(sum(kinds.values()) for kinds in net.received.values())
-    if total_sent != total_recv:
-        raise RuntimeError("network byte conservation violated")
-    for a in agents:
-        _check_wares_partition(a)
-    return metrics
+        _mapping(t, k)
+        _sampling(t)
+        _tendering(t)
+        _purchasing(t)
+        _merging(t, k)
+        _snapshot(t, k)
+    t.metrics.final_digests = [a.repo.digest().hex() for a in t.agents]
+    t.metrics.clock_ms = t.net.clock_ms
+    return t.metrics
 
 
-def _check_wares_partition(agent: _Agent) -> None:
+def _check_byte_conservation(net: NetworkModel, trial: int, k: int) -> None:
+    """Every byte sent in the epoch was received in it."""
+    sent = sum(sum(kinds.values()) for kinds in net.sent.values())
+    received = sum(sum(kinds.values()) for kinds in net.received.values())
+    if sent != received:
+        raise RuntimeError(f"trial {trial} epoch {k}: network byte conservation "
+                           f"violated ({sent} bytes sent, {received} received)")
+
+
+def _check_wares_partition(agent: _Agent, trial: int, k: int) -> None:
     """The wares ledger must partition the agent's current node set."""
+    where = f"trial {trial} epoch {k} robot {agent.robot}"
     union: set = set()
     for product, ids in agent.ledger.wares.items():
         if union & ids:
-            raise RuntimeError(f"robot {agent.robot}: wares overlap at product {product}")
+            raise RuntimeError(f"{where}: wares overlap at product {product}")
         union |= ids
     if union != agent.repo.graph.node_ids():
-        raise RuntimeError(f"robot {agent.robot}: wares ledger out of step with the map")
+        raise RuntimeError(f"{where}: wares ledger out of step with the map")
 
 
 def run_scenario(config: ScenarioConfig, seed: int, trials: int = 1,

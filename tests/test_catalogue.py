@@ -11,7 +11,6 @@ from expmarket.catalogue import (
     ShoppingKind,
     ShoppingStrategy,
     TradeDirection,
-    advertise,
     advise,
     bundled_catalogue,
     catalogue_to_text,
@@ -147,16 +146,16 @@ def test_advertise_argmax_and_ties():
     ledger = ProductLedger()
     patch, nodes = _patch_products([0, 0, 0, 1, 1, 1, 1, 1, 1, 1])
     ledger.record_trade(patch, TradeDirection.SOLD)
-    assert advertise(ledger) == 1
+    assert ledger.advertise() == 1
 
     tie = ProductLedger()
     tpatch, _ = _patch_products([0, 0, 0, 0, 2, 2, 2, 2], seed=5)
     tie.record_trade(tpatch, TradeDirection.SOLD)
-    assert advertise(tie) == 0
+    assert tie.advertise() == 0
 
 
 def test_advertise_none_without_sales():
-    assert advertise(ProductLedger()) is None
+    assert ProductLedger().advertise() is None
 
 
 def test_advise_argmax_ties_and_uninitialized():

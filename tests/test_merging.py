@@ -18,7 +18,6 @@ from expmarket.merging import (
     commute,
     execute_trade,
     gamma_score,
-    reconnect,
     trade_merge,
 )
 from expmarket.patches import Repository, apply_patch, build_patch, diff
@@ -80,46 +79,6 @@ def test_choose_lhs_depends_on_argument_order():
     lhs = ChoicePolicy(Choice.LHS)
     assert choose(a, b, lhs)[0] is a
     assert choose(b, a, lhs)[0] is b  # the versioning mischief
-
-
-# -- reconnect ----------------------------------------------------------------
-
-
-def test_reconnect_chain_splice():
-    gen = NodeIdGenerator(0, 0)
-    g, nodes = chain_graph(gen, [[0.0], [1.0], [2.0]])
-    x, drop, y = nodes
-    keep = mknode(gen, [9.0])
-    edges = reconnect(g, drop, keep.id)
-    assert {(e.src, e.dst) for e in edges} == {(x.id, keep.id), (keep.id, y.id)}
-
-
-def test_reconnect_isolated_drop():
-    gen = NodeIdGenerator(0, 0)
-    node = mknode(gen, [0.0])
-    g = Graph()
-    g.insert_node(node)
-    assert reconnect(g, node, NodeIdGenerator(1, 1).next_id()) == set()
-
-
-def test_reconnect_suppresses_self_loop_when_adjacent():
-    gen = NodeIdGenerator(0, 0)
-    g, nodes = chain_graph(gen, [[0.0], [1.0]])
-    keep, drop = nodes
-    edges = reconnect(g, drop, keep.id)
-    assert all(e.src != e.dst for e in edges)
-    assert not any(e.src == keep.id and e.dst == keep.id for e in edges)
-
-
-def test_reconnect_composes_poses():
-    gen = NodeIdGenerator(0, 0)
-    g, nodes = chain_graph(gen, [[0.0], [1.0]], spacing=5.0)
-    x, drop = nodes
-    keep = mknode(gen, [9.0])
-    offset = Pose.from_translation(2.0)
-    (edge,) = reconnect(g, drop, keep.id, offset)
-    assert (edge.src, edge.dst) == (x.id, keep.id)
-    assert edge.pose.tx == 7.0  # 5 m chain edge + 2 m drop-to-keep
 
 
 # -- fixtures for merges -------------------------------------------------------

@@ -17,6 +17,9 @@ from expmarket.sim import (
     FsmState,
     NetworkModel,
     Phase,
+    _Agent,
+    _check_byte_conservation,
+    _check_wares_partition,
     barrier_sync,
     deliver,
     failure_distribution,
@@ -205,6 +208,15 @@ def test_deliver_accounts_both_endpoints():
     assert net.received[4]["patch"] == 123
 
 
+def test_byte_conservation_error_names_trial_and_epoch():
+    net = NetworkModel()
+    deliver(net, 64, random.Random(0), src=0, dst=1, kind="patch")
+    _check_byte_conservation(net, trial=2, k=5)
+    deliver(net, 16, random.Random(0), src=1, kind="query")  # sent, never received
+    with pytest.raises(RuntimeError, match=r"^trial 2 epoch 5: .*conservation"):
+        _check_byte_conservation(net, trial=2, k=5)
+
+
 # -- failure distribution -------------------------------------------------------------
 
 
@@ -219,6 +231,18 @@ def test_failure_distribution_empty_and_single():
 
 
 # -- scenario engine ------------------------------------------------------------------
+
+
+def test_wares_partition_error_names_trial_and_epoch():
+    agent = _Agent(3, trial_seed=0)
+    _check_wares_partition(agent, trial=1, k=4)
+    node_id = NodeIdGenerator(0, 3).next_id()
+    agent.ledger.hold(node_id, 0)  # held, but not in the map
+    with pytest.raises(RuntimeError, match=r"^trial 1 epoch 4 robot 3: .*out of step"):
+        _check_wares_partition(agent, trial=1, k=4)
+    agent.ledger.hold(node_id, 1)  # and held under two products
+    with pytest.raises(RuntimeError, match=r"^trial 1 epoch 4 robot 3: wares overlap"):
+        _check_wares_partition(agent, trial=1, k=4)
 
 
 def test_run_trial_deterministic_and_conserving():
