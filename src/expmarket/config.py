@@ -2,12 +2,16 @@
 
 Sections are world / team / strategies / network / sim. Unknown keys are
 rejected and every diagnostic names the offending field, so a typo'd config
-fails loudly instead of silently running defaults.
+fails loudly instead of silently running defaults. Any document either
+parses or raises ``ConfigError``: numbers must be finite (Python's ``json``
+accepts ``NaN`` and ``Infinity``) and every range a constructor enforces is
+checked here first.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,6 +27,32 @@ class ConfigError(Exception):
     """Invalid scenario config; the message names the field."""
 
 
+# A team larger than this is far outside what a trial can run (ALL trading
+# makes R * (R - 1) trades an epoch), and the per-robot defaults are lists
+# of ``robots`` entries, so a huge count would exhaust memory while parsing.
+_MAX_ROBOTS = 1024
+
+
+def _finite(name: str, val) -> float:
+    """``val`` (an int or float) as a finite float, or a ConfigError."""
+    try:
+        val = float(val)
+    except OverflowError:
+        raise ConfigError(f"{name}: number out of range") from None
+    if not math.isfinite(val):
+        raise ConfigError(f"{name}: must be finite")
+    return val
+
+
+def _means(name: str, means: list, robots: int) -> list[float]:
+    """One finite number per robot, or a ConfigError."""
+    if len(means) != robots:
+        raise ConfigError(f"{name}: need one value per robot ({robots})")
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in means):
+        raise ConfigError(f"{name}: values must be numbers")
+    return [_finite(name, v) for v in means]
+
+
 class _SectionReader:
     def __init__(self, name: str, doc: dict):
         if not isinstance(doc, dict):
@@ -36,8 +66,8 @@ class _SectionReader:
                 raise ConfigError(f"{self.name}.{key}: required field missing")
             return default
         val = self.doc.pop(key)
-        if kind is float and isinstance(val, int) and not isinstance(val, bool):
-            val = float(val)
+        if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
+            return _finite(f"{self.name}.{key}", val)
         if not isinstance(val, kind) or isinstance(val, bool) and kind is not bool:
             raise ConfigError(f"{self.name}.{key}: expected {kind.__name__}, got {type(val).__name__}")
         return val
@@ -100,35 +130,35 @@ def parse_scenario_config(doc: dict, base_dir: Path | None = None) -> ScenarioCo
         raise ConfigError("world.descriptor_dim: must be >= 1")
     if world_cfg.node_spacing_m <= 0:
         raise ConfigError("world.node_spacing_m: must be positive")
-    if cat_name.endswith(".catalogue"):
-        path = Path(cat_name)
-        if base_dir is not None and not path.is_absolute():
-            path = base_dir / path
-        if not path.exists():
-            raise ConfigError(f"world.catalogue: file not found: {path}")
-        catalogue = load_catalogue(path)
-    else:
-        try:
-            catalogue = bundled_catalogue(cat_name)
-        except FileNotFoundError:
-            raise ConfigError(f"world.catalogue: no bundled catalogue named '{cat_name}'") from None
+    try:
+        if cat_name.endswith(".catalogue"):
+            path = Path(cat_name)
+            if base_dir is not None and not path.is_absolute():
+                path = base_dir / path
+            if not path.exists():
+                raise ConfigError(f"world.catalogue: file not found: {path}")
+            catalogue = load_catalogue(path)
+        else:
+            try:
+                catalogue = bundled_catalogue(cat_name)
+            except FileNotFoundError:
+                raise ConfigError(
+                    f"world.catalogue: no bundled catalogue named '{cat_name}'") from None
+    except (OSError, ValueError) as exc:  # unreadable path or malformed catalogue
+        raise ConfigError(f"world.catalogue: {exc}") from None
 
     t = _SectionReader("team", doc["team"])
     robots = t.take("robots", int, required=True)
-    if robots < 2:
-        raise ConfigError("team.robots: need at least 2 robots")
+    if not 2 <= robots <= _MAX_ROBOTS:
+        raise ConfigError(f"team.robots: need 2 to {_MAX_ROBOTS} robots")
     inlier_means = t.take("quality_inlier_means", list, [30.0] * robots)
     fabmap_means = t.take("quality_fabmap_means", list, [0.5] * robots)
     route_width = t.take("route_width", int, 2)
     route_stride = t.take("route_stride", int, 2)
     route_shift = t.take("route_shift", int, 1)
     t.finish()
-    for name, means in (("quality_inlier_means", inlier_means),
-                        ("quality_fabmap_means", fabmap_means)):
-        if len(means) != robots:
-            raise ConfigError(f"team.{name}: need one value per robot ({robots})")
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in means):
-            raise ConfigError(f"team.{name}: values must be numbers")
+    inlier_means = _means("team.quality_inlier_means", inlier_means, robots)
+    fabmap_means = _means("team.quality_fabmap_means", fabmap_means, robots)
     if not 1 <= route_width <= len(catalogue):
         raise ConfigError("team.route_width: must fit inside the catalogue")
     routes = RoutePlan(catalogue, width=route_width, stride=route_stride, shift=route_shift)
@@ -156,6 +186,8 @@ def parse_scenario_config(doc: dict, base_dir: Path | None = None) -> ScenarioCo
                           "(inliers, fabmap, path_memory)")
     if sample_max_nodes < 1:
         raise ConfigError("strategies.sample_max_nodes: must be >= 1")
+    if shopping_kind is not ShoppingKind.CURRENT and window_radius < 1:
+        raise ConfigError("strategies.window_radius: must be >= 1")
 
     n = _SectionReader("network", doc["network"])
     latency_low = n.take("latency_low_ms", float, 50.0)
@@ -185,8 +217,8 @@ def parse_scenario_config(doc: dict, base_dir: Path | None = None) -> ScenarioCo
         catalogue=catalogue,
         world=world_cfg,
         robots=robots,
-        quality_inlier_means=[float(v) for v in inlier_means],
-        quality_fabmap_means=[float(v) for v in fabmap_means],
+        quality_inlier_means=inlier_means,
+        quality_fabmap_means=fabmap_means,
         routes=routes,
         trading=TradingStrategy(trading_kind, exploit_fraction=exploit_fraction,
                                 central_id=central_id),
@@ -206,7 +238,7 @@ def load_scenario_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # undecodable, malformed or too deep
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
     return parse_scenario_config(doc, base_dir=path.parent)
 

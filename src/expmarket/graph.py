@@ -8,17 +8,23 @@ independently, so it is deliberately excluded (otherwise two agents holding
 identical traded content would never agree on a state).
 
 A graph keeps its item hashes up to date as it changes: each insert or
-remove hashes that one item and updates a hash-to-item dict and a sorted
-hash list (by bisection, or by one sort after a bulk change). A digest is
-then a single join and SHA-256, and ``Graph.items_missing_from`` finds the
-items one graph holds and another lacks by a C-level scan of the hashes.
-The digest bytes are the same as hashing every item afresh
-(``compute_digest_from_scratch``).
+remove hashes that one item and updates a hash-to-item dict and one sorted
+``bytearray`` of 32-byte hash records (by a binary search and one splice, or
+by one sort after a bulk change). A digest is then one SHA-256 over that
+buffer, read in place. ``Graph.digest_after`` gives the digest the graph
+would have after an item delta by streaming SHA-256 over the buffer's
+segments with the added hashes spliced in and the dropped ones skipped; it
+copies and changes nothing. ``Graph.items_missing_from`` finds the items one
+graph holds and another lacks by a C-level scan of the hashes, and returns
+nothing at once when the two digests agree: equal content-addressed states
+hold equal item-hash sets. The digest bytes are the same as hashing every
+item afresh (``compute_digest_from_scratch``).
 
-``Graph.copy`` is copy-on-write: the outer dicts are copied, and a node's
-adjacency containers are copied only when one of the two graphs first
-mutates them. Insertion order, and so every iteration order, is kept. A
-graph handed to ``copy`` is never changed by what its copy does.
+``Graph.copy`` is copy-on-write: the outer dicts are copied, the hash buffer
+is copied in one block, and a node's adjacency containers are copied only
+when one of the two graphs first mutates them. Insertion order, and so every
+iteration order, is kept. A graph handed to ``copy`` is never changed by what
+its copy does.
 
 The digest of the empty graph is SHA-256 of the empty string:
 ``e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855``.
@@ -28,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from bisect import bisect_left, insort
 from dataclasses import dataclass, replace
 from itertools import filterfalse
 from typing import Iterable, Iterator
@@ -99,19 +104,26 @@ class Observation:
     product: int
 
 
-def _node_item_hash(node: Node) -> bytes:
+def node_item_hash(node: Node) -> bytes:
     return hashlib.sha256(b"N" + node.content_bytes()).digest()
 
 
-def _edge_item_hash(edge: Edge) -> bytes:
+def edge_item_hash(edge: Edge) -> bytes:
     return hashlib.sha256(b"E" + edge.content_bytes()).digest()
 
 
-# Bisect updates the sorted hash list takes between two digests before it is
-# dropped and rebuilt by one sort. Measured on CPython 3.11: m insorts cost as
-# much as one sort at m ~ 250 on a 300-hash list, ~ 1000 on 3k hashes and
-# ~ 2000 on 30k. 256 is the small-map crossover; on large maps it errs
-# towards sorting, which only bulk builds reach.
+_REC = 32  # bytes per record in the sorted hash buffer (one SHA-256)
+
+
+# Record splices the sorted hash buffer takes between two digests before it
+# is dropped and rebuilt by one sort. Measured on CPython 3.11 (2-vCPU VM): a
+# splice (binary search plus memmove) costs 2-4 us at 300 hashes, 4-7 us at
+# 3k and 17-20 us at 30k; the rebuild costs 0.03-0.05, 0.6-0.8 and 10-13 ms.
+# So m splices cost one rebuild at m ~ 15, ~ 140 and ~ 600. No one value fits
+# all three. 256 stays: below the 30k crossover, a trade-sized patch on a
+# large map never pays a rebuild, and on a small map the overshoot is at most
+# 256 splices (under 1 ms; in the convergence and fleet workloads no change
+# set on a map of 300 items or fewer exceeds 64 splices).
 _BISECT_LIMIT = 256
 
 
@@ -126,9 +138,12 @@ class Graph:
     ``_owned`` holds the ids whose containers this graph may change in
     place, and ``copy`` clears it on both graphs.
 
-    ``_items`` maps every item hash to its node or edge and ``_sorted`` holds
-    the hashes in order, both updated on each mutation. A node entry may
-    carry a stale ``path_memory``; the current record is in ``_nodes``.
+    ``_items`` maps every item hash to its node or edge, and ``_sorted`` is
+    one ``bytearray`` of the hashes as sorted 32-byte records; both are
+    updated on each mutation. ``digest`` hashes that buffer in place,
+    ``digest_after`` streams it with an item delta spliced in, and ``copy``
+    copies it in one block. A node entry in ``_items`` may carry a stale
+    ``path_memory``; the current record is in ``_nodes``.
     """
 
     def __init__(self) -> None:
@@ -137,8 +152,8 @@ class Graph:
         self._in: dict[NodeId, set[NodeId]] = {}
         self._owned: set[NodeId] = set()
         self._items: dict[bytes, Node | Edge] = {}
-        self._sorted: list[bytes] | None = []  # None: rebuild by one sort
-        self._pending = 0  # bisect updates since the last digest
+        self._sorted: bytearray | None = bytearray()  # None: rebuild by one sort
+        self._pending = 0  # record splices since the last digest
         self._digest: StateDigest | None = EMPTY_GRAPH_DIGEST
         self._desc_index: tuple[list[NodeId], np.ndarray] | None = None
 
@@ -181,11 +196,14 @@ class Graph:
     def items_missing_from(self, other: "Graph") -> tuple[list[Node], list[Edge]]:
         """This graph's nodes and edges whose item hash ``other`` lacks.
 
-        The scan over the hashes runs in C; only the missing items are
-        visited in Python. They come in this graph's insertion order.
+        Equal digests mean equal item-hash sets, so nothing is missing.
+        Otherwise the scan over the hashes runs in C; only the missing items
+        are visited in Python. They come in this graph's insertion order.
         """
         nodes: list[Node] = []
         edges: list[Edge] = []
+        if self.digest() == other.digest():
+            return nodes, edges
         items = self._items
         for h in filterfalse(other._items.__contains__, items):
             item = items[h]
@@ -204,7 +222,7 @@ class Graph:
         self._out[node.id] = {}
         self._in[node.id] = set()
         self._owned.add(node.id)
-        self._add_item(_node_item_hash(node), node)
+        self._add_item(node_item_hash(node), node)
 
     def remove_node(self, node_id: NodeId) -> Node:
         """Remove a node; its incident edges must already be gone."""
@@ -214,7 +232,7 @@ class Graph:
         del self._out[node_id]
         del self._in[node_id]
         self._owned.discard(node_id)
-        self._drop_item(_node_item_hash(node))
+        self._drop_item(node_item_hash(node))
         return node
 
     def insert_edge(self, edge: Edge) -> None:
@@ -228,7 +246,7 @@ class Graph:
         self._own(edge.dst)
         self._out[edge.src][edge.dst] = edge
         self._in[edge.dst].add(edge.src)
-        self._add_item(_edge_item_hash(edge), edge)
+        self._add_item(edge_item_hash(edge), edge)
 
     def remove_edge(self, src: NodeId, dst: NodeId) -> Edge:
         edge = self._out[src][dst]
@@ -236,7 +254,7 @@ class Graph:
         self._own(dst)
         del self._out[src][dst]
         self._in[dst].discard(src)
-        self._drop_item(_edge_item_hash(edge))
+        self._drop_item(edge_item_hash(edge))
         return edge
 
     def bump_path_memory(self, node_id: NodeId) -> None:
@@ -254,7 +272,7 @@ class Graph:
         self._owned = set()
         g._owned = set()
         g._items = self._items.copy()
-        g._sorted = self._sorted_hashes().copy()
+        g._sorted = self._sorted_hashes()[:]
         g._pending = self._pending
         g._digest = self._digest
         g._desc_index = self._desc_index
@@ -278,15 +296,17 @@ class Graph:
         self._track(h, added=False)
 
     def _track(self, h: bytes, added: bool) -> None:
-        """Keep the sorted hash list in step with one added or dropped hash."""
-        hashes = self._sorted
-        if hashes is not None:
+        """Keep the sorted hash buffer in step with one added or dropped hash."""
+        buf = self._sorted
+        if buf is not None:
             if self._pending >= _BISECT_LIMIT:
                 self._sorted = None
-            elif added:
-                insort(hashes, h)
             else:
-                del hashes[bisect_left(hashes, h)]
+                at = _offset(buf, h)
+                if added:
+                    buf[at:at] = h
+                else:
+                    del buf[at:at + _REC]
             self._pending += 1
         self._dirty()
 
@@ -294,17 +314,49 @@ class Graph:
         self._digest = None
         self._desc_index = None
 
-    def _sorted_hashes(self) -> list[bytes]:
+    def _sorted_hashes(self) -> bytearray:
         if self._sorted is None:
-            self._sorted = sorted(self._items)
+            self._sorted = bytearray().join(sorted(self._items))
             self._pending = 0
         return self._sorted
 
     def digest(self) -> StateDigest:
         if self._digest is None:
-            self._digest = hashlib.sha256(b"".join(self._sorted_hashes())).digest()
+            self._digest = hashlib.sha256(self._sorted_hashes()).digest()
             self._pending = 0
         return self._digest
+
+    def digest_after(self, dropped: Iterable[bytes], added: Iterable[bytes]) -> StateDigest:
+        """The digest this graph would have with ``dropped`` item hashes
+        removed and ``added`` ones inserted; the graph is not changed.
+
+        SHA-256 streams over the sorted buffer's segments, splicing each
+        added hash in at its place and skipping each dropped record. Raises
+        ``KeyError`` for a dropped hash the graph does not hold.
+        """
+        buf = self._sorted_hashes()
+        # (offset, 0, hash) splices a hash in before the record at offset;
+        # (offset, 1, hash) skips that record. Splices at one offset go in
+        # hash order, and before a skip at the same offset.
+        cuts = [(_offset(buf, h), 0, h) for h in added]
+        for h in dropped:
+            at = _offset(buf, h)
+            if buf[at:at + _REC] != h:
+                raise KeyError(h)
+            cuts.append((at, 1, h))
+        cuts.sort()
+        sha = hashlib.sha256()
+        start = 0
+        with memoryview(buf) as view:
+            for at, skip, h in cuts:
+                sha.update(view[start:at])
+                if skip:
+                    start = at + _REC
+                else:
+                    sha.update(h)
+                    start = at
+            sha.update(view[start:])
+        return sha.digest()
 
     def descriptor_index(self) -> tuple[list[NodeId], np.ndarray]:
         """Node ids (ascending) and their descriptors as a matrix (cached)."""
@@ -318,10 +370,23 @@ class Graph:
         return self._desc_index
 
 
+def _offset(buf: bytearray, h: bytes) -> int:
+    """Byte offset of the first record in the sorted buffer not below ``h``."""
+    lo, hi = 0, len(buf) // _REC
+    while lo < hi:
+        mid = (lo + hi) // 2
+        at = mid * _REC
+        if buf[at:at + _REC] < h:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo * _REC
+
+
 def compute_digest_from_scratch(graph: Graph) -> StateDigest:
     """Digest rehashed from every node and edge, for coherence checks."""
-    hashes = [_node_item_hash(n) for n in graph.nodes()]
-    hashes += [_edge_item_hash(e) for e in graph.edges()]
+    hashes = [node_item_hash(n) for n in graph.nodes()]
+    hashes += [edge_item_hash(e) for e in graph.edges()]
     hashes.sort()
     return hashlib.sha256(b"".join(hashes)).digest()
 

@@ -243,12 +243,13 @@ def _stranded_neighbour(pre: Graph, post: Graph, drop_id: NodeId,
     return None
 
 
-def _check_reconnected(pre: Graph, post: Graph, drop_map: dict[NodeId, NodeId]) -> None:
+def _check_reconnected(pre: Graph, post: Graph, drop_map: dict[NodeId, NodeId],
+                       where: str) -> None:
     for drop_id, keep_id in drop_map.items():
         nb = _stranded_neighbour(pre, post, drop_id, drop_map) if drop_id in pre else None
         if nb is not None:
             raise IntegrityViolation(
-                f"neighbour {nb} of dropped {drop_id} lost contact with keeper {keep_id}")
+                f"{where}: neighbour {nb} of dropped {drop_id} lost contact with keeper {keep_id}")
 
 
 def _advanced(repo: Repository, patch: Patch) -> Repository:
@@ -271,7 +272,7 @@ def execute_trade(left: Repository, right: Repository, policy: CommutationPolicy
     """A pairwise exchange: diff, commute, apply on both sides.
 
     With no product scope the two repositories end in the same state
-    (digest-checked). A product scope restricts the exchange to catalogue
+    (digest-checked); a violated check names ``k`` and both robots. A product scope restricts the exchange to catalogue
     sections on the buyer's shopping list, converging those sections only.
     ``enforce=False`` skips the convergence and reconnection checks so
     verification harnesses can observe misbehaving policies instead of
@@ -285,10 +286,11 @@ def execute_trade(left: Repository, right: Repository, policy: CommutationPolicy
                    counter=counter, _faults=_faults)
     new_left, new_right = _advanced(left, pair.for_left), _advanced(right, pair.for_right)
     if enforce and not _faults:
+        where = f"trade k={k} buyer {left.robot} seller {right.robot}"
         if products is None and new_left.digest() != new_right.digest():
-            raise IntegrityViolation("trade did not converge to a common state")
-        _check_reconnected(left.graph, new_left.graph, pair.drops_left)
-        _check_reconnected(right.graph, new_right.graph, pair.drops_right)
+            raise IntegrityViolation(f"{where}: trade did not converge to a common state")
+        _check_reconnected(left.graph, new_left.graph, pair.drops_left, where)
+        _check_reconnected(right.graph, new_right.graph, pair.drops_right, where)
     stats = TradeStats(
         k=k,
         buyer=left.robot,

@@ -17,7 +17,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .graph import EMPTY_GRAPH_DIGEST, Edge, Graph, Node, StateDigest
+from .graph import (EMPTY_GRAPH_DIGEST, Edge, Graph, Node, StateDigest, edge_item_hash,
+                    node_item_hash)
 from .ids import NodeId, RobotId
 
 
@@ -277,6 +278,12 @@ def build_patch(
     Delete elements take their payload (node record and out-edges) from the
     base graph; in-edges of deleted nodes are collected into the patch's edge
     deletes automatically, so the result is always invertible.
+
+    The output state is the base digest with the patch's item delta spliced
+    in (``Graph.digest_after``); nothing is applied here. A deleted edge the
+    base lacks raises ``MissingTarget``. Other malformed content (a dangling
+    or duplicate insertion) is refused by ``apply_patch`` at commit, with the
+    same ``PatchError``.
     """
     delete_ids = set(delete_ids)
     node_deletes = {nid: base.node(nid) for nid in delete_ids}
@@ -289,13 +296,17 @@ def build_patch(
                 edge_deletes.add(e)
     node_inserts = {n.id: n for n in insert_nodes}
     edge_inserts = set(insert_edges)
-    patch = _regroup(base.digest(), EMPTY_GRAPH_DIGEST,
-                     node_inserts, node_deletes, edge_inserts, edge_deletes)
-    if patch.is_empty():  # nothing to apply: the state stays put
-        return Patch(base.digest(), base.digest(), frozenset())
-    probe = base.copy()
-    _apply_content(probe, patch)
-    return _regroup(base.digest(), probe.digest(),
+    if not (node_inserts or node_deletes or edge_inserts or edge_deletes):
+        return Patch(base.digest(), base.digest(), frozenset())  # the state stays put
+    dropped = [node_item_hash(n) for n in node_deletes.values()]
+    dropped += [edge_item_hash(e) for e in edge_deletes]
+    added = [node_item_hash(n) for n in node_inserts.values()]
+    added += [edge_item_hash(e) for e in edge_inserts]
+    try:
+        output = base.digest_after(dropped, added)
+    except KeyError:
+        raise MissingTarget("a deleted edge is absent from the base graph") from None
+    return _regroup(base.digest(), output,
                     node_inserts, node_deletes, edge_inserts, edge_deletes)
 
 

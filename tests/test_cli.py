@@ -217,3 +217,18 @@ def test_match_convergence_output_ignores_string_hash_seed(tmp_path):
                       for p in sorted(out.rglob("*")) if p.is_file()})
     assert trees[0] == trees[1]
     assert trees[0]
+
+
+def test_run_scenario_rejects_out_of_range_config_values(tmp_path, capsys):
+    cases = [{"strategies.shopping": "WINDOW", "strategies.window_radius": -1},
+             {"network.latency_low_ms": float("nan")},
+             {"network.latency_high_ms": float("inf")},
+             {"sim.tau_loc": float("nan")}]
+    for overrides in cases:
+        path = _write_scenario(tmp_path, **overrides)
+        code = main(["run-scenario", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert list(overrides)[-1] in err
+    assert not (tmp_path / "out").exists()

@@ -1,11 +1,15 @@
 """Scenario config: strict schema, field-level diagnostics."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expmarket.config import (
     ConfigError,
+    ScenarioConfig,
     bundled_scenario,
     load_scenario_config,
     parse_scenario_config,
@@ -101,3 +105,68 @@ def test_asymmetric_choice_rejected_for_scenarios():
     doc["strategies"]["choice"] = "lhs"
     with pytest.raises(ConfigError, match="pure policy"):
         parse_scenario_config(doc)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("strategies", "window_radius", -1),
+    ("strategies", "window_radius", 0),
+    ("network", "latency_low_ms", float("nan")),
+    ("network", "latency_high_ms", float("inf")),
+    ("sim", "tau_loc", float("nan")),
+    ("world", "drift_sigma", float("-inf")),
+    ("team", "quality_inlier_means", [30, float("nan"), 40, 45]),
+    ("team", "quality_fabmap_means", [0.5, 0.5, 0.5, 10**400]),
+    ("team", "robots", 10**9),
+])
+def test_out_of_range_values_are_config_errors(section, key, value):
+    doc = bundled_scenario("robustness")  # WINDOW shopping, four robots
+    doc[section][key] = value
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        parse_scenario_config(doc)
+
+
+def test_unreadable_json_is_a_config_error(tmp_path):
+    for name, data in (("binary.json", b"\xff\xfe{"), ("deep.json", b"[" * 100000),
+                       ("digits.json", b"1" * 5000)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_scenario_config(path)
+
+
+def _json_values():
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=12))
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=4)
+                        | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+                        max_leaves=8)
+
+
+_SCENARIOS = ("robustness", "scaling", "shopping")
+# every section, and every key any bundled scenario sets
+_FIELDS = sorted({(section, key) for name in _SCENARIOS
+                  for section, body in bundled_scenario(name).items()
+                  for key in (None, *body)}, key=str)
+
+
+@settings(max_examples=600, deadline=None)
+@given(name=st.sampled_from(_SCENARIOS), field=st.sampled_from(_FIELDS),
+       value=_json_values())
+def test_any_value_of_one_field_parses_or_is_a_config_error(name, field, value):
+    doc = bundled_scenario(name)
+    section, key = field
+    if key is None:
+        doc[section] = value
+    else:
+        doc[section][key] = value
+    try:
+        cfg = parse_scenario_config(doc)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ScenarioConfig)
+    world, localiser = cfg.world, cfg.commutation.localiser
+    numbers = [cfg.latency_low_ms, cfg.latency_high_ms, cfg.trading.exploit_fraction,
+               world.node_spacing_m, world.latent_scale, world.drift_sigma, world.noise_sigma,
+               localiser.tau_loc, localiser.tau_m,
+               *cfg.quality_inlier_means, *cfg.quality_fabmap_means]
+    assert all(math.isfinite(v) for v in numbers)

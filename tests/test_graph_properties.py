@@ -1,18 +1,24 @@
-"""Property tests: maintained item hashes, copy-on-write copies, hash-indexed diff."""
+"""Property tests: maintained item hashes, copy-on-write copies, hash-indexed diff,
+digests streamed over an item delta."""
 
 import random
+from contextlib import contextmanager
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expmarket import graph as graph_module
-from expmarket.graph import Edge, Graph, compute_digest_from_scratch
+from expmarket.graph import (Edge, Graph, compute_digest_from_scratch, edge_item_hash,
+                             node_item_hash)
 from expmarket.ids import NodeIdGenerator
-from expmarket.patches import apply_patch, build_patch, diff, patches_equal
+from expmarket.patches import (DanglingEdge, DuplicateContent, MissingTarget, apply_patch,
+                               build_patch, diff, patches_equal)
 from expmarket.pose import Pose
 from expmarket.serialize import patch_to_bytes
 
-from _builders import mknode, random_graph
+from _builders import chain_graph, mknode, random_graph
 
 # -- a graph and its copies under random mutation -----------------------------
 
@@ -184,3 +190,191 @@ def test_diff_matches_full_edge_scan(seed, size, products):
     # the inputs are values: diffing changed neither side
     assert left.digest() == compute_digest_from_scratch(left)
     assert right.digest() == compute_digest_from_scratch(right)
+
+
+# -- digests streamed over an item delta ---------------------------------------
+
+
+@contextmanager
+def _bisect_limit(limit: int):
+    saved = graph_module._BISECT_LIMIT
+    graph_module._BISECT_LIMIT = limit
+    try:
+        yield
+    finally:
+        graph_module._BISECT_LIMIT = saved
+
+
+def _item_hashes(g: Graph) -> set[bytes]:
+    return {node_item_hash(n) for n in g.nodes()} | {edge_item_hash(e) for e in g.edges()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 16),
+       bisect_limit=st.sampled_from([0, 2, 256]))
+def test_digest_after_matches_an_applied_copy(seed, size, bisect_limit):
+    rng = random.Random(seed)
+    with _bisect_limit(bisect_limit):
+        g = random_graph(seed % 1000, size, dim=2, edge_prob=0.3)
+        before = g.digest()
+        assert g.digest_after([], []) == before
+        # drop some nodes with every incident edge, and some other edges
+        victims = set(rng.sample(sorted(g.node_ids()), rng.randrange(size // 2 + 1)))
+        gone_edges = {e for e in g.edges()
+                      if e.src in victims or e.dst in victims or rng.random() < 0.2}
+        gen = NodeIdGenerator(rng.randrange(2**32), 1)
+        new_nodes = [mknode(gen, [rng.uniform(-9, 9)]) for _ in range(rng.randrange(5))]
+        pool = [i for i in g.node_ids() if i not in victims] + [n.id for n in new_nodes]
+        new_edges = {}
+        for _ in range(rng.randrange(6) if len(pool) > 1 else 0):
+            src, dst = rng.sample(pool, 2)
+            old = g.has_edge(src, dst) and g.edge(src, dst)
+            if not old or old in gone_edges:  # add, or re-add with a new pose
+                new_edges[(src, dst)] = Edge(src, dst, Pose.from_translation(rng.random()))
+        dropped = [node_item_hash(g.node(i)) for i in victims]
+        dropped += [edge_item_hash(e) for e in gone_edges]
+        added = [node_item_hash(n) for n in new_nodes]
+        added += [edge_item_hash(e) for e in new_edges.values()]
+        streamed = g.digest_after(dropped, added)
+
+        twin = g.copy()
+        for e in gone_edges:
+            twin.remove_edge(e.src, e.dst)
+        for i in victims:
+            twin.remove_node(i)
+        for n in new_nodes:
+            twin.insert_node(n)
+        for e in new_edges.values():
+            twin.insert_edge(e)
+        assert streamed == twin.digest() == compute_digest_from_scratch(twin)
+        # the graph asked is unchanged
+        assert g.digest() == before == compute_digest_from_scratch(g)
+
+
+@pytest.mark.parametrize("bisect_limit", [0, 2, 256])
+def test_digest_after_splices_at_the_ends_and_at_a_dropped_record(bisect_limit):
+    gen = NodeIdGenerator(11, 0)
+    nodes = sorted((mknode(gen, [float(i)]) for i in range(12)), key=node_item_hash)
+    first, second, third, last = nodes[0], nodes[1], nodes[2], nodes[-1]
+    with _bisect_limit(bisect_limit):
+        g = graph_module.graph_from_content(
+            [n for n in nodes if n not in (first, second, last)], [])
+        # first sorts before every record, last after; second lands at the
+        # offset of third, which is dropped in the same delta
+        delta = ([node_item_hash(third)],
+                 [node_item_hash(n) for n in (last, second, first)])
+        twin = g.copy()
+        twin.remove_node(third.id)
+        for n in (first, second, last):
+            twin.insert_node(n)
+        assert g.digest_after(*delta) == twin.digest() == compute_digest_from_scratch(twin)
+        # dropping and re-adding one record leaves the digest as it is
+        h = node_item_hash(nodes[5])
+        assert g.digest_after([h], [h]) == g.digest()
+        # one record before the first, and one after the last
+        assert g.digest_after([], [node_item_hash(first)]) \
+            == graph_module.graph_from_content([first] + nodes[2:-1], []).digest()
+        assert g.digest_after([], [node_item_hash(last)]) \
+            == graph_module.graph_from_content(nodes[2:], []).digest()
+
+
+def test_digest_after_rejects_an_absent_dropped_hash():
+    g, nodes = chain_graph(NodeIdGenerator(3, 0), [[0.0], [1.0], [2.0]])
+    with pytest.raises(KeyError):
+        g.digest_after([node_item_hash(mknode(NodeIdGenerator(4, 0), [0.0]))], [])
+    with pytest.raises(MissingTarget):  # no such edge
+        build_patch(g, delete_edges=[Edge(nodes[2].id, nodes[0].id, Pose.identity())])
+    with pytest.raises(MissingTarget):  # the edge is there, with another pose
+        build_patch(g, delete_edges=[Edge(nodes[0].id, nodes[1].id, Pose.identity())])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 14),
+       bisect_limit=st.sampled_from([0, 2, 256]))
+def test_built_output_state_is_the_applied_digest(seed, size, bisect_limit):
+    rng = random.Random(seed)
+    with _bisect_limit(bisect_limit):
+        base = random_graph(seed % 1000, size, dim=2, edge_prob=0.4)
+        ids = sorted(base.node_ids())
+        victims = set(rng.sample(ids, rng.randrange(len(ids) + 1)))
+        kept = [i for i in ids if i not in victims]
+        gen = NodeIdGenerator(rng.randrange(2**32), 2)
+        new = [mknode(gen, [rng.uniform(-9, 9)]) for _ in range(rng.randrange(4))]
+        pool = kept + [n.id for n in new]
+        inserts = {}
+        for _ in range(rng.randrange(6) if len(pool) > 1 else 0):
+            src, dst = rng.sample(pool, 2)
+            if not base.has_edge(src, dst):
+                inserts[(src, dst)] = Edge(src, dst, Pose.from_translation(rng.random()))
+        deletes = [e for e in base.edges()
+                   if e.src not in victims and e.dst not in victims and rng.random() < 0.2]
+        patch = build_patch(base, insert_nodes=new, insert_edges=inserts.values(),
+                            delete_ids=victims, delete_edges=deletes)
+        after = apply_patch(base, patch)
+        assert patch.output_state == after.digest() == compute_digest_from_scratch(after)
+
+
+def test_built_output_state_with_an_edge_between_two_deleted_nodes():
+    g, nodes = chain_graph(NodeIdGenerator(5, 0), [[0.0], [1.0], [2.0], [3.0]])
+    a, b = nodes[1].id, nodes[2].id  # a -> b is an in-edge of b from a deleted node
+    patch = build_patch(g, delete_ids=[a, b])
+    after = apply_patch(g, patch)
+    assert patch.output_state == after.digest() == compute_digest_from_scratch(after)
+    assert len(after) == 2 and after.edge_count() == 0
+
+
+def test_malformed_requests_reach_the_caller():
+    gen = NodeIdGenerator(6, 0)
+    g, nodes = chain_graph(gen, [[0.0], [1.0]])
+    stranger = mknode(gen, [7.0])
+    with pytest.raises(MissingTarget):
+        apply_patch(g, build_patch(g, delete_edges=[Edge(nodes[1].id, nodes[0].id,
+                                                         Pose.identity())]))
+    with pytest.raises(DanglingEdge):
+        apply_patch(g, build_patch(g, insert_edges=[Edge(nodes[0].id, stranger.id,
+                                                         Pose.identity())]))
+    with pytest.raises(DuplicateContent):
+        apply_patch(g, build_patch(g, insert_nodes=[nodes[0]]))
+    with pytest.raises(DuplicateContent):
+        apply_patch(g, build_patch(g, insert_edges=[Edge(nodes[0].id, nodes[1].id,
+                                                         Pose.identity())]))
+    assert g.digest() == compute_digest_from_scratch(g)
+
+
+# -- equal digests: nothing is missing -----------------------------------------
+
+
+def _twins():
+    """A graph, the same content built in another order with other path memory,
+    and a copy of the first."""
+    g = random_graph(21, 30, dim=2, edge_prob=0.2)
+    nodes = [replace(n, path_memory=n.path_memory + 7) for n in reversed(list(g.nodes()))]
+    other = graph_module.graph_from_content(nodes, reversed(list(g.edges())))
+    return g, other, g.copy()
+
+
+@pytest.mark.parametrize("products", [None, {0, 2}])
+def test_equal_content_diffs_to_two_empty_patches(products):
+    g, other, twin = _twins()
+    assert g.digest() == other.digest() == twin.digest()
+    for a, b in ((g, other), (other, g), (g, twin), (twin, other)):
+        assert a.items_missing_from(b) == ([], [])
+        incoming, outgoing = diff(a, b, products=products)
+        assert incoming.is_empty() and outgoing.is_empty()
+        assert incoming.input_state == incoming.output_state == a.digest()
+
+
+def test_missing_items_keep_insertion_order():
+    g, _, twin = _twins()
+    gen = NodeIdGenerator(22, 3)
+    new = [mknode(gen, [float(i)]) for i in range(6)]
+    anchor = next(iter(g.node_ids()))
+    for n in new:
+        twin.insert_node(n)
+    edges = [Edge(a.id, b.id, Pose.identity()) for a, b in zip(new, new[1:])]
+    edges.append(Edge(anchor, new[0].id, Pose.identity()))
+    for e in edges:
+        twin.insert_edge(e)
+    assert twin.digest() != g.digest()
+    assert twin.items_missing_from(g) == (new, edges)
+    assert g.items_missing_from(twin) == ([], [])

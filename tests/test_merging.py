@@ -12,6 +12,7 @@ from expmarket.merging import (
     ChoicePolicy,
     Commutation,
     CommutationPolicy,
+    IntegrityViolation,
     NonScoringPolicy,
     NonSymmetricPolicy,
     choose,
@@ -361,3 +362,14 @@ def test_trade_of_one_shared_graph_is_a_noop():
     assert out.left.digest() == out.right.digest() == shared.digest()
     assert len(out.left.history) == 0
     assert out.stats.bytes == 2 * patch_wire_size(out.pair.for_left)
+
+
+def test_trade_invariant_error_names_the_trade():
+    left, right, *_ = fig2_repos(near_duplicate=True)
+    lhs = CommutationPolicy(Commutation.MATCH, ChoicePolicy(Choice.LHS),
+                            LocaliserConfig(), allow_asymmetric=True)
+    with pytest.raises(IntegrityViolation) as err:
+        execute_trade(Repository(3, left.graph), Repository(5, right.graph), lhs, k=7)
+    assert "did not converge" in str(err.value)
+    assert "k=7" in str(err.value)
+    assert "buyer 3" in str(err.value) and "seller 5" in str(err.value)
