@@ -272,11 +272,12 @@ def execute_trade(left: Repository, right: Repository, policy: CommutationPolicy
     """A pairwise exchange: diff, commute, apply on both sides.
 
     With no product scope the two repositories end in the same state
-    (digest-checked); a violated check names ``k`` and both robots. A product scope restricts the exchange to catalogue
+    (digest-checked). A product scope restricts the exchange to catalogue
     sections on the buyer's shopping list, converging those sections only.
     ``enforce=False`` skips the convergence and reconnection checks so
     verification harnesses can observe misbehaving policies instead of
-    crashing on them.
+    crashing on them. A failed check raises ``IntegrityViolation`` naming
+    ``k``, the buyer and the seller.
     """
     if policy.kind is Commutation.MATCH and not policy.choice.is_pure() \
             and not policy.allow_asymmetric:
