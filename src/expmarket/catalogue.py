@@ -100,6 +100,7 @@ class Advisory:
 
 def _window(p: ProductIndex, radius: int, catalogue: Catalogue) -> set[ProductIndex]:
     n = len(catalogue)
+    radius = min(radius, n)  # a wider window holds no further section
     if catalogue.cyclic:
         return {(p + d) % n for d in range(-radius, radius + 1)}
     return {q for q in range(p - radius, p + radius + 1) if 0 <= q < n}

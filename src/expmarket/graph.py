@@ -8,9 +8,10 @@ independently, so it is deliberately excluded (otherwise two agents holding
 identical traded content would never agree on a state).
 
 A graph keeps its item hashes up to date as it changes: each insert or
-remove hashes that one item and updates a hash-to-item dict and one sorted
-``bytearray`` of 32-byte hash records (by a binary search and one splice, or
-by one sort after a bulk change). A digest is then one SHA-256 over that
+remove hashes that one item, updates a hash-to-item dict and notes the hash
+as pending for one sorted ``bytearray`` of 32-byte hash records. The pending
+hashes are folded into the buffer in one pass (or by one sort, after a bulk
+change) the next time it is read. A digest is then one SHA-256 over that
 buffer, read in place. ``Graph.digest_after`` gives the digest the graph
 would have after an item delta by streaming SHA-256 over the buffer's
 segments with the added hashes spliced in and the dropped ones skipped; it
@@ -20,11 +21,19 @@ nothing at once when the two digests agree: equal content-addressed states
 hold equal item-hash sets. The digest bytes are the same as hashing every
 item afresh (``compute_digest_from_scratch``).
 
-``Graph.copy`` is copy-on-write: the outer dicts are copied, the hash buffer
-is copied in one block, and a node's adjacency containers are copied only
-when one of the two graphs first mutates them. Insertion order, and so every
-iteration order, is kept. A graph handed to ``copy`` is never changed by what
-its copy does.
+``Graph.copy`` is O(1): it hands the graph's containers (its *store*) to the
+copy, and the original becomes a *view* that keeps only its cached digest,
+its descriptor index and a mark into the store's undo journal. While a store
+has live views, its owner journals the inverse of each insert and
+``bump_path_memory``. The first read of a view's containers rebuilds it from
+the store (Baker's version trees for functional arrays): when the owner is
+gone and no live view is newer, the view reclaims the store and undoes the
+journal back to its mark, in O(journal); otherwise it takes a copy-on-write
+copy of the store and undoes the journal on that. Undoing an insert restores
+every dict's insertion order exactly, but undoing a removal would not, so an
+owner about to remove an item first rebuilds its live views. Either way a
+graph handed to ``copy`` keeps its content and every iteration order, and
+is never changed by what its copy does.
 
 The digest of the empty graph is SHA-256 of the empty string:
 ``e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855``.
@@ -34,6 +43,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import weakref
 from dataclasses import dataclass, replace
 from itertools import filterfalse
 from typing import Iterable, Iterator
@@ -115,16 +125,26 @@ def edge_item_hash(edge: Edge) -> bytes:
 _REC = 32  # bytes per record in the sorted hash buffer (one SHA-256)
 
 
-# Record splices the sorted hash buffer takes between two digests before it
-# is dropped and rebuilt by one sort. Measured on CPython 3.11 (2-vCPU VM): a
-# splice (binary search plus memmove) costs 2-4 us at 300 hashes, 4-7 us at
-# 3k and 17-20 us at 30k; the rebuild costs 0.03-0.05, 0.6-0.8 and 10-13 ms.
-# So m splices cost one rebuild at m ~ 15, ~ 140 and ~ 600. No one value fits
-# all three. 256 stays: below the 30k crossover, a trade-sized patch on a
-# large map never pays a rebuild, and on a small map the overshoot is at most
-# 256 splices (under 1 ms; in the convergence and fleet workloads no change
-# set on a map of 300 items or fewer exceeds 64 splices).
-_BISECT_LIMIT = 256
+# Pending hash changes are folded into the sorted buffer (one bisection
+# each, then one pass over the buffer) while they number at most
+# _BISECT_LIMIT and at most one _FOLD_SHARE-th of the hashes; otherwise the
+# next read sorts every hash afresh. Measured on CPython 3.11 (2-vCPU VM): a
+# fold costs 4, 5 and 6.5 us a change at 300, 3k and 30k hashes (its pass
+# over 30k hashes: 0.03 ms), and the sort 0.045, 0.8 and 10.5-13.5 ms. So the
+# fold-vs-sort crossover is near n/30, n/19 and n/17 changes for n hashes; a
+# twentieth fits all three (it beat 8 and 40 on the convergence and fleet
+# workloads). The cap bounds what is tracked and sits below the crossover of
+# every map the benchmark builds (1800 changes at 30k hashes).
+_BISECT_LIMIT = 1024
+_FOLD_SHARE = 20
+
+# kinds of undo record in a store's journal: (kind, item, item hash)
+_NODE, _EDGE, _BUMP = range(3)
+
+# the containers a graph owns: its store
+_PARTS = ("_nodes", "_out", "_in", "_owned", "_items", "_sorted", "_delta")
+# what ``copy`` hands over and a view lacks; reading one rebuilds the view
+_HANDOFF = _PARTS + ("_journal",)
 
 
 class Graph:
@@ -133,18 +153,33 @@ class Graph:
     Instances are confined to one owning agent; the patch layer exposes the
     value-semantics API (apply returns a fresh graph).
 
-    ``copy`` is copy-on-write. It copies the outer dicts; each node's
-    adjacency containers stay shared until a graph first mutates them.
-    ``_owned`` holds the ids whose containers this graph may change in
-    place, and ``copy`` clears it on both graphs.
+    A graph is an *owner* or a *view*. An owner holds the store: the
+    containers named in ``_PARTS``. ``copy`` hands the store to the new
+    graph and turns this one into a view (class ``_View``), which keeps its
+    ``_digest`` and ``_desc_index``, a ``_Journal`` (``_base``) and a mark
+    into its records (``_mark``), and no container. Reading any container of
+    a view goes through ``_View.__getattr__``, which rebuilds it first
+    (``_rebuild``), so a view always reads its own version.
 
-    ``_items`` maps every item hash to its node or edge, and ``_sorted`` is
-    one ``bytearray`` of the hashes as sorted 32-byte records; both are
-    updated on each mutation. ``digest`` hashes that buffer in place,
-    ``digest_after`` streams it with an item delta spliced in, and ``copy``
-    copies it in one block. A node entry in ``_items`` may carry a stale
-    ``path_memory``; the current record is in ``_nodes``.
+    While a store has live views, its owner logs an undo record for each
+    insert and ``bump_path_memory``; a removal first rebuilds every view.
+    ``_owned`` holds the ids whose adjacency containers this graph may
+    change in place; a view rebuilt by copying shares the others until one
+    side first mutates them.
+
+    ``_items`` maps every item hash to its node or edge. ``_sorted`` is one
+    ``bytearray`` of the hashes as sorted 32-byte records. ``_delta`` holds
+    the hashes added (True) or dropped (False) since the buffer was last
+    brought up to date, which ``_sorted_hashes`` does in one pass; after
+    more than ``_BISECT_LIMIT`` changes it holds only ``None``. A large
+    delta, against that limit or the buffer's size, is applied by sorting
+    the buffer afresh instead.
+    ``digest`` hashes the buffer in place, and ``digest_after`` streams it
+    with an item delta spliced in. A node entry in ``_items`` may carry a
+    stale ``path_memory``; the current record is in ``_nodes``.
     """
+
+    __slots__ = _HANDOFF + ("_digest", "_desc_index", "_base", "_mark", "__weakref__")
 
     def __init__(self) -> None:
         self._nodes: dict[NodeId, Node] = {}
@@ -152,8 +187,9 @@ class Graph:
         self._in: dict[NodeId, set[NodeId]] = {}
         self._owned: set[NodeId] = set()
         self._items: dict[bytes, Node | Edge] = {}
-        self._sorted: bytearray | None = bytearray()  # None: rebuild by one sort
-        self._pending = 0  # record splices since the last digest
+        self._sorted = bytearray()
+        self._delta: dict[bytes | None, bool] = {}
+        self._journal: _Journal | None = None  # made by the first copy
         self._digest: StateDigest | None = EMPTY_GRAPH_DIGEST
         self._desc_index: tuple[list[NodeId], np.ndarray] | None = None
 
@@ -222,17 +258,15 @@ class Graph:
         self._out[node.id] = {}
         self._in[node.id] = set()
         self._owned.add(node.id)
-        self._add_item(node_item_hash(node), node)
+        self._add_item(_NODE, node, node_item_hash(node))
 
     def remove_node(self, node_id: NodeId) -> Node:
         """Remove a node; its incident edges must already be gone."""
         if self._out.get(node_id) or self._in.get(node_id):
             raise ValueError(f"node {node_id} still has incident edges")
-        node = self._nodes.pop(node_id)
-        del self._out[node_id]
-        del self._in[node_id]
-        self._owned.discard(node_id)
-        self._drop_item(node_item_hash(node))
+        node = self._nodes[node_id]
+        self._release_views()
+        self._unlink_node(node, node_item_hash(node))
         return node
 
     def insert_edge(self, edge: Edge) -> None:
@@ -246,15 +280,12 @@ class Graph:
         self._own(edge.dst)
         self._out[edge.src][edge.dst] = edge
         self._in[edge.dst].add(edge.src)
-        self._add_item(edge_item_hash(edge), edge)
+        self._add_item(_EDGE, edge, edge_item_hash(edge))
 
     def remove_edge(self, src: NodeId, dst: NodeId) -> Edge:
         edge = self._out[src][dst]
-        self._own(src)
-        self._own(dst)
-        del self._out[src][dst]
-        self._in[dst].discard(src)
-        self._drop_item(edge_item_hash(edge))
+        self._release_views()
+        self._unlink_edge(edge, edge_item_hash(edge))
         return edge
 
     def bump_path_memory(self, node_id: NodeId) -> None:
@@ -262,20 +293,26 @@ class Graph:
         node = self._nodes[node_id]
         self._nodes[node_id] = replace(node, path_memory=node.path_memory + 1)
         # digest unaffected: path_memory is not versioned content
+        journal = self._journal
+        if journal is not None and journal.views:
+            journal.records.append((_BUMP, node, b""))
 
     def copy(self) -> "Graph":
+        """A graph with this one's content, in O(1): the copy takes over the
+        store and this graph becomes a view of it."""
+        journal = self._journal  # a view is rebuilt by this lookup
+        if journal is None:
+            journal = self._journal = _Journal(self)
         g = Graph.__new__(Graph)
-        g._nodes = self._nodes.copy()
-        g._out = self._out.copy()
-        g._in = self._in.copy()
-        # the adjacency containers are shared now: neither graph owns them
-        self._owned = set()
-        g._owned = set()
-        g._items = self._items.copy()
-        g._sorted = self._sorted_hashes()[:]
-        g._pending = self._pending
-        g._digest = self._digest
-        g._desc_index = self._desc_index
+        g._nodes, g._out, g._in, g._owned = self._nodes, self._out, self._in, self._owned
+        g._items, g._sorted, g._delta = self._items, self._sorted, self._delta
+        g._journal, g._digest, g._desc_index = journal, self._digest, self._desc_index
+        journal.owner = weakref.ref(g)
+        self.__class__ = _View
+        del self._nodes, self._out, self._in, self._owned, self._items, self._sorted
+        del self._delta, self._journal
+        self._base, self._mark = journal, len(journal.records)
+        journal.views.add(weakref.ref(self, journal.forget))
         return g
 
     def _own(self, node_id: NodeId) -> None:
@@ -285,45 +322,112 @@ class Graph:
             self._in[node_id] = set(self._in[node_id])
             self._owned.add(node_id)
 
+    def _unlink_node(self, node: Node, h: bytes) -> None:
+        del self._nodes[node.id]
+        del self._out[node.id]
+        del self._in[node.id]
+        self._owned.discard(node.id)
+        del self._items[h]
+        self._track(h, False)
+
+    def _unlink_edge(self, edge: Edge, h: bytes) -> None:
+        self._own(edge.src)
+        self._own(edge.dst)
+        del self._out[edge.src][edge.dst]
+        self._in[edge.dst].discard(edge.src)
+        del self._items[h]
+        self._track(h, False)
+
+    # -- views --------------------------------------------------------------
+
+    def _release_views(self) -> None:
+        """Rebuild every live view of this store before an item is removed.
+
+        Undoing a removal would put the item back at the end of its dicts,
+        so the view would iterate in another order than it did.
+        """
+        journal = self._journal  # a view is rebuilt by this lookup
+        if journal is not None and journal.views:
+            for ref in list(journal.views):
+                view = ref()
+                if view is not None:
+                    view._rebuild()
+
+    def _rebuild(self) -> None:
+        """Turn this view back into an owner of its own version.
+
+        When no live graph needs the store as it is (its owner is gone and
+        no live view is newer), the view reclaims the store and undoes the
+        journal back to its mark in place. Otherwise it copies the store
+        (copy-on-write, as ``_own`` finishes) and undoes on the copy.
+        """
+        journal, mark = self._base, self._mark
+        records = journal.records[mark:]
+        views = [ref() for ref in journal.views]
+        newer = any(v is not None and v._mark > mark for v in views)
+        del self._base, self._mark
+        self.__class__ = Graph
+        if journal.owner() is None and not newer:
+            (self._nodes, self._out, self._in, self._owned, self._items, self._sorted,
+             self._delta) = journal.parts
+            self._journal = journal
+            journal.owner = weakref.ref(self)
+            del journal.records[mark:]
+        else:
+            nodes, out, in_, owned, items, buf, delta = journal.parts
+            owned.clear()  # the adjacency containers are shared from here on
+            self._nodes, self._out, self._in = nodes.copy(), out.copy(), in_.copy()
+            self._owned = set()
+            self._items = items.copy()
+            self._sorted = buf[:]
+            self._delta = delta.copy()
+            self._journal = None
+        journal.forget(weakref.ref(self))
+        cached = self._digest, self._desc_index
+        for kind, item, h in reversed(records):
+            if kind == _NODE:
+                self._unlink_node(item, h)
+            elif kind == _EDGE:
+                self._unlink_edge(item, h)
+            else:
+                self._nodes[item.id] = item
+        self._digest, self._desc_index = cached
+
     # -- digests ----------------------------------------------------------
 
-    def _add_item(self, h: bytes, item: Node | Edge) -> None:
+    def _add_item(self, kind: int, item: Node | Edge, h: bytes) -> None:
         self._items[h] = item
-        self._track(h, added=True)
-
-    def _drop_item(self, h: bytes) -> None:
-        del self._items[h]
-        self._track(h, added=False)
+        self._track(h, True)
+        journal = self._journal
+        if journal is not None and journal.views:  # journal the undo
+            journal.records.append((kind, item, h))
 
     def _track(self, h: bytes, added: bool) -> None:
-        """Keep the sorted hash buffer in step with one added or dropped hash."""
-        buf = self._sorted
-        if buf is not None:
-            if self._pending >= _BISECT_LIMIT:
-                self._sorted = None
-            else:
-                at = _offset(buf, h)
-                if added:
-                    buf[at:at] = h
-                else:
-                    del buf[at:at + _REC]
-            self._pending += 1
-        self._dirty()
-
-    def _dirty(self) -> None:
+        """Note one added or dropped hash for the sorted hash buffer."""
+        delta = self._delta
+        if None not in delta:
+            if delta.pop(h, None) is None:  # else this undoes a pending change
+                delta[h] = added
+            if len(delta) > _BISECT_LIMIT:
+                delta.clear()
+                delta[None] = True  # the next read sorts the buffer afresh
         self._digest = None
         self._desc_index = None
 
     def _sorted_hashes(self) -> bytearray:
-        if self._sorted is None:
-            self._sorted = bytearray().join(sorted(self._items))
-            self._pending = 0
-        return self._sorted
+        """The sorted hash buffer, with the pending delta folded in."""
+        buf, delta = self._sorted, self._delta
+        if delta:
+            if None in delta or len(delta) * _FOLD_SHARE > len(self._items):
+                buf[:] = b"".join(sorted(self._items))
+            else:
+                _fold(buf, delta)
+            delta.clear()
+        return buf
 
     def digest(self) -> StateDigest:
         if self._digest is None:
             self._digest = hashlib.sha256(self._sorted_hashes()).digest()
-            self._pending = 0
         return self._digest
 
     def digest_after(self, dropped: Iterable[bytes], added: Iterable[bytes]) -> StateDigest:
@@ -370,6 +474,51 @@ class Graph:
         return self._desc_index
 
 
+class _View(Graph):
+    """A graph whose store was handed to its copy. It holds no container, so
+    reading one comes here, and the view is rebuilt first.
+
+    A class of its own, set by ``copy`` and reset by ``_rebuild``: a
+    ``__getattr__`` on ``Graph`` itself would slow every attribute read of
+    every owner, because CPython then no longer specialises them. ``Graph``
+    has slots, so switching the class keeps a graph's attribute reads as
+    fast as before.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if name not in _HANDOFF:
+            raise AttributeError(name)
+        self._rebuild()
+        return getattr(self, name)
+
+
+class _Journal:
+    """What the owner and the views of one store share.
+
+    ``parts`` are the store's containers in ``_PARTS`` order (the owner's
+    own objects, kept here so a view can reclaim them once the owner is
+    gone), ``owner`` is a weak reference to the graph holding them,
+    ``records`` undo the owner's logged mutations when read backwards, and
+    ``views`` holds a weak reference to each live view.
+    """
+
+    __slots__ = ("parts", "owner", "records", "views")
+
+    def __init__(self, graph: Graph) -> None:
+        self.parts = tuple(getattr(graph, name) for name in _PARTS)
+        self.owner: weakref.ref | None = None
+        self.records: list[tuple[int, Node | Edge, bytes]] = []
+        self.views: set[weakref.ref] = set()
+
+    def forget(self, view: weakref.ref) -> None:
+        """Drop a view that died or was rebuilt; the records go with the last."""
+        self.views.discard(view)
+        if not self.views:
+            self.records.clear()
+
+
 def _offset(buf: bytearray, h: bytes) -> int:
     """Byte offset of the first record in the sorted buffer not below ``h``."""
     lo, hi = 0, len(buf) // _REC
@@ -381,6 +530,33 @@ def _offset(buf: bytearray, h: bytes) -> int:
         else:
             hi = mid
     return lo * _REC
+
+
+def _fold(buf: bytearray, delta: dict[bytes, bool]) -> None:
+    """Bring the sorted buffer up to date with a delta of added (True) and
+    dropped (False) hashes, in place: the dropped records are squeezed out
+    in one pass from the left, then the added ones are spliced in by one
+    pass from the right, so each record moves at most twice."""
+    drops = sorted(_offset(buf, h) for h, added in delta.items() if not added)
+    if drops:
+        end = drops[0]
+        with memoryview(buf) as view:
+            for at, nxt in zip(drops, drops[1:] + [len(buf)]):
+                size = nxt - at - _REC
+                view[end:end + size] = view[at + _REC:nxt]
+                end += size
+        del buf[end:]
+    adds = sorted(h for h, added in delta.items() if added)
+    if adds:
+        cuts = [_offset(buf, h) for h in adds]
+        end = len(buf)
+        buf.extend(bytes(len(adds) * _REC))
+        with memoryview(buf) as view:
+            for i in range(len(adds) - 1, -1, -1):
+                at, shift = cuts[i], (i + 1) * _REC
+                view[at + shift:end + shift] = view[at:end]
+                view[at + shift - _REC:at + shift] = adds[i]
+                end = at
 
 
 def compute_digest_from_scratch(graph: Graph) -> StateDigest:

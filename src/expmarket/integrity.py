@@ -21,7 +21,8 @@ from typing import Callable, Sequence
 from .graph import Edge, Graph, Node
 from .ids import NodeIdGenerator, derive_seed
 from .localiser import MatchCounter
-from .merging import Commutation, CommutationPolicy, _stranded_neighbour, execute_trade
+from .merging import (Commutation, CommutationPolicy, _neighbours, _stranded_neighbour,
+                      execute_trade)
 from .patches import Patch, Repository, apply_patch, build_patch
 from .pose import Pose
 
@@ -63,7 +64,7 @@ def _test_connectivity(node: Node, trial: MergeTrial) -> bool:
     # judge connectivity in the graph of the side that performed the delete
     post = trial.post_left if node.id in trial.drops_left and node.id in trial.left_graph \
         else trial.post_right if node.id in trial.right_graph else trial.post_left
-    return _stranded_neighbour(pre, post, node.id, drops) is None
+    return _stranded_neighbour(_neighbours(pre, node.id), post, node.id, drops) is None
 
 
 def _test_no_coexistence(node: Node, trial: MergeTrial) -> bool:

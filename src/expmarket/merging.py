@@ -228,12 +228,16 @@ class TradeStats:
         return self.bytes_in + self.bytes_out
 
 
-def _stranded_neighbour(pre: Graph, post: Graph, drop_id: NodeId,
+def _neighbours(graph: Graph, node_id: NodeId) -> set[NodeId]:
+    """Every node one edge away from ``node_id``, in either direction."""
+    return {e.src for e in graph.in_edges(node_id)} | {e.dst for e in graph.out_edges(node_id)}
+
+
+def _stranded_neighbour(neighbours: set[NodeId], post: Graph, drop_id: NodeId,
                         drop_map: dict[NodeId, NodeId]) -> NodeId | None:
     """A former neighbour of a dropped node not adjacent (1-hop) to its
     keeper in ``post``, or None when the whole neighbourhood was rewired."""
     keep_id = drop_map[drop_id]
-    neighbours = {e.src for e in pre.in_edges(drop_id)} | {e.dst for e in pre.out_edges(drop_id)}
     for nb in neighbours:
         nb = drop_map.get(nb, nb)
         if nb == keep_id or nb not in post:
@@ -243,13 +247,15 @@ def _stranded_neighbour(pre: Graph, post: Graph, drop_id: NodeId,
     return None
 
 
-def _check_reconnected(pre: Graph, post: Graph, drop_map: dict[NodeId, NodeId],
-                       where: str) -> None:
-    for drop_id, keep_id in drop_map.items():
-        nb = _stranded_neighbour(pre, post, drop_id, drop_map) if drop_id in pre else None
+def _check_reconnected(neighbourhoods: dict[NodeId, set[NodeId]], post: Graph,
+                       drop_map: dict[NodeId, NodeId], where: str) -> None:
+    """``neighbourhoods`` holds the pre-trade neighbour set of each dropped
+    node that side held."""
+    for drop_id, neighbours in neighbourhoods.items():
+        nb = _stranded_neighbour(neighbours, post, drop_id, drop_map)
         if nb is not None:
-            raise IntegrityViolation(
-                f"{where}: neighbour {nb} of dropped {drop_id} lost contact with keeper {keep_id}")
+            raise IntegrityViolation(f"{where}: neighbour {nb} of dropped {drop_id} "
+                                     f"lost contact with keeper {drop_map[drop_id]}")
 
 
 def _advanced(repo: Repository, patch: Patch) -> Repository:
@@ -285,13 +291,17 @@ def execute_trade(left: Repository, right: Repository, policy: CommutationPolicy
     incoming, outgoing = diff(left.graph, right.graph, products=products)
     pair = commute(incoming, outgoing, policy, left.graph, right.graph,
                    counter=counter, _faults=_faults)
+    check = enforce and not _faults
+    if check:  # read the inputs before the commits: a trade never reads them after
+        pre_left = {d: _neighbours(left.graph, d) for d in pair.drops_left if d in left.graph}
+        pre_right = {d: _neighbours(right.graph, d) for d in pair.drops_right if d in right.graph}
     new_left, new_right = _advanced(left, pair.for_left), _advanced(right, pair.for_right)
-    if enforce and not _faults:
+    if check:
         where = f"trade k={k} buyer {left.robot} seller {right.robot}"
         if products is None and new_left.digest() != new_right.digest():
             raise IntegrityViolation(f"{where}: trade did not converge to a common state")
-        _check_reconnected(left.graph, new_left.graph, pair.drops_left, where)
-        _check_reconnected(right.graph, new_right.graph, pair.drops_right, where)
+        _check_reconnected(pre_left, new_left.graph, pair.drops_left, where)
+        _check_reconnected(pre_right, new_right.graph, pair.drops_right, where)
     stats = TradeStats(
         k=k,
         buyer=left.robot,

@@ -150,7 +150,13 @@ def _apply_content(graph: Graph, patch: Patch) -> None:
 
 
 def apply_patch(graph: Graph, patch: Patch) -> Graph:
-    """Apply ``patch`` to a graph whose digest equals the patch input state."""
+    """Apply ``patch`` to a graph whose digest equals the patch input state.
+
+    The result takes over the graph's store (``Graph.copy``), and the patch
+    is applied to it there: this costs O(|patch|) plus one SHA-256 over the
+    result's item hashes. ``graph`` is left as a view that still reads as
+    it did; it is rebuilt from the result's undo journal when next read.
+    """
     if graph.digest() != patch.input_state:
         raise StateMismatch("graph digest does not match patch input state")
     result = graph.copy()
@@ -372,7 +378,13 @@ class History:
 
 @dataclass
 class Repository:
-    """An agent's versioned map: the working graph plus its linear history."""
+    """An agent's versioned map: the working graph plus its linear history.
+
+    ``commit`` and ``committed`` apply through ``apply_patch``, and ``copy``
+    copies the graph, so each hands the graph's store on in O(1) and leaves
+    the old graph reading as it did. A graph may be shared by several
+    repositories: none of them ever changes what another one reads.
+    """
 
     robot: RobotId
     graph: Graph = field(default_factory=Graph)

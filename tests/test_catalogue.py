@@ -1,5 +1,7 @@
 """Catalogue: products, shopping lists, ledgers, advisories, file format."""
 
+import time
+
 import pytest
 
 from expmarket.catalogue import (
@@ -78,6 +80,18 @@ def test_window_wraps_when_cyclic():
     got = shopping_list(ShoppingStrategy(ShoppingKind.WINDOW, 1), 0,
                         toy_catalogue(cyclic=True))
     assert got == {8, 0, 1}
+
+
+@pytest.mark.parametrize("name", ["parks", "table1"])
+def test_huge_window_radius_is_fast_and_covers_the_catalogue(name):
+    cat = bundled_catalogue(name)
+    n = len(cat)
+    for start in range(n):
+        t0 = time.perf_counter()
+        huge = shopping_list(ShoppingStrategy(ShoppingKind.WINDOW, 10**7), start, cat)
+        assert time.perf_counter() - t0 < 0.05
+        assert huge == shopping_list(ShoppingStrategy(ShoppingKind.WINDOW, n), start, cat)
+        assert huge == set(range(n))
 
 
 def test_current_single_product():

@@ -378,3 +378,17 @@ def test_missing_items_keep_insertion_order():
     assert twin.digest() != g.digest()
     assert twin.items_missing_from(g) == (new, edges)
     assert g.items_missing_from(twin) == ([], [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 60),
+       drops=st.integers(0, 60), adds=st.integers(0, 30))
+def test_folding_a_delta_matches_sorting_afresh(seed, size, drops, adds):
+    rng = random.Random(seed)
+    kept = [rng.randbytes(32) for _ in range(size)]
+    new = [rng.randbytes(32) for _ in range(adds)]
+    gone = rng.sample(kept, min(drops, size))
+    buf = bytearray(b"".join(sorted(kept)))
+    delta = dict.fromkeys(new, True) | dict.fromkeys(gone, False)
+    graph_module._fold(buf, delta)
+    assert buf == b"".join(sorted(set(kept) - set(gone) | set(new)))

@@ -1,5 +1,6 @@
 """Canonical binary encoding: round trips and bit-stability."""
 
+import random
 import uuid
 
 import pytest
@@ -125,3 +126,37 @@ def test_trailing_bytes_rejected(junk):
     patch = random_insert_patch(g, 3, 2)
     with pytest.raises(ValueError):
         patch_from_bytes(patch_to_bytes(patch) + junk)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 8))
+def test_every_proper_prefix_of_a_graph_encoding_is_rejected(seed, size):
+    data = graph_to_bytes(random_graph(seed % 1000, size, dim=3, edge_prob=0.3))
+    for end in range(len(data)):
+        with pytest.raises(ValueError):
+            graph_from_bytes(data[:end])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_patches())
+def test_every_proper_prefix_of_a_patch_encoding_is_rejected(patch):
+    data = patch_to_bytes(patch)
+    for end in range(len(data)):
+        with pytest.raises(ValueError):
+            patch_from_bytes(data[:end])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 12))
+def test_patches_with_node_and_edge_deletes_round_trip(seed, size):
+    rng = random.Random(seed)
+    base = random_graph(seed % 1000, size, dim=3, edge_prob=0.4)
+    victims = rng.sample(sorted(base.node_ids()), rng.randrange(size + 1))
+    cut = [e for e in base.edges()
+           if e.src not in victims and e.dst not in victims and rng.random() < 0.5]
+    patch = build_patch(base, delete_ids=victims, delete_edges=cut)
+    back = patch_from_bytes(patch_to_bytes(patch))
+    assert patches_equal(back, patch)
+    assert (back.input_state, back.output_state) == (patch.input_state, patch.output_state)
+    assert patch_to_bytes(back) == patch_to_bytes(patch)
+    assert apply_patch(base, back).digest() == patch.output_state
