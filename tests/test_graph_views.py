@@ -18,20 +18,11 @@ from expmarket.pose import Pose
 from expmarket.serialize import graph_to_bytes
 
 from _builders import mknode
+from test_graph_properties import _Model, _mutate
 
-
-class _Snapshot:
-    """Plain-dict mirror of one handle: node records and out-edges, in order."""
-
-    def __init__(self, nodes=None, out=None):
-        self.nodes = dict(nodes or {})
-        self.out = {k: dict(v) for k, v in (out or {}).items()}
-
-    def copy(self) -> "_Snapshot":
-        return _Snapshot(self.nodes, self.out)
-
-    def edges(self) -> list[Edge]:
-        return [e for out in self.out.values() for e in out.values()]
+# _mutate's ops: 0 inserts a node, 1 removes a node with its edges, 2 inserts
+# an edge, 3 removes an edge, 4 bumps a path memory
+_INSERTS_AND_BUMPS = (0, 2, 4)
 
 
 def _unbuilt(g: Graph) -> bool:
@@ -39,7 +30,7 @@ def _unbuilt(g: Graph) -> bool:
     return isinstance(g, graph_module._View)
 
 
-def _check(g: Graph, snap: _Snapshot) -> None:
+def _check(g: Graph, snap: _Model) -> None:
     assert list(g.nodes()) == list(snap.nodes.values())
     assert list(g.edges()) == snap.edges()
     assert g.edge_count() == len(snap.edges())
@@ -48,44 +39,6 @@ def _check(g: Graph, snap: _Snapshot) -> None:
         assert set(g.in_edges(nid)) == {o[nid] for o in snap.out.values() if nid in o}
     assert g.digest() == compute_digest_from_scratch(g)
     assert export_text(g) == export_text(graph_from_content(snap.nodes.values(), snap.edges()))
-
-
-def _mutate(g: Graph, snap: _Snapshot, op: int, rng: random.Random, gen) -> None:
-    ids = list(snap.nodes)
-    if op == 0 or not ids:
-        node = mknode(gen, [rng.uniform(-5, 5) for _ in range(rng.randrange(3))],
-                      inlier_count=rng.randrange(9))
-        g.insert_node(node)
-        snap.nodes[node.id] = node
-        snap.out[node.id] = {}
-    elif op == 1:
-        src, dst = rng.choice(ids), rng.choice(ids)
-        if src != dst and dst not in snap.out[src]:
-            edge = Edge(src, dst, Pose.from_translation(rng.uniform(0, 9)))
-            g.insert_edge(edge)
-            snap.out[src][dst] = edge
-    elif op == 2:
-        nid = rng.choice(ids)
-        g.bump_path_memory(nid)
-        snap.nodes[nid] = g.node(nid)
-    elif op == 3:
-        edges = snap.edges()
-        if edges:
-            e = rng.choice(edges)
-            assert g.remove_edge(e.src, e.dst) == e
-            del snap.out[e.src][e.dst]
-    else:
-        # a node and every edge touching it
-        nid = rng.choice(ids)
-        for src, out in snap.out.items():
-            if nid in out:
-                g.remove_edge(src, nid)
-                del out[nid]
-        for dst in list(snap.out[nid]):
-            g.remove_edge(nid, dst)
-        del snap.out[nid]
-        g.remove_node(nid)
-        del snap.nodes[nid]
 
 
 @settings(max_examples=150, deadline=None)
@@ -100,15 +53,15 @@ def test_every_handle_reads_its_own_version(seed, ops, bisect_limit):
     saved = graph_module._BISECT_LIMIT
     graph_module._BISECT_LIMIT = bisect_limit
     try:
-        handles = [(Graph(), _Snapshot())]
+        handles = [(Graph(), _Model())]
         g = snap = None
         for which, op in ops:
             i = which % len(handles)
             g, snap = handles[i]
             if op < 40:  # mostly inserts and bumps: these are journaled
-                _mutate(g, snap, op % 3, rng, gen)
+                _mutate(g, snap, _INSERTS_AND_BUMPS[op % 3], rng, gen)
             elif op < 50:
-                _mutate(g, snap, 3 + op % 2, rng, gen)
+                _mutate(g, snap, 1 + 2 * (op % 2), rng, gen)
             elif op < 75:
                 handles.append((g.copy(), snap.copy()))
             elif op < 85:
@@ -124,19 +77,19 @@ def test_every_handle_reads_its_own_version(seed, ops, bisect_limit):
         graph_module._BISECT_LIMIT = saved
 
 
-def _grown(seed: int, size: int) -> tuple[Graph, _Snapshot]:
+def _grown(seed: int, size: int) -> tuple[Graph, _Model]:
     rng = random.Random(seed)
     gen = NodeIdGenerator(seed, 1)
-    g, snap = Graph(), _Snapshot()
-    for op in [0] * size + [1] * (2 * size):
+    g, snap = Graph(), _Model()
+    for op in [0] * size + [2] * (2 * size):
         _mutate(g, snap, op, rng, gen)
     return g, snap
 
 
-def _grow(g: Graph, snap: _Snapshot, seed: int) -> None:
+def _grow(g: Graph, snap: _Model, seed: int) -> None:
     rng = random.Random(seed)
     gen = NodeIdGenerator(seed, 2)
-    for op in (0, 1, 2, 0, 1, 1, 2):
+    for op in (0, 2, 4, 0, 2, 2, 4):
         _mutate(g, snap, op, rng, gen)
 
 
@@ -202,7 +155,7 @@ def test_a_removal_rebuilds_the_views_first():
     owner_snap = snap.copy()
     _grow(owner, owner_snap, 16)
     assert _unbuilt(g)
-    _mutate(owner, owner_snap, 4, random.Random(17), NodeIdGenerator(17, 0))
+    _mutate(owner, owner_snap, 1, random.Random(17), NodeIdGenerator(17, 0))
     assert not _unbuilt(g)
     _check(g, snap)
     _check(owner, owner_snap)
