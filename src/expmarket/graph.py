@@ -26,14 +26,12 @@ copy, and the original becomes a *view* that keeps only its cached digest,
 its descriptor index and a mark into the store's undo journal. While a store
 has live views, its owner journals the inverse of each insert and
 ``bump_path_memory``. The first read of a view's containers rebuilds it from
-the store (Baker's version trees for functional arrays): when the owner is
-gone and no live view is newer, the view reclaims the store and undoes the
-journal back to its mark, in O(journal); otherwise it takes a copy-on-write
-copy of the store and undoes the journal on that. Undoing an insert restores
-every dict's insertion order exactly, but undoing a removal would not, so an
-owner about to remove an item first rebuilds its live views. Either way a
-graph handed to ``copy`` keeps its content and every iteration order, and
-is never changed by what its copy does.
+the store (Baker's version trees for functional arrays): the view takes a
+copy-on-write copy of the store and undoes the journal back to its mark on
+that copy. Undoing an insert restores every dict's insertion order exactly,
+but undoing a removal would not, so an owner about to remove an item first
+rebuilds its live views. So a graph handed to ``copy`` keeps its content
+and every iteration order, and is never changed by what its copy does.
 
 The digest of the empty graph is SHA-256 of the empty string:
 ``e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855``.
@@ -159,13 +157,14 @@ class Graph:
     ``_digest`` and ``_desc_index``, a ``_Journal`` (``_base``) and a mark
     into its records (``_mark``), and no container. Reading any container of
     a view goes through ``_View.__getattr__``, which rebuilds it first
-    (``_rebuild``), so a view always reads its own version.
+    (``_rebuild``: a copy of the store, with the journal undone back to the
+    mark), so a view always reads its own version.
 
     While a store has live views, its owner logs an undo record for each
     insert and ``bump_path_memory``; a removal first rebuilds every view.
     ``_owned`` holds the ids whose adjacency containers this graph may
-    change in place; a view rebuilt by copying shares the others until one
-    side first mutates them.
+    change in place; a rebuilt view shares the others until one side first
+    mutates them.
 
     ``_items`` maps every item hash to its node or edge. ``_sorted`` is one
     ``bytearray`` of the hashes as sorted 32-byte records. ``_delta`` holds
@@ -307,7 +306,6 @@ class Graph:
         g._nodes, g._out, g._in, g._owned = self._nodes, self._out, self._in, self._owned
         g._items, g._sorted, g._delta = self._items, self._sorted, self._delta
         g._journal, g._digest, g._desc_index = journal, self._digest, self._desc_index
-        journal.owner = weakref.ref(g)
         self.__class__ = _View
         del self._nodes, self._out, self._in, self._owned, self._items, self._sorted
         del self._delta, self._journal
@@ -354,34 +352,21 @@ class Graph:
                     view._rebuild()
 
     def _rebuild(self) -> None:
-        """Turn this view back into an owner of its own version.
-
-        When no live graph needs the store as it is (its owner is gone and
-        no live view is newer), the view reclaims the store and undoes the
-        journal back to its mark in place. Otherwise it copies the store
-        (copy-on-write, as ``_own`` finishes) and undoes on the copy.
-        """
+        """Turn this view back into an owner of its own version: copy the
+        store (copy-on-write, as ``_own`` finishes) and undo the journal on
+        the copy back to this view's mark."""
         journal, mark = self._base, self._mark
         records = journal.records[mark:]
-        views = [ref() for ref in journal.views]
-        newer = any(v is not None and v._mark > mark for v in views)
         del self._base, self._mark
         self.__class__ = Graph
-        if journal.owner() is None and not newer:
-            (self._nodes, self._out, self._in, self._owned, self._items, self._sorted,
-             self._delta) = journal.parts
-            self._journal = journal
-            journal.owner = weakref.ref(self)
-            del journal.records[mark:]
-        else:
-            nodes, out, in_, owned, items, buf, delta = journal.parts
-            owned.clear()  # the adjacency containers are shared from here on
-            self._nodes, self._out, self._in = nodes.copy(), out.copy(), in_.copy()
-            self._owned = set()
-            self._items = items.copy()
-            self._sorted = buf[:]
-            self._delta = delta.copy()
-            self._journal = None
+        nodes, out, in_, owned, items, buf, delta = journal.parts
+        owned.clear()  # the adjacency containers are shared from here on
+        self._nodes, self._out, self._in = nodes.copy(), out.copy(), in_.copy()
+        self._owned = set()
+        self._items = items.copy()
+        self._sorted = buf[:]
+        self._delta = delta.copy()
+        self._journal = None
         journal.forget(weakref.ref(self))
         cached = self._digest, self._desc_index
         for kind, item, h in reversed(records):
@@ -498,17 +483,15 @@ class _Journal:
     """What the owner and the views of one store share.
 
     ``parts`` are the store's containers in ``_PARTS`` order (the owner's
-    own objects, kept here so a view can reclaim them once the owner is
-    gone), ``owner`` is a weak reference to the graph holding them,
-    ``records`` undo the owner's logged mutations when read backwards, and
-    ``views`` holds a weak reference to each live view.
+    own objects, which a view copies when it is rebuilt), ``records`` undo
+    the owner's logged mutations when read backwards, and ``views`` holds a
+    weak reference to each live view.
     """
 
-    __slots__ = ("parts", "owner", "records", "views")
+    __slots__ = ("parts", "records", "views")
 
     def __init__(self, graph: Graph) -> None:
         self.parts = tuple(getattr(graph, name) for name in _PARTS)
-        self.owner: weakref.ref | None = None
         self.records: list[tuple[int, Node | Edge, bytes]] = []
         self.views: set[weakref.ref] = set()
 

@@ -86,12 +86,13 @@ def test_window_wraps_when_cyclic():
 def test_huge_window_radius_is_fast_and_covers_the_catalogue(name):
     cat = bundled_catalogue(name)
     n = len(cat)
+    t0 = time.perf_counter()
+    huge = [shopping_list(ShoppingStrategy(ShoppingKind.WINDOW, 10**7), start, cat)
+            for start in range(n)]
+    assert time.perf_counter() - t0 < 0.1  # unclamped, one call took over a second
     for start in range(n):
-        t0 = time.perf_counter()
-        huge = shopping_list(ShoppingStrategy(ShoppingKind.WINDOW, 10**7), start, cat)
-        assert time.perf_counter() - t0 < 0.05
-        assert huge == shopping_list(ShoppingStrategy(ShoppingKind.WINDOW, n), start, cat)
-        assert huge == set(range(n))
+        assert huge[start] == shopping_list(ShoppingStrategy(ShoppingKind.WINDOW, n), start, cat)
+        assert huge[start] == set(range(n))
 
 
 def test_current_single_product():

@@ -121,7 +121,7 @@ def test_chain_of_three_copies_read_oldest_last_with_the_owner_gone():
     _grow(owner, snap2.copy(), 8)
     del owner
     gc.collect()
-    _check(newest, snap2)  # reclaims the store: it is the newest version
+    _check(newest, snap2)
     _check(middle, snap1)
     _check(oldest, snap0)
 
@@ -135,7 +135,7 @@ def test_an_older_view_read_first_leaves_the_newer_one_intact():
     _grow(owner, snap1.copy(), 11)
     del owner
     gc.collect()
-    _check(oldest, snap0)  # a newer view is alive: this one copies
+    _check(oldest, snap0)
     _check(newer, snap1)
 
 
