@@ -155,7 +155,8 @@ def apply_patch(graph: Graph, patch: Patch) -> Graph:
     The result takes over the graph's store (``Graph.copy``), and the patch
     is applied to it there: this costs O(|patch|) plus one SHA-256 over the
     result's item hashes. ``graph`` is left as a view that still reads as
-    it did; it is rebuilt from the result's undo journal when next read.
+    it did; when next read, it is rebuilt as a copy of the result's store
+    with the result's undo journal undone on it.
     """
     if graph.digest() != patch.input_state:
         raise StateMismatch("graph digest does not match patch input state")
