@@ -31,6 +31,12 @@ class ConfigError(Exception):
 # makes R * (R - 1) trades an epoch), and the per-robot defaults are lists
 # of ``robots`` entries, so a huge count would exhaust memory while parsing.
 _MAX_ROBOTS = 1024
+# A trial runs one epoch per foray, and every observation draws latent
+# vectors of ``descriptor_dim`` floats, so either one set huge makes a run
+# last or allocate as much as it asks. The bundled scenarios use 6 to 8
+# forays and 16 dimensions.
+_MAX_FORAYS = 10_000
+_MAX_DESCRIPTOR_DIM = 1024
 
 
 def _finite(name: str, val) -> float:
@@ -126,8 +132,8 @@ def parse_scenario_config(doc: dict, base_dir: Path | None = None) -> ScenarioCo
         noise_sigma=w.take("noise_sigma", float, 0.01),
     )
     w.finish()
-    if world_cfg.descriptor_dim < 1:
-        raise ConfigError("world.descriptor_dim: must be >= 1")
+    if not 1 <= world_cfg.descriptor_dim <= _MAX_DESCRIPTOR_DIM:
+        raise ConfigError(f"world.descriptor_dim: need 1 to {_MAX_DESCRIPTOR_DIM}")
     if world_cfg.node_spacing_m <= 0:
         raise ConfigError("world.node_spacing_m: must be positive")
     try:
@@ -206,8 +212,8 @@ def parse_scenario_config(doc: dict, base_dir: Path | None = None) -> ScenarioCo
     seed_k = m.take("seed_k", int, 3)
     depth = m.take("depth", int, 2)
     m.finish()
-    if forays < 1:
-        raise ConfigError("sim.forays: must be >= 1")
+    if not 1 <= forays <= _MAX_FORAYS:
+        raise ConfigError(f"sim.forays: need 1 to {_MAX_FORAYS}")
     try:
         localiser = LocaliserConfig(tau_loc=tau_loc, tau_m=tau_m, seed_k=seed_k, depth=depth)
     except ValueError as exc:

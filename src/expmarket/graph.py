@@ -43,8 +43,8 @@ import hashlib
 import struct
 import weakref
 from dataclasses import dataclass, replace
-from itertools import filterfalse
-from typing import Iterable, Iterator
+from itertools import filterfalse, islice
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -112,6 +112,20 @@ class Observation:
     product: int
 
 
+class DescriptorIndex(NamedTuple):
+    """A graph's node descriptors as one matrix: row ``i`` of ``matrix`` is
+    the descriptor of ``ids[i]``, ids in the graph's insertion order, and
+    ``rows`` maps each id to its row. Shared between graphs, so never
+    changed in place."""
+
+    ids: tuple[NodeId, ...]
+    matrix: np.ndarray
+    rows: dict[NodeId, int]
+
+
+_NO_INDEX = DescriptorIndex((), np.empty((0, 0), dtype=np.float64), {})
+
+
 def node_item_hash(node: Node) -> bytes:
     return hashlib.sha256(b"N" + node.content_bytes()).digest()
 
@@ -123,16 +137,17 @@ def edge_item_hash(edge: Edge) -> bytes:
 _REC = 32  # bytes per record in the sorted hash buffer (one SHA-256)
 
 
-# Pending hash changes are folded into the sorted buffer (one bisection
-# each, then one pass over the buffer) while they number at most
-# _BISECT_LIMIT and at most one _FOLD_SHARE-th of the hashes; otherwise the
-# next read sorts every hash afresh. Measured on CPython 3.11 (2-vCPU VM): a
-# fold costs 4, 5 and 6.5 us a change at 300, 3k and 30k hashes (its pass
-# over 30k hashes: 0.03 ms), and the sort 0.045, 0.8 and 10.5-13.5 ms. So the
-# fold-vs-sort crossover is near n/30, n/19 and n/17 changes for n hashes; a
-# twentieth fits all three (it beat 8 and 40 on the convergence and fleet
-# workloads). The cap bounds what is tracked and sits below the crossover of
-# every map the benchmark builds (1800 changes at 30k hashes).
+# Pending hash changes are folded into the sorted buffer (one binary search
+# in C for all of them, then one pass over the buffer) while they number at
+# most _BISECT_LIMIT and at most one _FOLD_SHARE-th of the hashes; otherwise
+# the next read sorts every hash afresh. The limits were set when each change
+# took a Python bisection: a fold cost 4, 5 and 6.5 us a change at 300, 3k
+# and 30k hashes, the sort 0.045, 0.8 and 10.5-13.5 ms, so the crossover was
+# near n/20 changes for n hashes (a twentieth beat 8 and 40 on the
+# convergence and fleet workloads). With the search in C a large fold costs
+# about 1.2 us a change (CPython 3.11, numpy 2.4, 2-vCPU VM), which moves the
+# crossover near n/4; the limits are kept, as no workload was run with
+# others. The cap bounds what is tracked.
 _BISECT_LIMIT = 1024
 _FOLD_SHARE = 20
 
@@ -176,6 +191,13 @@ class Graph:
     ``digest`` hashes the buffer in place, and ``digest_after`` streams it
     with an item delta spliced in. A node entry in ``_items`` may carry a
     stale ``path_memory``; the current record is in ``_nodes``.
+
+    ``_desc_index`` caches ``descriptor_index``: the first nodes of
+    ``_nodes`` in insertion order, which ``descriptor_index`` extends by the
+    nodes inserted since. Node and edge inserts, edge removals and
+    ``bump_path_memory`` leave it valid; only a node removal drops it. A
+    copy and its views share it, so an extension builds new objects, and a
+    view keeps the index of its own version.
     """
 
     __slots__ = _HANDOFF + ("_digest", "_desc_index", "_base", "_mark", "__weakref__")
@@ -190,7 +212,7 @@ class Graph:
         self._delta: dict[bytes | None, bool] = {}
         self._journal: _Journal | None = None  # made by the first copy
         self._digest: StateDigest | None = EMPTY_GRAPH_DIGEST
-        self._desc_index: tuple[list[NodeId], np.ndarray] | None = None
+        self._desc_index: DescriptorIndex | None = None
 
     # -- content access -------------------------------------------------
 
@@ -327,6 +349,7 @@ class Graph:
         self._owned.discard(node.id)
         del self._items[h]
         self._track(h, False)
+        self._desc_index = None
 
     def _unlink_edge(self, edge: Edge, h: bytes) -> None:
         self._own(edge.src)
@@ -397,7 +420,6 @@ class Graph:
                 delta.clear()
                 delta[None] = True  # the next read sorts the buffer afresh
         self._digest = None
-        self._desc_index = None
 
     def _sorted_hashes(self) -> bytearray:
         """The sorted hash buffer, with the pending delta folded in."""
@@ -424,12 +446,13 @@ class Graph:
         ``KeyError`` for a dropped hash the graph does not hold.
         """
         buf = self._sorted_hashes()
+        added, dropped = list(added), list(dropped)
+        offsets = _offsets(buf, added + dropped)
         # (offset, 0, hash) splices a hash in before the record at offset;
         # (offset, 1, hash) skips that record. Splices at one offset go in
         # hash order, and before a skip at the same offset.
-        cuts = [(_offset(buf, h), 0, h) for h in added]
-        for h in dropped:
-            at = _offset(buf, h)
+        cuts = [(at, 0, h) for at, h in zip(offsets, added)]
+        for at, h in zip(offsets[len(added):], dropped):
             if buf[at:at + _REC] != h:
                 raise KeyError(h)
             cuts.append((at, 1, h))
@@ -447,16 +470,26 @@ class Graph:
             sha.update(view[start:])
         return sha.digest()
 
-    def descriptor_index(self) -> tuple[list[NodeId], np.ndarray]:
-        """Node ids (ascending) and their descriptors as a matrix (cached)."""
-        if self._desc_index is None:
-            ids = sorted(self._nodes)
-            if ids:
-                mat = np.array([self._nodes[i].descriptor for i in ids], dtype=np.float64)
-            else:
-                mat = np.empty((0, 0), dtype=np.float64)
-            self._desc_index = (ids, mat)
-        return self._desc_index
+    def descriptor_index(self) -> DescriptorIndex:
+        """Every node's descriptor as a matrix row, in insertion order (cached).
+
+        Until a node is removed, the cached index holds the first nodes of
+        ``_nodes``, so it is extended by the nodes inserted since it was
+        built. The extension makes new objects: a copy and its views share
+        the old ones.
+        """
+        index = self._desc_index or _NO_INDEX
+        start = len(index.ids)
+        if start < len(self._nodes):
+            added = list(islice(self._nodes.values(), start, None))
+            block = np.array([n.descriptor for n in added], dtype=np.float64)
+            ids = index.ids + tuple(n.id for n in added)
+            index = self._desc_index = DescriptorIndex(
+                ids,
+                np.concatenate((index.matrix, block)) if start else block,
+                index.rows | dict(zip(ids[start:], range(start, len(ids)))),
+            )
+        return index
 
 
 class _View(Graph):
@@ -502,17 +535,13 @@ class _Journal:
             self.records.clear()
 
 
-def _offset(buf: bytearray, h: bytes) -> int:
-    """Byte offset of the first record in the sorted buffer not below ``h``."""
-    lo, hi = 0, len(buf) // _REC
-    while lo < hi:
-        mid = (lo + hi) // 2
-        at = mid * _REC
-        if buf[at:at + _REC] < h:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo * _REC
+def _offsets(buf: bytearray, hashes: list[bytes]) -> list[int]:
+    """Byte offset of the first record in the sorted buffer not below each
+    hash, by one binary search in C: numpy orders ``S32`` records as
+    ``bytes`` orders them. The buffer is exported only during the call,
+    because a bytearray cannot be resized while exported."""
+    found = np.searchsorted(np.frombuffer(buf, "S32"), np.array(hashes, dtype="S32"))
+    return (found * _REC).tolist()
 
 
 def _fold(buf: bytearray, delta: dict[bytes, bool]) -> None:
@@ -520,8 +549,9 @@ def _fold(buf: bytearray, delta: dict[bytes, bool]) -> None:
     dropped (False) hashes, in place: the dropped records are squeezed out
     in one pass from the left, then the added ones are spliced in by one
     pass from the right, so each record moves at most twice."""
-    drops = sorted(_offset(buf, h) for h, added in delta.items() if not added)
-    if drops:
+    gone = sorted(h for h, added in delta.items() if not added)
+    if gone:
+        drops = _offsets(buf, gone)
         end = drops[0]
         with memoryview(buf) as view:
             for at, nxt in zip(drops, drops[1:] + [len(buf)]):
@@ -531,7 +561,7 @@ def _fold(buf: bytearray, delta: dict[bytes, bool]) -> None:
         del buf[end:]
     adds = sorted(h for h, added in delta.items() if added)
     if adds:
-        cuts = [_offset(buf, h) for h in adds]
+        cuts = _offsets(buf, adds)
         end = len(buf)
         buf.extend(bytes(len(adds) * _REC))
         with memoryview(buf) as view:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, Observation, neighbourhood
+from .graph import DescriptorIndex, Graph, Observation, neighbourhood
 from .ids import NodeId
 from .patches import Patch
 
@@ -60,20 +60,45 @@ class MatchSet:
         return len(self.pairs)
 
 
+def descriptor_distances(matrix: np.ndarray, descriptor) -> np.ndarray:
+    """Euclidean distance from ``descriptor`` to every row of ``matrix``.
+
+    Each distance depends only on its own row, so it has the same bits
+    whether computed against the whole map or against a few of its nodes.
+    """
+    if not len(matrix):  # an empty map's matrix has no columns either
+        return np.empty(0)
+    q = np.asarray(descriptor, dtype=np.float64)
+    return np.sqrt(np.sum((matrix - q) ** 2, axis=1))
+
+
+def _nearest(index: DescriptorIndex, dists: np.ndarray, k: int,
+             counter: MatchCounter | None) -> list[NodeId]:
+    """The k ids of ``index`` nearest by ``dists`` (one per row), ties by id.
+
+    ``np.partition`` finds the k-th smallest distance; only the rows no
+    farther than it are ranked by (distance, id).
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    ids = index.ids
+    if not ids:
+        return []
+    if counter is not None:
+        counter.add(len(ids))
+    if k < len(ids):
+        near = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
+    else:
+        near = np.arange(len(ids))
+    ranked = sorted(zip(dists[near].tolist(), [ids[i] for i in near]))
+    return [nid for _, nid in ranked[:k]]
+
+
 def appearance_seed(graph: Graph, descriptor, k: int,
                     counter: MatchCounter | None = None) -> list[NodeId]:
     """The k nearest nodes by descriptor distance, ties by node id."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    ids, mat = graph.descriptor_index()
-    if not ids:
-        return []
-    q = np.asarray(descriptor, dtype=np.float64)
-    dists = np.sqrt(np.sum((mat - q) ** 2, axis=1))
-    if counter is not None:
-        counter.add(len(ids))
-    order = np.argsort(dists, kind="stable")  # ids are pre-sorted, so ties fall back to id order
-    return [ids[i] for i in order[:k]]
+    index = graph.descriptor_index()
+    return _nearest(index, descriptor_distances(index.matrix, descriptor), k, counter)
 
 
 def localise(graph: Graph, obs: Observation, cfg: LocaliserConfig,
@@ -81,24 +106,25 @@ def localise(graph: Graph, obs: Observation, cfg: LocaliserConfig,
     """Find a map node explaining the observation, or None.
 
     Seeds come from appearance space; candidates are the union of their
-    graph neighbourhoods; the best candidate within tau_loc wins. The caller
-    is responsible for bumping the matched node's path_memory.
+    graph neighbourhoods; the best candidate within tau_loc wins, ties to
+    the smallest id. Every distance, for seeds and candidates alike, is
+    read from one row computed against the graph's descriptor index. The
+    caller is responsible for bumping the matched node's path_memory.
     """
-    seeds = appearance_seed(graph, obs.descriptor, cfg.seed_k, counter)
+    index = graph.descriptor_index()
+    dists = descriptor_distances(index.matrix, obs.descriptor)
+    seeds = _nearest(index, dists, cfg.seed_k, counter)
     if not seeds:
         return None
     candidates: set[NodeId] = set()
     for s in seeds:
         candidates |= neighbourhood(graph, s, cfg.depth)
-    cand = sorted(candidates)
-    q = np.asarray(obs.descriptor, dtype=np.float64)
-    mat = np.array([graph.node(c).descriptor for c in cand], dtype=np.float64)
-    dists = np.sqrt(np.sum((mat - q) ** 2, axis=1))
     if counter is not None:
-        counter.add(len(cand))
-    best = int(np.argmin(dists))  # cand is id-sorted: first minimum = smallest id
-    if dists[best] <= cfg.tau_loc:
-        return cand[best]
+        counter.add(len(candidates))
+    rows = index.rows
+    best = min(candidates, key=lambda c: (dists[rows[c]], c))
+    if dists[rows[best]] <= cfg.tau_loc:
+        return best
     return None
 
 

@@ -223,7 +223,9 @@ def test_run_scenario_rejects_out_of_range_config_values(tmp_path, capsys):
     cases = [{"strategies.shopping": "WINDOW", "strategies.window_radius": -1},
              {"network.latency_low_ms": float("nan")},
              {"network.latency_high_ms": float("inf")},
-             {"sim.tau_loc": float("nan")}]
+             {"sim.tau_loc": float("nan")},
+             {"sim.forays": 10**9},
+             {"world.descriptor_dim": 10**6}]
     for overrides in cases:
         path = _write_scenario(tmp_path, **overrides)
         code = main(["run-scenario", "--config", str(path), "--out", str(tmp_path / "out")])

@@ -117,12 +117,29 @@ def test_asymmetric_choice_rejected_for_scenarios():
     ("team", "quality_inlier_means", [30, float("nan"), 40, 45]),
     ("team", "quality_fabmap_means", [0.5, 0.5, 0.5, 10**400]),
     ("team", "robots", 10**9),
+    ("sim", "forays", 0),
+    ("sim", "forays", 10_001),
+    ("sim", "forays", 10**18),
+    ("world", "descriptor_dim", 0),
+    ("world", "descriptor_dim", 1025),
+    ("world", "descriptor_dim", 10**12),
 ])
 def test_out_of_range_values_are_config_errors(section, key, value):
     doc = bundled_scenario("robustness")  # WINDOW shopping, four robots
     doc[section][key] = value
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
         parse_scenario_config(doc)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("sim", "forays", 10_000),
+    ("world", "descriptor_dim", 1024),
+])
+def test_largest_accepted_values_parse(section, key, value):
+    doc = bundled_scenario("robustness")
+    doc[section][key] = value
+    cfg = parse_scenario_config(doc)
+    assert (cfg.forays if key == "forays" else cfg.world.descriptor_dim) == value
 
 
 def test_unreadable_json_is_a_config_error(tmp_path):

@@ -1,10 +1,12 @@
 """Property tests: maintained item hashes, copy-on-write copies, hash-indexed diff,
-digests streamed over an item delta."""
+digests streamed over an item delta, the incremental descriptor index."""
 
+import bisect
 import random
 from contextlib import contextmanager
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,10 +48,14 @@ def _check(g: Graph, model: _Model) -> None:
     assert g.digest() == compute_digest_from_scratch(g)
 
 
-def _mutate(g: Graph, model: _Model, op: int, rng: random.Random, gen) -> None:
+def _mutate(g: Graph, model: _Model, op: int, rng: random.Random, gen,
+            dim: int | None = None) -> None:
+    """One random change to ``g`` and its model; new nodes get ``dim``
+    descriptor values, or a random count of them when ``dim`` is None."""
     ids = list(model.nodes)
     if op == 0 or not ids:
-        node = mknode(gen, [rng.uniform(-5, 5) for _ in range(rng.randrange(3))],
+        size = rng.randrange(3) if dim is None else dim
+        node = mknode(gen, [rng.uniform(-5, 5) for _ in range(size)],
                       inlier_count=rng.randrange(9), product=rng.randrange(3))
         g.insert_node(node)
         model.nodes[node.id] = node
@@ -109,6 +115,53 @@ def test_copies_stay_independent_and_digests_stay_exact(seed, ops, bisect_limit)
             _check(g, model)
     finally:
         graph_module._BISECT_LIMIT = saved
+
+
+def _assert_fresh_index(g: Graph) -> None:
+    """``g``'s descriptor index equals one built afresh from its nodes."""
+    nodes = list(g.nodes())
+    index = g.descriptor_index()
+    assert index.ids == tuple(n.id for n in nodes)
+    assert index.rows == {n.id: row for row, n in enumerate(nodes)}
+    if nodes:
+        want = np.array([n.descriptor for n in nodes], dtype=np.float64)
+        assert index.matrix.shape == want.shape
+        assert index.matrix.tobytes() == want.tobytes()
+    else:
+        assert index.matrix.size == 0
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       ops=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=80),
+       dim=st.integers(0, 3))
+def test_descriptor_index_matches_a_fresh_build(seed, ops, dim):
+    rng = random.Random(seed)
+    gen = NodeIdGenerator(seed, 0)
+    graphs, models = [Graph()], [_Model()]
+    for which, op in ops:
+        i = which % len(graphs)
+        if op >= 8:
+            # reading one graph's index (a view's, after its rebuild) leaves
+            # every other view's cached index as it was
+            views = [(v, v._desc_index) for j, v in enumerate(graphs)
+                     if j != i and type(v) is graph_module._View]
+            saved = [(index.ids, index.matrix.copy(), dict(index.rows))
+                     for _, index in views if index is not None]
+            _assert_fresh_index(graphs[i])
+            assert all(v._desc_index is index for v, index in views)
+            now = [index for _, index in views if index is not None]
+            for index, (ids, matrix, rows) in zip(now, saved):
+                assert index.ids == ids and index.rows == rows
+                assert index.matrix.tobytes() == matrix.tobytes()
+        elif op >= 6:
+            graphs.append(graphs[i].copy())
+            models.append(models[i].copy())
+        else:
+            _mutate(graphs[i], models[i], op, rng, gen, dim=dim)
+    for g, model in zip(graphs, models):
+        _assert_fresh_index(g)
+        _check(g, model)
 
 
 def test_bulk_build_matches_scratch_digest():
@@ -392,3 +445,28 @@ def test_folding_a_delta_matches_sorting_afresh(seed, size, drops, adds):
     delta = dict.fromkeys(new, True) | dict.fromkeys(gone, False)
     graph_module._fold(buf, delta)
     assert buf == b"".join(sorted(set(kept) - set(gone) | set(new)))
+
+
+def _zero_padded(lead: int, trail: int, body: bytes) -> bytes:
+    """A 32-byte hash with at least ``lead`` leading and ``trail`` trailing
+    zero bytes."""
+    mid = body[:max(0, 32 - lead - trail)]
+    return bytes(lead) + mid + bytes(32 - lead - len(mid))
+
+
+_hashes = st.binary(min_size=32, max_size=32) | st.builds(
+    _zero_padded, st.integers(0, 32), st.integers(0, 32), st.binary(min_size=32, max_size=32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(held=st.lists(_hashes, unique=True, max_size=40), asked=st.lists(_hashes, max_size=20))
+def test_s32_records_sort_and_search_as_bytes(held, asked):
+    """numpy orders 32-byte records as ``bytes`` does, leading and trailing
+    zero bytes included, so one ``searchsorted`` finds every offset."""
+    records = np.array(held, dtype="S32")
+    assert [held[i] for i in np.argsort(records, kind="stable")] == sorted(held)
+    ordered = sorted(held)
+    buf = bytearray(b"".join(ordered))
+    assert graph_module._offsets(buf, asked) \
+        == [bisect.bisect_left(ordered, h) * 32 for h in asked]
+    buf.extend(bytes(32))  # the buffer was released: it can be resized

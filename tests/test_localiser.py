@@ -2,16 +2,23 @@
 
 import random
 
-from expmarket.graph import Graph, Observation
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from expmarket.foray import explain_observations
+from expmarket.graph import Edge, Graph, Observation, neighbourhood
 from expmarket.ids import NodeIdGenerator, derive_seed
 from expmarket.localiser import (
     LocaliserConfig,
     MatchCounter,
     appearance_seed,
+    descriptor_distances,
     localise,
     match_patches,
 )
 from expmarket.patches import build_patch
+from expmarket.pose import Pose
 
 from _builders import chain_graph, mknode, random_graph
 
@@ -86,6 +93,76 @@ def test_localise_counts_descriptor_comparisons():
     again = MatchCounter()
     localise(g, obs([0.0, 0.0, 0.0, 0.0]), LocaliserConfig(), again)
     assert again.ops == counter.ops  # deterministic op count
+
+
+def _oracle_localise(graph, observation, cfg, counter):
+    """Localisation as it was first written: every distance recomputed, seeds
+    by a stable argsort over id-sorted rows, candidates id-sorted."""
+    ids = sorted(graph.node_ids())
+    if not ids:
+        return None
+    q = np.asarray(observation.descriptor, dtype=np.float64)
+    mat = np.array([graph.node(i).descriptor for i in ids], dtype=np.float64)
+    dists = np.sqrt(np.sum((mat - q) ** 2, axis=1))
+    counter.add(len(ids))
+    seeds = [ids[i] for i in np.argsort(dists, kind="stable")[:cfg.seed_k]]
+    candidates = set()
+    for s in seeds:
+        candidates |= neighbourhood(graph, s, cfg.depth)
+    cand = sorted(candidates)
+    mat = np.array([graph.node(c).descriptor for c in cand], dtype=np.float64)
+    dists = np.sqrt(np.sum((mat - q) ** 2, axis=1))
+    counter.add(len(cand))
+    best = int(np.argmin(dists))
+    return cand[best] if dists[best] <= cfg.tau_loc else None
+
+
+# few distinct values, so that descriptors and distances tie (9.0 lies
+# beyond every tau_loc drawn), mixed with arbitrary floats, whose distances
+# round, so that the seeds and the tau_loc decisions must agree to the bit
+_value = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 9.0]),
+                   st.floats(-10, 10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
+       size=st.integers(0, 12), cached=st.integers(0, 12),
+       seed_k=st.integers(1, 5), depth=st.integers(0, 2),
+       tau_loc=st.sampled_from([0.1, 0.3, 1.0]))
+def test_batch_localisation_matches_one_by_one_and_the_oracle(
+        data, seed, dim, size, cached, seed_k, depth, tau_loc):
+    rng = random.Random(seed)
+    gen = NodeIdGenerator(seed, 0)
+    descriptor = st.lists(_value, min_size=dim, max_size=dim)
+    nodes = [mknode(gen, data.draw(descriptor)) for _ in range(size)]
+    g = Graph()
+    for n in nodes[:cached]:
+        g.insert_node(n)
+    g.descriptor_index()  # the later inserts extend this cached index
+    for n in nodes[cached:]:
+        g.insert_node(n)
+    for a, b in zip(nodes, nodes[1:]):
+        if rng.random() < 0.6:
+            g.insert_edge(Edge(a.id, b.id, Pose.from_translation(5.0)))
+    observations = [obs(d) for d in data.draw(st.lists(descriptor, max_size=6))]
+    cfg = LocaliserConfig(tau_loc=tau_loc, seed_k=seed_k, depth=depth)
+
+    batch, single, oracle = MatchCounter(), MatchCounter(), MatchCounter()
+    got = explain_observations(g, observations, cfg, batch)
+    assert got == [localise(g, o, cfg, single) for o in observations]
+    assert got == [_oracle_localise(g, o, cfg, oracle) for o in observations]
+    assert batch.ops == single.ops == oracle.ops
+    index = g.descriptor_index()
+    ids = sorted(g.node_ids())
+    for o in observations:
+        # each node's distance as the oracle computes it, over a one-row
+        # candidate matrix, has the bits of its entry in the index-wide row
+        row = descriptor_distances(index.matrix, o.descriptor)
+        dists = [np.sqrt(np.sum((np.array([g.node(i).descriptor]) - o.descriptor) ** 2, axis=1))[0]
+                 for i in ids]
+        assert [row[index.rows[i]].tobytes() for i in ids] == [d.tobytes() for d in dists]
+        want = [ids[i] for i in np.argsort(dists, kind="stable")[:seed_k]]
+        assert appearance_seed(g, o.descriptor, seed_k) == want
 
 
 def _patch_of(descs, seed):
