@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_scenario_config
+from .config import _MAX_ROBOTS, ConfigError, load_scenario_config
 from .integrity import monte_carlo_convergence
 from .localiser import LocaliserConfig
 from .merging import Choice, ChoicePolicy, Commutation, CommutationPolicy
@@ -29,7 +29,10 @@ EXIT_USAGE = 2
 
 def _default_seed() -> int:
     env = os.environ.get("EXPMARKET_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise _usage_error(f"EXPMARKET_SEED: expected an integer, got {env!r}") from None
 
 
 def _usage_error(msg: str) -> SystemExit:
@@ -53,12 +56,14 @@ def _parse_rates(text: str, robots: int, flag: str) -> list[float]:
 
 
 def cmd_verify_convergence(args) -> int:
-    if args.robots < 2:
-        raise _usage_error("--robots: need at least 2")
+    if not 2 <= args.robots <= _MAX_ROBOTS:
+        raise _usage_error(f"--robots: need 2 to {_MAX_ROBOTS}")
     if args.forays < 1 or args.trials < 1:
         raise _usage_error("--forays and --trials must be >= 1")
     if not 0.0 <= args.overlap <= 1.0:
         raise _usage_error("--overlap: must lie in [0, 1]")
+    if not (math.isfinite(args.tau_m) and args.tau_m > 0):
+        raise _usage_error("--tau-m: must be finite and > 0")
     mu = _parse_rates(args.mu, args.robots, "--mu")
     sigma = _parse_rates(args.sigma, args.robots, "--sigma")
     if any(v < 0 for v in sigma):

@@ -55,6 +55,22 @@ StateDigest = bytes
 
 EMPTY_GRAPH_DIGEST: StateDigest = hashlib.sha256(b"").digest()
 
+# The record layouts (little-endian, unpadded), stated once: item hashes,
+# the wire codec and the wire sizes in ``serialize`` are all built from them.
+# A node record is NODE_HEAD (id, descriptor length), the descriptor's
+# doubles, then NODE_WIRE_TAIL (inlier_count, fabmap_score, path_memory,
+# product, creator, foray) on the wire or NODE_DIGEST_TAIL (the same without
+# path_memory) in item hashes; the tails carry no byte-order prefix.
+NODE_HEAD = "<16sI"
+NODE_WIRE_TAIL = "qdqiii"
+NODE_DIGEST_TAIL = "qdiii"
+EDGE_RECORD = struct.Struct("<16s16s7d")  # src, dst, pose (tx ty tz qw qx qy qz)
+
+
+def node_format(dim: int, tail: str) -> str:
+    """The struct format of a node record with a ``dim``-double descriptor."""
+    return f"{NODE_HEAD}{dim}d{tail}"
+
 
 @dataclass(frozen=True)
 class Node:
@@ -75,19 +91,19 @@ class Node:
     foray: int = 0
 
     def content_bytes(self) -> bytes:
-        """Digest-relevant payload (excludes path_memory)."""
-        return b"".join(
-            (
-                self.id.bytes,
-                struct.pack("<I", len(self.descriptor)),
-                struct.pack(f"<{len(self.descriptor)}d", *self.descriptor),
-                struct.pack("<q", self.inlier_count),
-                struct.pack("<d", self.fabmap_score),
-                struct.pack("<i", self.product),
-                struct.pack("<i", self.creator),
-                struct.pack("<i", self.foray),
-            )
-        )
+        """Digest-relevant payload: the wire record without ``path_memory``."""
+        d = self.descriptor
+        return struct.pack(node_format(len(d), NODE_DIGEST_TAIL), self.id.bytes, len(d), *d,
+                           self.inlier_count, self.fabmap_score, self.product, self.creator,
+                           self.foray)
+
+
+def node_record(node: Node) -> bytes:
+    """A node's wire record: ``content_bytes`` with ``path_memory`` in place."""
+    d = node.descriptor
+    return struct.pack(node_format(len(d), NODE_WIRE_TAIL), node.id.bytes, len(d), *d,
+                       node.inlier_count, node.fabmap_score, node.path_memory, node.product,
+                       node.creator, node.foray)
 
 
 @dataclass(frozen=True)
@@ -99,7 +115,10 @@ class Edge:
     pose: Pose
 
     def content_bytes(self) -> bytes:
-        return self.src.bytes + self.dst.bytes + self.pose.to_bytes()
+        """The edge's record, the same in item hashes and on the wire."""
+        p = self.pose
+        return EDGE_RECORD.pack(self.src.bytes, self.dst.bytes,
+                                p.tx, p.ty, p.tz, p.qw, p.qx, p.qy, p.qz)
 
 
 @dataclass(frozen=True)

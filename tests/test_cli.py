@@ -194,9 +194,19 @@ def test_run_scenario_rejects_non_positive_trials_and_jobs(tmp_path, capsys):
 def test_verify_convergence_rejects_bad_overlap_and_sigma(capsys):
     base = ["verify-convergence", "--robots", "2", "--forays", "2", "--trials", "2"]
     for flags in (["--overlap", "2"], ["--overlap", "-0.1"], ["--overlap", "nan"],
-                  ["--sigma", "-1"], ["--sigma", "2,-1"], ["--mu", "inf"]):
+                  ["--sigma", "-1"], ["--sigma", "2,-1"], ["--mu", "inf"],
+                  ["--tau-m", "0"], ["--tau-m", "-1"], ["--tau-m", "nan"],
+                  ["--tau-m", "inf"], ["--robots", "1025"], ["--robots", str(10**12)]):
         err = _usage_exit(base + flags, capsys)
         assert flags[0] in err
+
+
+def test_malformed_env_seed_is_a_usage_error(monkeypatch, capsys):
+    for value in ("abc", "1e3"):
+        monkeypatch.setenv("EXPMARKET_SEED", value)
+        for argv in (["verify-convergence", "--robots", "2", "--forays", "1", "--trials", "1"],
+                     ["report", "--input", "x", "--out", "y"]):
+            assert "EXPMARKET_SEED" in _usage_exit(argv, capsys)
 
 
 def test_match_convergence_output_ignores_string_hash_seed(tmp_path):

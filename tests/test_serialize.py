@@ -1,6 +1,8 @@
 """Canonical binary encoding: round trips and bit-stability."""
 
+import hashlib
 import random
+import tracemalloc
 import uuid
 
 import pytest
@@ -160,3 +162,77 @@ def test_patches_with_node_and_edge_deletes_round_trip(seed, size):
     assert (back.input_state, back.output_state) == (patch.input_state, patch.output_state)
     assert patch_to_bytes(back) == patch_to_bytes(patch)
     assert apply_patch(base, back).digest() == patch.output_state
+
+
+def _pinned_encodings() -> dict[str, bytes]:
+    """Fixed graphs and patches (inserts, node and edge deletes; dim 3 and 16)."""
+    out = {}
+    for dim in (3, 16):
+        base = random_graph(7, 9, dim=dim, edge_prob=0.4)
+        victims = sorted(base.node_ids())[:2]
+        cut = sorted((e for e in base.edges() if e.src not in victims and e.dst not in victims),
+                     key=lambda e: (e.src, e.dst))[:2]
+        out[f"graph{dim}"] = graph_to_bytes(base)
+        out[f"grow{dim}"] = patch_to_bytes(random_insert_patch(base, 8, 4, dim=dim))
+        out[f"shrink{dim}"] = patch_to_bytes(build_patch(base, delete_ids=victims,
+                                                         delete_edges=cut))
+    return out
+
+
+# SHA-256 of each encoding above, as the codec wrote it when these were pinned
+_PINNED = {
+    "graph3": "43c2fd052811cb4a919238158ef7f66c1dc68033ca771ba552e11b3df3d56a60",
+    "grow3": "03e2b74895015f40a677478e4dcf89c29bc32671b268b49222809d62dd955b62",
+    "shrink3": "7575956b8582295b5ccf7385257ae505d6151aefa5e4afc109afe5d22a7daa51",
+    "graph16": "b1066c899745767ea16ae4a7d689938e9a99000f6a729713b000d23f31bd2d03",
+    "grow16": "47ca4bb3d1cea91076a05b1eeccd488fb27a3dba96ef6e4f2dc5af588670852f",
+    "shrink16": "5db47951384195911638f3fb32301d55b5642443de9088e3c1c4940dc94fe06b",
+}
+
+
+def test_codec_bytes_are_pinned():
+    got = {name: hashlib.sha256(data).hexdigest()
+           for name, data in _pinned_encodings().items()}
+    assert got == _PINNED
+
+
+def test_node_content_bytes_are_the_wire_record_without_path_memory():
+    for dim in (0, 3, 16):
+        for node in random_graph(11, 4, dim=dim).nodes():
+            g = Graph()
+            g.insert_node(node)
+            record = graph_to_bytes(g)[12:-8]  # magic, node count / edge count
+            cut = 16 + 4 + 8 * dim + 8 + 8  # id, dim, descriptor, inliers, fabmap
+            assert record[:cut] + record[cut + 8:] == node.content_bytes()
+            assert record[cut:cut + 8] == node.path_memory.to_bytes(8, "little")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_pinned_encodings().items())), st.data())
+def test_flipped_bytes_decode_or_raise_value_error(case, data):
+    name, encoded = case
+    decode = graph_from_bytes if name.startswith("graph") else patch_from_bytes
+    buf = bytearray(encoded)
+    positions = data.draw(st.lists(st.integers(0, len(buf) - 1), min_size=1, max_size=3,
+                                   unique=True))
+    for pos in positions:
+        buf[pos] ^= data.draw(st.integers(1, 255))
+    try:
+        decode(bytes(buf))
+    except ValueError:
+        pass
+
+
+def test_huge_descriptor_length_fails_without_allocating():
+    g = Graph()
+    g.insert_node(Node(uuid.UUID(int=1), (1.0, 2.0)))
+    data = bytearray(graph_to_bytes(g))
+    data[12 + 16:12 + 20] = (2**32 - 1).to_bytes(4, "little")  # the node's dim
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="truncated"):
+            graph_from_bytes(bytes(data))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
