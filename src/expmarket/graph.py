@@ -9,17 +9,16 @@ identical traded content would never agree on a state).
 
 A graph keeps its item hashes up to date as it changes: each insert or
 remove hashes that one item, updates a hash-to-item dict and notes the hash
-as pending for one sorted ``bytearray`` of 32-byte hash records. The pending
-hashes are folded into the buffer in one pass (or by one sort, after a bulk
-change) the next time it is read. A digest is then one SHA-256 over that
-buffer, read in place. ``Graph.digest_after`` gives the digest the graph
-would have after an item delta by streaming SHA-256 over the buffer's
-segments with the added hashes spliced in and the dropped ones skipped; it
-copies and changes nothing. ``Graph.items_missing_from`` finds the items one
-graph holds and another lacks by a C-level scan of the hashes, and returns
-nothing at once when the two digests agree: equal content-addressed states
-hold equal item-hash sets. The digest bytes are the same as hashing every
-item afresh (``compute_digest_from_scratch``).
+as pending for one sorted ``bytearray`` of 32-byte hash records. The next
+read of the buffer folds the pending hashes in by one splice, which rewrites
+the buffer from the first change to the last. A digest is then one SHA-256
+over that buffer, read in place. ``Graph.digest_after`` gives the digest the
+graph would have after an item delta by streaming SHA-256 over the same
+splice; it copies and changes nothing. ``Graph.items_missing_from`` finds
+the items one graph holds and another lacks by a C-level scan of the
+hashes, and returns nothing at once when the two digests agree: equal
+content-addressed states hold equal item-hash sets. The digest bytes are the
+same as hashing every item afresh (``compute_digest_from_scratch``).
 
 ``Graph.copy`` is O(1): it hands the graph's containers (its *store*) to the
 copy, and the original becomes a *view* that keeps only its cached digest,
@@ -43,7 +42,7 @@ import hashlib
 import struct
 import weakref
 from dataclasses import dataclass, replace
-from itertools import filterfalse, islice
+from itertools import filterfalse, islice, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -156,20 +155,6 @@ def edge_item_hash(edge: Edge) -> bytes:
 _REC = 32  # bytes per record in the sorted hash buffer (one SHA-256)
 
 
-# Pending hash changes are folded into the sorted buffer (one binary search
-# in C for all of them, then one pass over the buffer) while they number at
-# most _BISECT_LIMIT and at most one _FOLD_SHARE-th of the hashes; otherwise
-# the next read sorts every hash afresh. The limits were set when each change
-# took a Python bisection: a fold cost 4, 5 and 6.5 us a change at 300, 3k
-# and 30k hashes, the sort 0.045, 0.8 and 10.5-13.5 ms, so the crossover was
-# near n/20 changes for n hashes (a twentieth beat 8 and 40 on the
-# convergence and fleet workloads). With the search in C a large fold costs
-# about 1.2 us a change (CPython 3.11, numpy 2.4, 2-vCPU VM), which moves the
-# crossover near n/4; the limits are kept, as no workload was run with
-# others. The cap bounds what is tracked.
-_BISECT_LIMIT = 1024
-_FOLD_SHARE = 20
-
 # kinds of undo record in a store's journal: (kind, item, item hash)
 _NODE, _EDGE, _BUMP = range(3)
 
@@ -203,13 +188,11 @@ class Graph:
     ``_items`` maps every item hash to its node or edge. ``_sorted`` is one
     ``bytearray`` of the hashes as sorted 32-byte records. ``_delta`` holds
     the hashes added (True) or dropped (False) since the buffer was last
-    brought up to date, which ``_sorted_hashes`` does in one pass; after
-    more than ``_BISECT_LIMIT`` changes it holds only ``None``. A large
-    delta, against that limit or the buffer's size, is applied by sorting
-    the buffer afresh instead.
-    ``digest`` hashes the buffer in place, and ``digest_after`` streams it
-    with an item delta spliced in. A node entry in ``_items`` may carry a
-    stale ``path_memory``; the current record is in ``_nodes``.
+    brought up to date, which ``_sorted_hashes`` does by one splice
+    (``_spliced``), whatever the delta's size. ``digest`` hashes the buffer
+    in place, and ``digest_after`` streams the splice of an item delta. A
+    node entry in ``_items`` may carry a stale ``path_memory``; the current
+    record is in ``_nodes``.
 
     ``_desc_index`` caches ``descriptor_index``: the first nodes of
     ``_nodes`` in insertion order, which ``descriptor_index`` extends by the
@@ -228,7 +211,7 @@ class Graph:
         self._owned: set[NodeId] = set()
         self._items: dict[bytes, Node | Edge] = {}
         self._sorted = bytearray()
-        self._delta: dict[bytes | None, bool] = {}
+        self._delta: dict[bytes, bool] = {}
         self._journal: _Journal | None = None  # made by the first copy
         self._digest: StateDigest | None = EMPTY_GRAPH_DIGEST
         self._desc_index: DescriptorIndex | None = None
@@ -431,23 +414,19 @@ class Graph:
 
     def _track(self, h: bytes, added: bool) -> None:
         """Note one added or dropped hash for the sorted hash buffer."""
-        delta = self._delta
-        if None not in delta:
-            if delta.pop(h, None) is None:  # else this undoes a pending change
-                delta[h] = added
-            if len(delta) > _BISECT_LIMIT:
-                delta.clear()
-                delta[None] = True  # the next read sorts the buffer afresh
+        if self._delta.pop(h, None) is None:  # else this undoes a pending change
+            self._delta[h] = added
         self._digest = None
 
     def _sorted_hashes(self) -> bytearray:
-        """The sorted hash buffer, with the pending delta folded in."""
+        """The sorted hash buffer, with the pending delta folded in: the
+        same object, rewritten from the first change to the last."""
         buf, delta = self._sorted, self._delta
         if delta:
-            if None in delta or len(delta) * _FOLD_SHARE > len(self._items):
-                buf[:] = b"".join(sorted(self._items))
-            else:
-                _fold(buf, delta)
+            rest = _spliced(buf, [h for h, added in delta.items() if not added],
+                            [h for h, added in delta.items() if added])
+            lo, hi = next(rest)
+            buf[lo:hi] = bytearray().join(rest)  # bytes would be copied once more
             delta.clear()
         return buf
 
@@ -460,33 +439,18 @@ class Graph:
         """The digest this graph would have with ``dropped`` item hashes
         removed and ``added`` ones inserted; the graph is not changed.
 
-        SHA-256 streams over the sorted buffer's segments, splicing each
-        added hash in at its place and skipping each dropped record. Raises
-        ``KeyError`` for a dropped hash the graph does not hold.
+        SHA-256 streams over the buffer up to the first change, then over
+        the segments of the splice. Raises ``KeyError`` for a dropped hash
+        the graph does not hold.
         """
         buf = self._sorted_hashes()
-        added, dropped = list(added), list(dropped)
-        offsets = _offsets(buf, added + dropped)
-        # (offset, 0, hash) splices a hash in before the record at offset;
-        # (offset, 1, hash) skips that record. Splices at one offset go in
-        # hash order, and before a skip at the same offset.
-        cuts = [(at, 0, h) for at, h in zip(offsets, added)]
-        for at, h in zip(offsets[len(added):], dropped):
-            if buf[at:at + _REC] != h:
-                raise KeyError(h)
-            cuts.append((at, 1, h))
-        cuts.sort()
-        sha = hashlib.sha256()
-        start = 0
+        rest = _spliced(buf, dropped, added)
+        lo, hi = next(rest)
         with memoryview(buf) as view:
-            for at, skip, h in cuts:
-                sha.update(view[start:at])
-                if skip:
-                    start = at + _REC
-                else:
-                    sha.update(h)
-                    start = at
-            sha.update(view[start:])
+            sha = hashlib.sha256(view[:lo])
+            for segment in rest:
+                sha.update(segment)
+            sha.update(view[hi:])
         return sha.digest()
 
     def descriptor_index(self) -> DescriptorIndex:
@@ -563,32 +527,33 @@ def _offsets(buf: bytearray, hashes: list[bytes]) -> list[int]:
     return (found * _REC).tolist()
 
 
-def _fold(buf: bytearray, delta: dict[bytes, bool]) -> None:
-    """Bring the sorted buffer up to date with a delta of added (True) and
-    dropped (False) hashes, in place: the dropped records are squeezed out
-    in one pass from the left, then the added ones are spliced in by one
-    pass from the right, so each record moves at most twice."""
-    gone = sorted(h for h, added in delta.items() if not added)
-    if gone:
-        drops = _offsets(buf, gone)
-        end = drops[0]
-        with memoryview(buf) as view:
-            for at, nxt in zip(drops, drops[1:] + [len(buf)]):
-                size = nxt - at - _REC
-                view[end:end + size] = view[at + _REC:nxt]
-                end += size
-        del buf[end:]
-    adds = sorted(h for h, added in delta.items() if added)
-    if adds:
-        cuts = _offsets(buf, adds)
-        end = len(buf)
-        buf.extend(bytes(len(adds) * _REC))
-        with memoryview(buf) as view:
-            for i in range(len(adds) - 1, -1, -1):
-                at, shift = cuts[i], (i + 1) * _REC
-                view[at + shift:end + shift] = view[at:end]
-                view[at + shift - _REC:at + shift] = adds[i]
-                end = at
+def _spliced(buf: bytearray, dropped: Iterable[bytes], added: Iterable[bytes]) -> Iterator:
+    """The sorted buffer with ``added`` hashes spliced in and ``dropped``
+    records skipped, as a stream: first ``(lo, hi)``, the byte offsets where
+    the first change starts and the last one ends, then the segments that
+    replace ``buf[lo:hi]``, in order: views into ``buf`` between changes, and
+    the added hashes. Raises ``KeyError`` for a dropped hash the buffer
+    lacks, before ``(lo, hi)``. The buffer is exported only while the
+    segments run."""
+    added, dropped = sorted(added), list(dropped)  # sorted: the cuts come in order
+    offsets = _offsets(buf, added + dropped)
+    # (offset, 0, hash) splices the hash in before the record at offset;
+    # (offset, _REC, hash) skips that record, after any splice at the offset
+    cuts = list(zip(offsets, repeat(0), added))
+    for at, h in zip(offsets[len(added):], dropped):
+        if buf[at:at + _REC] != h:
+            raise KeyError(h)
+        cuts.append((at, _REC, h))
+    cuts.sort()
+    lo = start = cuts[0][0] if cuts else len(buf)
+    yield lo, cuts[-1][0] + cuts[-1][1] if cuts else lo
+    with memoryview(buf) as view:
+        for at, skip, h in cuts:
+            if at != start:  # no empty views: a bulk build is the added hashes alone
+                yield view[start:at]
+            if not skip:
+                yield h
+            start = at + skip
 
 
 def compute_digest_from_scratch(graph: Graph) -> StateDigest:

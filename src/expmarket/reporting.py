@@ -33,7 +33,10 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     if not lines:
         return [], []
     header = lines[0].split(",")
-    return header, [line.split(",") for line in lines[1:] if line]
+    rows = [line.split(",") for line in lines[1:] if line]
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{path}: a row's field count differs from the header's")
+    return header, rows
 
 
 def write_trial_metrics(out_dir: Path, metrics: TrialMetrics) -> None:
@@ -154,6 +157,8 @@ def _load_run(run_dir: Path) -> tuple[dict, list[list[str]]]:
     if not summary_path.exists():
         raise FileNotFoundError(f"{run_dir}: no summary.json (not a run directory)")
     summary = json.loads(summary_path.read_text())
+    if not isinstance(summary, dict):
+        raise ValueError(f"{summary_path}: not a JSON object")
     _, rows = read_csv(run_dir / "aggregate" / "dropouts.csv")
     return summary, rows
 

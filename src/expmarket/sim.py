@@ -12,6 +12,7 @@ config and seed.
 from __future__ import annotations
 
 import enum
+import os
 import random
 from dataclasses import dataclass, field
 from functools import partial
@@ -490,10 +491,12 @@ def run_scenario(config: ScenarioConfig, seed: int, trials: int = 1,
     """Run M seeded trials; results are ordered by trial index."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    if jobs > 1:
+    # a process pool may start all its workers at its first submit
+    workers = min(jobs, trials, os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_trial, config, seed, t) for t in range(trials)]
             return [f.result() for f in futures]
     return [run_trial(config, seed, t) for t in range(trials)]

@@ -169,6 +169,24 @@ def test_report_handles_empty_dropouts(tmp_path):
     assert rows == []
 
 
+def test_report_rejects_malformed_run_data(tmp_path, capsys):
+    """A dropout row with too few fields and a summary that is not a JSON
+    object are usage errors (exit 2), not tracebacks."""
+    cases = {"short_row": ({"strategy": "ALL", "robots": 2, "forays": 1},
+                           "trial,k,robot,meters\n0,1,0\n"),
+             "list_summary": ([{"strategy": "ALL"}], "trial,k,robot,meters\n")}
+    for name, (summary, dropouts) in cases.items():
+        run = tmp_path / name
+        (run / "aggregate").mkdir(parents=True)
+        (run / "summary.json").write_text(json.dumps(summary))
+        (run / "aggregate" / "dropouts.csv").write_text(dropouts)
+        code = main(["report", "--input", str(run), "--out", str(tmp_path / "rep")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed run data: ")
+        assert "Traceback" not in err
+
+
 def _usage_exit(argv, capsys) -> str:
     """Run the CLI expecting a usage error; return what it printed."""
     try:

@@ -2,8 +2,8 @@
 digests streamed over an item delta, the incremental descriptor index."""
 
 import bisect
+import hashlib
 import random
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from expmarket import graph as graph_module
 from expmarket.graph import (Edge, Graph, compute_digest_from_scratch, edge_item_hash,
-                             node_item_hash)
+                             export_text, node_item_hash)
 from expmarket.ids import NodeIdGenerator
 from expmarket.patches import (DanglingEdge, DuplicateContent, MissingTarget, apply_patch,
                                build_patch, diff, patches_equal)
@@ -94,27 +94,21 @@ def _mutate(g: Graph, model: _Model, op: int, rng: random.Random, gen,
 
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       ops=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 9)), max_size=80),
-       bisect_limit=st.sampled_from([0, 2, 256]))
-def test_copies_stay_independent_and_digests_stay_exact(seed, ops, bisect_limit):
+       ops=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 9)), max_size=80))
+def test_copies_stay_independent_and_digests_stay_exact(seed, ops):
     rng = random.Random(seed)
     gen = NodeIdGenerator(seed, 0)
-    saved = graph_module._BISECT_LIMIT
-    graph_module._BISECT_LIMIT = bisect_limit
-    try:
-        graphs, models = [Graph()], [_Model()]
-        for which, op in ops:
-            i = which % len(graphs)
-            if op >= 6:
-                graphs.append(graphs[i].copy())
-                models.append(models[i].copy())
-            else:
-                _mutate(graphs[i], models[i], op, rng, gen)
-            _check(graphs[i], models[i])
-        for g, model in zip(graphs, models):
-            _check(g, model)
-    finally:
-        graph_module._BISECT_LIMIT = saved
+    graphs, models = [Graph()], [_Model()]
+    for which, op in ops:
+        i = which % len(graphs)
+        if op >= 6:
+            graphs.append(graphs[i].copy())
+            models.append(models[i].copy())
+        else:
+            _mutate(graphs[i], models[i], op, rng, gen)
+        _check(graphs[i], models[i])
+    for g, model in zip(graphs, models):
+        _check(g, model)
 
 
 def _assert_fresh_index(g: Graph) -> None:
@@ -248,123 +242,141 @@ def test_diff_matches_full_edge_scan(seed, size, products):
 # -- digests streamed over an item delta ---------------------------------------
 
 
-@contextmanager
-def _bisect_limit(limit: int):
-    saved = graph_module._BISECT_LIMIT
-    graph_module._BISECT_LIMIT = limit
-    try:
-        yield
-    finally:
-        graph_module._BISECT_LIMIT = saved
-
-
 def _item_hashes(g: Graph) -> set[bytes]:
     return {node_item_hash(n) for n in g.nodes()} | {edge_item_hash(e) for e in g.edges()}
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 16),
-       bisect_limit=st.sampled_from([0, 2, 256]))
-def test_digest_after_matches_an_applied_copy(seed, size, bisect_limit):
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 16))
+def test_digest_after_matches_an_applied_copy(seed, size):
     rng = random.Random(seed)
-    with _bisect_limit(bisect_limit):
-        g = random_graph(seed % 1000, size, dim=2, edge_prob=0.3)
-        before = g.digest()
-        assert g.digest_after([], []) == before
-        # drop some nodes with every incident edge, and some other edges
-        victims = set(rng.sample(sorted(g.node_ids()), rng.randrange(size // 2 + 1)))
-        gone_edges = {e for e in g.edges()
-                      if e.src in victims or e.dst in victims or rng.random() < 0.2}
-        gen = NodeIdGenerator(rng.randrange(2**32), 1)
-        new_nodes = [mknode(gen, [rng.uniform(-9, 9)]) for _ in range(rng.randrange(5))]
-        pool = [i for i in g.node_ids() if i not in victims] + [n.id for n in new_nodes]
-        new_edges = {}
-        for _ in range(rng.randrange(6) if len(pool) > 1 else 0):
-            src, dst = rng.sample(pool, 2)
-            old = g.has_edge(src, dst) and g.edge(src, dst)
-            if not old or old in gone_edges:  # add, or re-add with a new pose
-                new_edges[(src, dst)] = Edge(src, dst, Pose.from_translation(rng.random()))
-        dropped = [node_item_hash(g.node(i)) for i in victims]
-        dropped += [edge_item_hash(e) for e in gone_edges]
-        added = [node_item_hash(n) for n in new_nodes]
-        added += [edge_item_hash(e) for e in new_edges.values()]
-        streamed = g.digest_after(dropped, added)
+    g = random_graph(seed % 1000, size, dim=2, edge_prob=0.3)
+    before = g.digest()
+    assert g.digest_after([], []) == before
+    # drop some nodes with every incident edge, and some other edges
+    victims = set(rng.sample(sorted(g.node_ids()), rng.randrange(size // 2 + 1)))
+    gone_edges = {e for e in g.edges()
+                  if e.src in victims or e.dst in victims or rng.random() < 0.2}
+    gen = NodeIdGenerator(rng.randrange(2**32), 1)
+    new_nodes = [mknode(gen, [rng.uniform(-9, 9)]) for _ in range(rng.randrange(5))]
+    pool = [i for i in g.node_ids() if i not in victims] + [n.id for n in new_nodes]
+    new_edges = {}
+    for _ in range(rng.randrange(6) if len(pool) > 1 else 0):
+        src, dst = rng.sample(pool, 2)
+        old = g.has_edge(src, dst) and g.edge(src, dst)
+        if not old or old in gone_edges:  # add, or re-add with a new pose
+            new_edges[(src, dst)] = Edge(src, dst, Pose.from_translation(rng.random()))
+    dropped = [node_item_hash(g.node(i)) for i in victims]
+    dropped += [edge_item_hash(e) for e in gone_edges]
+    added = [node_item_hash(n) for n in new_nodes]
+    added += [edge_item_hash(e) for e in new_edges.values()]
+    streamed = g.digest_after(dropped, added)
 
-        twin = g.copy()
-        for e in gone_edges:
-            twin.remove_edge(e.src, e.dst)
-        for i in victims:
-            twin.remove_node(i)
-        for n in new_nodes:
-            twin.insert_node(n)
-        for e in new_edges.values():
-            twin.insert_edge(e)
-        assert streamed == twin.digest() == compute_digest_from_scratch(twin)
-        # the graph asked is unchanged
-        assert g.digest() == before == compute_digest_from_scratch(g)
+    twin = g.copy()
+    for e in gone_edges:
+        twin.remove_edge(e.src, e.dst)
+    for i in victims:
+        twin.remove_node(i)
+    for n in new_nodes:
+        twin.insert_node(n)
+    for e in new_edges.values():
+        twin.insert_edge(e)
+    assert streamed == twin.digest() == compute_digest_from_scratch(twin)
+    # the graph asked is unchanged
+    assert g.digest() == before == compute_digest_from_scratch(g)
 
 
-@pytest.mark.parametrize("bisect_limit", [0, 2, 256])
-def test_digest_after_splices_at_the_ends_and_at_a_dropped_record(bisect_limit):
+@pytest.mark.parametrize("extra", [0, 2, 256])
+def test_digest_after_splices_at_the_ends_and_at_a_dropped_record(extra):
+    # `extra` further records: the splices land in buffers of 9, 11 and 265
     gen = NodeIdGenerator(11, 0)
-    nodes = sorted((mknode(gen, [float(i)]) for i in range(12)), key=node_item_hash)
+    nodes = sorted((mknode(gen, [float(i)]) for i in range(12 + extra)),
+                   key=node_item_hash)
     first, second, third, last = nodes[0], nodes[1], nodes[2], nodes[-1]
-    with _bisect_limit(bisect_limit):
-        g = graph_module.graph_from_content(
-            [n for n in nodes if n not in (first, second, last)], [])
-        # first sorts before every record, last after; second lands at the
-        # offset of third, which is dropped in the same delta
-        delta = ([node_item_hash(third)],
-                 [node_item_hash(n) for n in (last, second, first)])
-        twin = g.copy()
-        twin.remove_node(third.id)
-        for n in (first, second, last):
-            twin.insert_node(n)
-        assert g.digest_after(*delta) == twin.digest() == compute_digest_from_scratch(twin)
-        # dropping and re-adding one record leaves the digest as it is
-        h = node_item_hash(nodes[5])
-        assert g.digest_after([h], [h]) == g.digest()
-        # one record before the first, and one after the last
-        assert g.digest_after([], [node_item_hash(first)]) \
-            == graph_module.graph_from_content([first] + nodes[2:-1], []).digest()
-        assert g.digest_after([], [node_item_hash(last)]) \
-            == graph_module.graph_from_content(nodes[2:], []).digest()
+    g = graph_module.graph_from_content(
+        [n for n in nodes if n not in (first, second, last)], [])
+    # first sorts before every record, last after; second lands at the
+    # offset of third, which is dropped in the same delta
+    delta = ([node_item_hash(third)],
+             [node_item_hash(n) for n in (last, second, first)])
+    twin = g.copy()
+    twin.remove_node(third.id)
+    for n in (first, second, last):
+        twin.insert_node(n)
+    assert g.digest_after(*delta) == twin.digest() == compute_digest_from_scratch(twin)
+    # dropping and re-adding one record leaves the digest as it is
+    h = node_item_hash(nodes[5])
+    assert g.digest_after([h], [h]) == g.digest()
+    # one record before the first, and one after the last
+    assert g.digest_after([], [node_item_hash(first)]) \
+        == graph_module.graph_from_content([first] + nodes[2:-1], []).digest()
+    assert g.digest_after([], [node_item_hash(last)]) \
+        == graph_module.graph_from_content(nodes[2:], []).digest()
 
 
 def test_digest_after_rejects_an_absent_dropped_hash():
     g, nodes = chain_graph(NodeIdGenerator(3, 0), [[0.0], [1.0], [2.0]])
+    absent = node_item_hash(mknode(NodeIdGenerator(4, 0), [0.0]))
     with pytest.raises(KeyError):
-        g.digest_after([node_item_hash(mknode(NodeIdGenerator(4, 0), [0.0]))], [])
+        g.digest_after([absent], [])
+    with pytest.raises(KeyError):  # adding it back does not make it present
+        g.digest_after([absent], [absent])
     with pytest.raises(MissingTarget):  # no such edge
         build_patch(g, delete_edges=[Edge(nodes[2].id, nodes[0].id, Pose.identity())])
     with pytest.raises(MissingTarget):  # the edge is there, with another pose
         build_patch(g, delete_edges=[Edge(nodes[0].id, nodes[1].id, Pose.identity())])
 
 
+def test_a_bulk_delta_folds_on_an_owner_with_a_live_view():
+    """Over a thousand inserts and some removals before one read, while a
+    view of the old version is alive: one fold brings the owner's buffer up
+    to date, and the view, rebuilt by the first removal, folds its own."""
+    rng = random.Random(41)
+    gen = NodeIdGenerator(41, 0)
+    old_nodes = [mknode(gen, [float(i)]) for i in range(40)]
+    view = graph_module.graph_from_content(old_nodes, [])
+    old_digest, old_text = view.digest(), export_text(view)
+    owner = view.copy()
+    new_nodes = [mknode(gen, [rng.uniform(-9, 9)]) for _ in range(1100)]
+    for n in new_nodes:
+        owner.insert_node(n)
+    linked = new_nodes[:300]
+    edges = [Edge(a.id, b.id, Pose.from_translation(1.0)) for a, b in zip(linked, linked[1:])]
+    for e in edges:
+        owner.insert_edge(e)
+    assert isinstance(view, graph_module._View)
+    for e in edges[::7]:
+        owner.remove_edge(e.src, e.dst)
+    for n in old_nodes[::3] + new_nodes[-200::5]:
+        owner.remove_node(n.id)
+    assert len(owner._delta) > 1024
+    assert owner.digest() == compute_digest_from_scratch(owner)
+    assert view.digest() == old_digest == compute_digest_from_scratch(view)
+    assert export_text(view) == old_text
+
+
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 14),
-       bisect_limit=st.sampled_from([0, 2, 256]))
-def test_built_output_state_is_the_applied_digest(seed, size, bisect_limit):
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 14))
+def test_built_output_state_is_the_applied_digest(seed, size):
     rng = random.Random(seed)
-    with _bisect_limit(bisect_limit):
-        base = random_graph(seed % 1000, size, dim=2, edge_prob=0.4)
-        ids = sorted(base.node_ids())
-        victims = set(rng.sample(ids, rng.randrange(len(ids) + 1)))
-        kept = [i for i in ids if i not in victims]
-        gen = NodeIdGenerator(rng.randrange(2**32), 2)
-        new = [mknode(gen, [rng.uniform(-9, 9)]) for _ in range(rng.randrange(4))]
-        pool = kept + [n.id for n in new]
-        inserts = {}
-        for _ in range(rng.randrange(6) if len(pool) > 1 else 0):
-            src, dst = rng.sample(pool, 2)
-            if not base.has_edge(src, dst):
-                inserts[(src, dst)] = Edge(src, dst, Pose.from_translation(rng.random()))
-        deletes = [e for e in base.edges()
-                   if e.src not in victims and e.dst not in victims and rng.random() < 0.2]
-        patch = build_patch(base, insert_nodes=new, insert_edges=inserts.values(),
-                            delete_ids=victims, delete_edges=deletes)
-        after = apply_patch(base, patch)
-        assert patch.output_state == after.digest() == compute_digest_from_scratch(after)
+    base = random_graph(seed % 1000, size, dim=2, edge_prob=0.4)
+    ids = sorted(base.node_ids())
+    victims = set(rng.sample(ids, rng.randrange(len(ids) + 1)))
+    kept = [i for i in ids if i not in victims]
+    gen = NodeIdGenerator(rng.randrange(2**32), 2)
+    new = [mknode(gen, [rng.uniform(-9, 9)]) for _ in range(rng.randrange(4))]
+    pool = kept + [n.id for n in new]
+    inserts = {}
+    for _ in range(rng.randrange(6) if len(pool) > 1 else 0):
+        src, dst = rng.sample(pool, 2)
+        if not base.has_edge(src, dst):
+            inserts[(src, dst)] = Edge(src, dst, Pose.from_translation(rng.random()))
+    deletes = [e for e in base.edges()
+               if e.src not in victims and e.dst not in victims and rng.random() < 0.2]
+    patch = build_patch(base, insert_nodes=new, insert_edges=inserts.values(),
+                        delete_ids=victims, delete_edges=deletes)
+    after = apply_patch(base, patch)
+    assert patch.output_state == after.digest() == compute_digest_from_scratch(after)
 
 
 def test_built_output_state_with_an_edge_between_two_deleted_nodes():
@@ -435,16 +447,32 @@ def test_missing_items_keep_insertion_order():
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 60),
-       drops=st.integers(0, 60), adds=st.integers(0, 30))
-def test_folding_a_delta_matches_sorting_afresh(seed, size, drops, adds):
+       drops=st.integers(0, 60), everything=st.booleans(), readds=st.integers(0, 60),
+       adds=st.integers(0, 30))
+def test_folding_a_delta_matches_sorting_afresh(seed, size, drops, everything, readds, adds):
+    """The fold and ``digest_after`` splice a delta into the sorted buffer
+    exactly as a sort of the resulting hash set would order it, including
+    drops of the whole buffer and re-adds of dropped hashes."""
     rng = random.Random(seed)
     kept = [rng.randbytes(32) for _ in range(size)]
     new = [rng.randbytes(32) for _ in range(adds)]
-    gone = rng.sample(kept, min(drops, size))
-    buf = bytearray(b"".join(sorted(kept)))
-    delta = dict.fromkeys(new, True) | dict.fromkeys(gone, False)
-    graph_module._fold(buf, delta)
-    assert buf == b"".join(sorted(set(kept) - set(gone) | set(new)))
+    gone = rng.sample(kept, size if everything else min(drops, size))
+    back = rng.sample(gone, min(readds, len(gone)))
+    want = b"".join(sorted(set(kept) - set(gone) | set(new) | set(back)))
+
+    g = Graph()  # a graph whose buffer holds ``kept``, with no cached digest
+    buf = g._sorted
+    buf[:] = b"".join(sorted(kept))
+    g._digest = None
+    assert g.digest_after(gone, new + back) == hashlib.sha256(want).digest()
+    for h in gone:
+        g._track(h, False)
+    for h in new + back:
+        g._track(h, True)
+    assert g._sorted_hashes() is buf
+    assert buf == want
+    assert g.digest() == hashlib.sha256(want).digest()
+    buf.extend(bytes(32))  # the splice released the buffer: it can be resized
 
 
 def _zero_padded(lead: int, trail: int, body: bytes) -> bytes:

@@ -43,38 +43,32 @@ def _check(g: Graph, snap: _Model) -> None:
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1),
-       ops=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 99)), max_size=70),
-       bisect_limit=st.sampled_from([0, 2, 256]))
-def test_every_handle_reads_its_own_version(seed, ops, bisect_limit):
+       ops=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 99)), max_size=70))
+def test_every_handle_reads_its_own_version(seed, ops):
     """Random copies, inserts, removals, bumps, reads and dropped handles,
     then every surviving handle read in a random order."""
     rng = random.Random(seed)
     gen = NodeIdGenerator(seed, 0)
-    saved = graph_module._BISECT_LIMIT
-    graph_module._BISECT_LIMIT = bisect_limit
-    try:
-        handles = [(Graph(), _Model())]
-        g = snap = None
-        for which, op in ops:
-            i = which % len(handles)
-            g, snap = handles[i]
-            if op < 40:  # mostly inserts and bumps: these are journaled
-                _mutate(g, snap, _INSERTS_AND_BUMPS[op % 3], rng, gen)
-            elif op < 50:
-                _mutate(g, snap, 1 + 2 * (op % 2), rng, gen)
-            elif op < 75:
-                handles.append((g.copy(), snap.copy()))
-            elif op < 85:
-                _check(g, snap)
-            elif len(handles) > 1:
-                del handles[i]  # its store may now have no owner
-        del g, snap
-        gc.collect()
-        rng.shuffle(handles)
-        for g, snap in handles:
+    handles = [(Graph(), _Model())]
+    g = snap = None
+    for which, op in ops:
+        i = which % len(handles)
+        g, snap = handles[i]
+        if op < 40:  # mostly inserts and bumps: these are journaled
+            _mutate(g, snap, _INSERTS_AND_BUMPS[op % 3], rng, gen)
+        elif op < 50:
+            _mutate(g, snap, 1 + 2 * (op % 2), rng, gen)
+        elif op < 75:
+            handles.append((g.copy(), snap.copy()))
+        elif op < 85:
             _check(g, snap)
-    finally:
-        graph_module._BISECT_LIMIT = saved
+        elif len(handles) > 1:
+            del handles[i]  # its store may now have no owner
+    del g, snap
+    gc.collect()
+    rng.shuffle(handles)
+    for g, snap in handles:
+        _check(g, snap)
 
 
 def _grown(seed: int, size: int) -> tuple[Graph, _Model]:

@@ -310,6 +310,40 @@ def test_run_scenario_jobs_pool_matches_serial():
     assert serial == pooled
 
 
+def test_run_scenario_starts_no_more_workers_than_trials_or_cpus(monkeypatch):
+    """A process pool may start all its workers at the first submit, so its
+    size is capped by the trial count and the CPU count as well as ``jobs``."""
+    import concurrent.futures
+
+    from expmarket import sim
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sim, "run_trial", lambda config, seed, t: (seed, t))
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 8)
+    for trials, jobs in ((3, 5000), (50, 5000), (50, 4), (1, 5000)):
+        assert sim.run_scenario(None, 5, trials, jobs) == [(5, t) for t in range(trials)]
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: None)  # unknown: one worker
+    assert sim.run_scenario(None, 5, 3, 5000) == [(5, 0), (5, 1), (5, 2)]
+    assert sizes == [3, 8, 4]  # one trial, or one CPU, runs in this process
+
+
 def test_match_commutation_scenario_runs_and_converges_with_full_shopping():
     doc = bundled_scenario("scaling")
     doc["strategies"]["shopping"] = "WINDOW"
