@@ -7,8 +7,11 @@ order it was built in. The digest covers the versioned content only:
 independently, so it is deliberately excluded (otherwise two agents holding
 identical traded content would never agree on a state).
 
-A graph keeps its item hashes up to date as it changes: each insert or
-remove hashes that one item, updates a hash-to-item dict and notes the hash
+Each item's hash is computed once, the first time it is read, and cached on
+the frozen item (``Node.item_hash``, ``Edge.item_hash``), so an item that
+passes through many graphs and patches is hashed once. A graph keeps its
+item hashes up to date as it changes: each insert or remove reads that one
+item's hash, updates a hash-to-item dict and notes the hash
 as pending for one sorted ``bytearray`` of 32-byte hash records. The next
 read of the buffer folds the pending hashes in by one splice, which rewrites
 the buffer from the first change to the last. A digest is then one SHA-256
@@ -42,12 +45,12 @@ import hashlib
 import struct
 import weakref
 from dataclasses import dataclass, replace
-from itertools import filterfalse, islice, repeat
+from itertools import chain, filterfalse, islice, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .ids import NodeId, RobotId
+from .ids import NodeId, RobotId, id_text
 from .pose import Pose
 
 StateDigest = bytes
@@ -66,6 +69,25 @@ NODE_DIGEST_TAIL = "qdiii"
 EDGE_RECORD = struct.Struct("<16s16s7d")  # src, dst, pose (tx ty tz qw qx qy qz)
 
 
+class _cached:
+    """A read-only attribute computed on first read and kept on the instance,
+    as ``functools.cached_property`` does, but stored by ``object.__setattr__``
+    (a frozen dataclass refuses plain assignment) among the instance's inline
+    attribute values. ``cached_property`` goes through ``instance.__dict__``,
+    which makes a dict object for every instance: 64 bytes more per item."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.compute(instance)
+        object.__setattr__(instance, self.name, value)
+        return value
+
+
 def node_format(dim: int, tail: str) -> str:
     """The struct format of a node record with a ``dim``-double descriptor."""
     return f"{NODE_HEAD}{dim}d{tail}"
@@ -78,6 +100,10 @@ class Node:
     ``path_memory`` counts how often the localiser matched this node; it is
     mutable agent-local state (carried on the record for convenience) and is
     not part of the content digest.
+
+    ``item_hash`` is computed once and kept on the instance; it is not a
+    field, so eq, hash and repr ignore it, and a ``replace``d node computes
+    its own.
     """
 
     id: NodeId
@@ -92,22 +118,30 @@ class Node:
     def content_bytes(self) -> bytes:
         """Digest-relevant payload: the wire record without ``path_memory``."""
         d = self.descriptor
-        return struct.pack(node_format(len(d), NODE_DIGEST_TAIL), self.id.bytes, len(d), *d,
-                           self.inlier_count, self.fabmap_score, self.product, self.creator,
-                           self.foray)
+        return struct.pack(node_format(len(d), NODE_DIGEST_TAIL), self.id.to_bytes(16, "big"),
+                           len(d), *d, self.inlier_count, self.fabmap_score, self.product,
+                           self.creator, self.foray)
+
+    @_cached
+    def item_hash(self) -> bytes:
+        """The node's hash in state digests: SHA-256 of ``N`` + ``content_bytes``."""
+        return hashlib.sha256(b"N" + self.content_bytes()).digest()
 
 
 def node_record(node: Node) -> bytes:
     """A node's wire record: ``content_bytes`` with ``path_memory`` in place."""
     d = node.descriptor
-    return struct.pack(node_format(len(d), NODE_WIRE_TAIL), node.id.bytes, len(d), *d,
-                       node.inlier_count, node.fabmap_score, node.path_memory, node.product,
-                       node.creator, node.foray)
+    return struct.pack(node_format(len(d), NODE_WIRE_TAIL), node.id.to_bytes(16, "big"),
+                       len(d), *d, node.inlier_count, node.fabmap_score, node.path_memory,
+                       node.product, node.creator, node.foray)
 
 
 @dataclass(frozen=True)
 class Edge:
-    """Directed edge carrying the 6DoF relative pose between two places."""
+    """Directed edge carrying the 6DoF relative pose between two places.
+
+    ``item_hash`` is cached as on ``Node``.
+    """
 
     src: NodeId
     dst: NodeId
@@ -116,8 +150,13 @@ class Edge:
     def content_bytes(self) -> bytes:
         """The edge's record, the same in item hashes and on the wire."""
         p = self.pose
-        return EDGE_RECORD.pack(self.src.bytes, self.dst.bytes,
+        return EDGE_RECORD.pack(self.src.to_bytes(16, "big"), self.dst.to_bytes(16, "big"),
                                 p.tx, p.ty, p.tz, p.qw, p.qx, p.qy, p.qz)
+
+    @_cached
+    def item_hash(self) -> bytes:
+        """The edge's hash in state digests: SHA-256 of ``E`` + ``content_bytes``."""
+        return hashlib.sha256(b"E" + self.content_bytes()).digest()
 
 
 @dataclass(frozen=True)
@@ -142,14 +181,6 @@ class DescriptorIndex(NamedTuple):
 
 
 _NO_INDEX = DescriptorIndex((), np.empty((0, 0), dtype=np.float64), {})
-
-
-def node_item_hash(node: Node) -> bytes:
-    return hashlib.sha256(b"N" + node.content_bytes()).digest()
-
-
-def edge_item_hash(edge: Edge) -> bytes:
-    return hashlib.sha256(b"E" + edge.content_bytes()).digest()
 
 
 _REC = 32  # bytes per record in the sorted hash buffer (one SHA-256)
@@ -276,39 +307,39 @@ class Graph:
 
     def insert_node(self, node: Node) -> None:
         if node.id in self._nodes:
-            raise ValueError(f"duplicate node {node.id}")
+            raise ValueError(f"duplicate node {id_text(node.id)}")
         self._nodes[node.id] = node
         self._out[node.id] = {}
         self._in[node.id] = set()
         self._owned.add(node.id)
-        self._add_item(_NODE, node, node_item_hash(node))
+        self._add_item(_NODE, node, node.item_hash)
 
     def remove_node(self, node_id: NodeId) -> Node:
         """Remove a node; its incident edges must already be gone."""
         if self._out.get(node_id) or self._in.get(node_id):
-            raise ValueError(f"node {node_id} still has incident edges")
+            raise ValueError(f"node {id_text(node_id)} still has incident edges")
         node = self._nodes[node_id]
         self._release_views()
-        self._unlink_node(node, node_item_hash(node))
+        self._unlink_node(node, node.item_hash)
         return node
 
     def insert_edge(self, edge: Edge) -> None:
         if edge.src == edge.dst:
             raise ValueError("self loop")
         if edge.src not in self._nodes or edge.dst not in self._nodes:
-            raise ValueError(f"dangling edge {edge.src}->{edge.dst}")
+            raise ValueError(f"dangling edge {id_text(edge.src)}->{id_text(edge.dst)}")
         if edge.dst in self._out[edge.src]:
-            raise ValueError(f"duplicate edge {edge.src}->{edge.dst}")
+            raise ValueError(f"duplicate edge {id_text(edge.src)}->{id_text(edge.dst)}")
         self._own(edge.src)
         self._own(edge.dst)
         self._out[edge.src][edge.dst] = edge
         self._in[edge.dst].add(edge.src)
-        self._add_item(_EDGE, edge, edge_item_hash(edge))
+        self._add_item(_EDGE, edge, edge.item_hash)
 
     def remove_edge(self, src: NodeId, dst: NodeId) -> Edge:
         edge = self._out[src][dst]
         self._release_views()
-        self._unlink_edge(edge, edge_item_hash(edge))
+        self._unlink_edge(edge, edge.item_hash)
         return edge
 
     def bump_path_memory(self, node_id: NodeId) -> None:
@@ -557,9 +588,10 @@ def _spliced(buf: bytearray, dropped: Iterable[bytes], added: Iterable[bytes]) -
 
 
 def compute_digest_from_scratch(graph: Graph) -> StateDigest:
-    """Digest rehashed from every node and edge, for coherence checks."""
-    hashes = [node_item_hash(n) for n in graph.nodes()]
-    hashes += [edge_item_hash(e) for e in graph.edges()]
+    """Digest from every node's and edge's item hash, sorted afresh: a check
+    on the graph's incremental hash buffer."""
+    hashes = [n.item_hash for n in graph.nodes()]
+    hashes += [e.item_hash for e in graph.edges()]
     hashes.sort()
     return hashlib.sha256(b"".join(hashes)).digest()
 
@@ -586,7 +618,7 @@ def neighbourhood(graph: Graph, seed: NodeId, depth: int) -> set[NodeId]:
     for _ in range(depth):
         nxt = []
         for nid in frontier:
-            for other in list(graph._out.get(nid, ())) + list(graph._in.get(nid, ())):
+            for other in chain(graph._out.get(nid, ()), graph._in.get(nid, ())):
                 if other not in seen:
                     seen.add(other)
                     nxt.append(other)
@@ -606,7 +638,7 @@ def connected_components(graph: Graph) -> list[set[NodeId]]:
         stack = [start]
         while stack:
             nid = stack.pop()
-            for other in list(graph._out.get(nid, ())) + list(graph._in.get(nid, ())):
+            for other in chain(graph._out.get(nid, ()), graph._in.get(nid, ())):
                 if other in unvisited:
                     unvisited.discard(other)
                     comp.add(other)
@@ -622,7 +654,7 @@ def export_text(graph: Graph) -> str:
         n = graph._nodes[nid]
         desc = ",".join(repr(v) for v in n.descriptor)
         lines.append(
-            f"node\t{n.id}\t{desc}\t{n.inlier_count}\t{n.fabmap_score!r}"
+            f"node\t{id_text(n.id)}\t{desc}\t{n.inlier_count}\t{n.fabmap_score!r}"
             f"\t{n.path_memory}\t{n.product}\t{n.creator}\t{n.foray}"
         )
     for src in sorted(graph._out):
@@ -630,5 +662,5 @@ def export_text(graph: Graph) -> str:
             e = graph._out[src][dst]
             pose = ",".join(repr(v) for v in (e.pose.tx, e.pose.ty, e.pose.tz,
                                               e.pose.qw, e.pose.qx, e.pose.qy, e.pose.qz))
-            lines.append(f"edge\t{src}\t{dst}\t{pose}")
+            lines.append(f"edge\t{id_text(src)}\t{id_text(dst)}\t{pose}")
     return "\n".join(lines) + ("\n" if lines else "")

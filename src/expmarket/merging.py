@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field
 
 from .graph import Edge, Graph, Node
-from .ids import NodeId, RobotId
+from .ids import NodeId, RobotId, id_text
 from .localiser import LocaliserConfig, MatchCounter, MatchSet, match_patches
 from .patches import Patch, Repository, build_patch, diff
 from .serialize import patch_wire_size
@@ -254,8 +254,9 @@ def _check_reconnected(neighbourhoods: dict[NodeId, set[NodeId]], post: Graph,
     for drop_id, neighbours in neighbourhoods.items():
         nb = _stranded_neighbour(neighbours, post, drop_id, drop_map)
         if nb is not None:
-            raise IntegrityViolation(f"{where}: neighbour {nb} of dropped {drop_id} "
-                                     f"lost contact with keeper {drop_map[drop_id]}")
+            raise IntegrityViolation(f"{where}: neighbour {id_text(nb)} of dropped "
+                                     f"{id_text(drop_id)} lost contact with keeper "
+                                     f"{id_text(drop_map[drop_id])}")
 
 
 def _advanced(repo: Repository, patch: Patch) -> Repository:

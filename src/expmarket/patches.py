@@ -17,9 +17,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .graph import (EMPTY_GRAPH_DIGEST, Edge, Graph, Node, StateDigest, edge_item_hash,
-                    node_item_hash)
-from .ids import NodeId, RobotId
+from .graph import EMPTY_GRAPH_DIGEST, Edge, Graph, Node, StateDigest
+from .ids import NodeId, RobotId, id_text
 
 
 class PatchError(Exception):
@@ -85,7 +84,7 @@ class Patch:
         seen: set[NodeId] = set()
         for el in self.elements:
             if el.node.id in seen:
-                raise ValueError(f"node {el.node.id} appears in two elements")
+                raise ValueError(f"node {id_text(el.node.id)} appears in two elements")
             seen.add(el.node.id)
 
     # -- views ------------------------------------------------------------
@@ -123,7 +122,7 @@ class Patch:
 def _remove_edges(graph: Graph, edges: Iterable[Edge]) -> None:
     for e in edges:
         if not graph.has_edge(e.src, e.dst):
-            raise MissingTarget(f"edge {e.src}->{e.dst} absent")
+            raise MissingTarget(f"edge {id_text(e.src)}->{id_text(e.dst)} absent")
         graph.remove_edge(e.src, e.dst)
 
 
@@ -132,20 +131,20 @@ def _apply_content(graph: Graph, patch: Patch) -> None:
     _remove_edges(graph, patch.flat_edge_deletes())
     for nid, el in patch.deletes().items():
         if nid not in graph:
-            raise MissingTarget(f"delete of absent node {nid}")
+            raise MissingTarget(f"delete of absent node {id_text(nid)}")
         if graph.out_edges(nid) or graph.in_edges(nid):
-            raise DanglingEdge(f"node {nid} deleted while edges remain")
+            raise DanglingEdge(f"node {id_text(nid)} deleted while edges remain")
         graph.remove_node(nid)
     for el in patch.elements:
         if el.action is PatchAction.INSERT:
             if el.node.id in graph:
-                raise DuplicateContent(f"insert of existing node {el.node.id}")
+                raise DuplicateContent(f"insert of existing node {id_text(el.node.id)}")
             graph.insert_node(el.node)
     for e in patch.flat_edge_inserts():
         if e.src not in graph or e.dst not in graph:
-            raise DanglingEdge(f"edge {e.src}->{e.dst} has an absent endpoint")
+            raise DanglingEdge(f"edge {id_text(e.src)}->{id_text(e.dst)} has an absent endpoint")
         if graph.has_edge(e.src, e.dst):
-            raise DuplicateContent(f"edge {e.src}->{e.dst} already present")
+            raise DuplicateContent(f"edge {id_text(e.src)}->{id_text(e.dst)} already present")
         graph.insert_edge(e)
 
 
@@ -228,8 +227,8 @@ def compose(first: Patch, second: Patch) -> Patch:
     """Combine two patches applied in sequence into one.
 
     Insert-then-delete of the same node cancels. Delete-then-reinsert of one
-    node id is rejected: ids are UUIDs and are never reused, so this only
-    arises from malformed inputs.
+    node id is rejected: ids are random 128-bit values and are never reused,
+    so this only arises from malformed inputs.
     """
     if first.output_state != second.input_state:
         raise StateMismatch("patches do not share a state")
@@ -305,10 +304,10 @@ def build_patch(
     edge_inserts = set(insert_edges)
     if not (node_inserts or node_deletes or edge_inserts or edge_deletes):
         return Patch(base.digest(), base.digest(), frozenset())  # the state stays put
-    dropped = [node_item_hash(n) for n in node_deletes.values()]
-    dropped += [edge_item_hash(e) for e in edge_deletes]
-    added = [node_item_hash(n) for n in node_inserts.values()]
-    added += [edge_item_hash(e) for e in edge_inserts]
+    dropped = [n.item_hash for n in node_deletes.values()]
+    dropped += [e.item_hash for e in edge_deletes]
+    added = [n.item_hash for n in node_inserts.values()]
+    added += [e.item_hash for e in edge_inserts]
     try:
         output = base.digest_after(dropped, added)
     except KeyError:

@@ -17,7 +17,6 @@ struct formats stated in ``graph`` (``NODE_HEAD``, ``NODE_WIRE_TAIL``,
 from __future__ import annotations
 
 import struct
-import uuid
 from typing import Iterable
 
 from .graph import (EDGE_RECORD, NODE_HEAD, NODE_WIRE_TAIL, Edge, Graph, Node,
@@ -59,7 +58,7 @@ def _read_node(r: _Reader) -> Node:
     nid, dim = r.unpack(NODE_HEAD)
     desc = r.unpack(f"<{dim}d")
     # the wire tail holds the rest of Node's fields in their declared order
-    return Node(uuid.UUID(bytes=nid), desc, *r.unpack("<" + NODE_WIRE_TAIL))
+    return Node(int.from_bytes(nid, "big"), desc, *r.unpack("<" + NODE_WIRE_TAIL))
 
 
 def _edge_set(edges: Iterable[Edge]) -> list[bytes]:
@@ -71,7 +70,7 @@ def _read_edge_set(r: _Reader) -> list[Edge]:
     edges = []
     for _ in range(r.unpack(_COUNT)[0]):
         src, dst, *pose = r.unpack(EDGE_RECORD.format)
-        edges.append(Edge(uuid.UUID(bytes=src), uuid.UUID(bytes=dst), Pose(*pose)))
+        edges.append(Edge(int.from_bytes(src, "big"), int.from_bytes(dst, "big"), Pose(*pose)))
     return edges
 
 

@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expmarket import graph as graph_module
-from expmarket.graph import (Edge, Graph, compute_digest_from_scratch, edge_item_hash,
-                             export_text, node_item_hash)
+from expmarket.graph import Edge, Graph, compute_digest_from_scratch, export_text
 from expmarket.ids import NodeIdGenerator
 from expmarket.patches import (DanglingEdge, DuplicateContent, MissingTarget, apply_patch,
                                build_patch, diff, patches_equal)
@@ -243,7 +242,7 @@ def test_diff_matches_full_edge_scan(seed, size, products):
 
 
 def _item_hashes(g: Graph) -> set[bytes]:
-    return {node_item_hash(n) for n in g.nodes()} | {edge_item_hash(e) for e in g.edges()}
+    return {n.item_hash for n in g.nodes()} | {e.item_hash for e in g.edges()}
 
 
 @settings(max_examples=150, deadline=None)
@@ -266,10 +265,10 @@ def test_digest_after_matches_an_applied_copy(seed, size):
         old = g.has_edge(src, dst) and g.edge(src, dst)
         if not old or old in gone_edges:  # add, or re-add with a new pose
             new_edges[(src, dst)] = Edge(src, dst, Pose.from_translation(rng.random()))
-    dropped = [node_item_hash(g.node(i)) for i in victims]
-    dropped += [edge_item_hash(e) for e in gone_edges]
-    added = [node_item_hash(n) for n in new_nodes]
-    added += [edge_item_hash(e) for e in new_edges.values()]
+    dropped = [g.node(i).item_hash for i in victims]
+    dropped += [e.item_hash for e in gone_edges]
+    added = [n.item_hash for n in new_nodes]
+    added += [e.item_hash for e in new_edges.values()]
     streamed = g.digest_after(dropped, added)
 
     twin = g.copy()
@@ -291,32 +290,32 @@ def test_digest_after_splices_at_the_ends_and_at_a_dropped_record(extra):
     # `extra` further records: the splices land in buffers of 9, 11 and 265
     gen = NodeIdGenerator(11, 0)
     nodes = sorted((mknode(gen, [float(i)]) for i in range(12 + extra)),
-                   key=node_item_hash)
+                   key=lambda n: n.item_hash)
     first, second, third, last = nodes[0], nodes[1], nodes[2], nodes[-1]
     g = graph_module.graph_from_content(
         [n for n in nodes if n not in (first, second, last)], [])
     # first sorts before every record, last after; second lands at the
     # offset of third, which is dropped in the same delta
-    delta = ([node_item_hash(third)],
-             [node_item_hash(n) for n in (last, second, first)])
+    delta = ([third.item_hash],
+             [n.item_hash for n in (last, second, first)])
     twin = g.copy()
     twin.remove_node(third.id)
     for n in (first, second, last):
         twin.insert_node(n)
     assert g.digest_after(*delta) == twin.digest() == compute_digest_from_scratch(twin)
     # dropping and re-adding one record leaves the digest as it is
-    h = node_item_hash(nodes[5])
+    h = nodes[5].item_hash
     assert g.digest_after([h], [h]) == g.digest()
     # one record before the first, and one after the last
-    assert g.digest_after([], [node_item_hash(first)]) \
+    assert g.digest_after([], [first.item_hash]) \
         == graph_module.graph_from_content([first] + nodes[2:-1], []).digest()
-    assert g.digest_after([], [node_item_hash(last)]) \
+    assert g.digest_after([], [last.item_hash]) \
         == graph_module.graph_from_content(nodes[2:], []).digest()
 
 
 def test_digest_after_rejects_an_absent_dropped_hash():
     g, nodes = chain_graph(NodeIdGenerator(3, 0), [[0.0], [1.0], [2.0]])
-    absent = node_item_hash(mknode(NodeIdGenerator(4, 0), [0.0]))
+    absent = mknode(NodeIdGenerator(4, 0), [0.0]).item_hash
     with pytest.raises(KeyError):
         g.digest_after([absent], [])
     with pytest.raises(KeyError):  # adding it back does not make it present

@@ -3,7 +3,6 @@
 import hashlib
 import random
 import tracemalloc
-import uuid
 
 import pytest
 from hypothesis import given, settings
@@ -80,7 +79,7 @@ def test_magic_checked():
         patch_from_bytes(b"nope" + b"\x00" * 80)
 
 
-_ids = st.uuids()
+_ids = st.integers(0, 2**128 - 1)
 _floats = st.floats(allow_nan=False, width=64)
 _nodes = st.builds(Node, id=_ids, descriptor=st.lists(_floats, max_size=6).map(tuple),
                    inlier_count=st.integers(-2**63, 2**63 - 1),
@@ -96,7 +95,7 @@ def _patches(draw) -> Patch:
     elements = []
     for node in draw(st.lists(_nodes, max_size=5, unique_by=lambda n: n.id)):
         out = draw(st.lists(_poses, max_size=3).map(
-            lambda poses: frozenset(Edge(node.id, uuid.UUID(int=i), p)
+            lambda poses: frozenset(Edge(node.id, i, p)
                                     for i, p in enumerate(poses))))
         elements.append(PatchElement(draw(st.sampled_from(PatchAction)), node, out))
     return Patch(draw(st.binary(min_size=32, max_size=32)),
@@ -225,7 +224,7 @@ def test_flipped_bytes_decode_or_raise_value_error(case, data):
 
 def test_huge_descriptor_length_fails_without_allocating():
     g = Graph()
-    g.insert_node(Node(uuid.UUID(int=1), (1.0, 2.0)))
+    g.insert_node(Node(1, (1.0, 2.0)))
     data = bytearray(graph_to_bytes(g))
     data[12 + 16:12 + 20] = (2**32 - 1).to_bytes(4, "little")  # the node's dim
     tracemalloc.start()
