@@ -50,7 +50,7 @@ third_graph = apply_patch(g, second)
 fourth = build_patch(third_graph, insert_nodes=[place(20.0, 7)])
 combined = compose(second, fourth)
 print(f"compose(A, B) spans {combined.input_state.hex()[:8]}.. -> "
-      f"{combined.output_state.hex()[:8]}.. with {len(combined.elements)} elements")
+      f"{combined.output_state.hex()[:8]}.. inserting {len(combined.insert_nodes)} nodes")
 via_steps = apply_patch(third_graph, fourth)
 via_combined = apply_patch(g, combined)
 print(f"sequential and composed application agree: "
@@ -63,7 +63,8 @@ left.commit(build_patch(left.graph, insert_nodes=[place(25.0, 30), place(30.0, 3
 right.commit(build_patch(right.graph, insert_nodes=[place(40.0, 8), place(45.0, 14)]))
 
 incoming, outgoing = diff(left.graph, right.graph)
-print(f"left lacks {len(incoming.inserts())} nodes, right lacks {len(outgoing.inserts())}")
+print(f"left lacks {len(incoming.insert_nodes)} nodes, "
+      f"right lacks {len(outgoing.insert_nodes)}")
 u_left = apply_patch(left.graph, incoming)
 u_right = apply_patch(right.graph, outgoing)
 print(f"both sides reach the union state: {u_left.digest() == u_right.digest()}"

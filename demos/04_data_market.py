@@ -49,7 +49,7 @@ for k, value in enumerate([6.0, 9.0, 7.5, 8.0]):
 print("\n== queries are down-sampled by value under a byte budget ==")
 big = patch_of([3, 14, 9, 1, 11])
 sample = sample_for_query(big, SamplingBudget(max_nodes=3, bytes_per_node=256), gamma)
-kept = sorted(n.inlier_count for n in sample.inserted_nodes())
+kept = sorted(n.inlier_count for n in sample.insert_nodes.values())
 print(f"budget 3 of 5 nodes keeps gammas {kept}")
 
 print("\n== tender adjudication: least perturbed from belief wins ==")

@@ -77,8 +77,6 @@ from .merging import (
 from .patches import (
     History,
     Patch,
-    PatchAction,
-    PatchElement,
     Repository,
     apply_patch,
     build_patch,

@@ -171,12 +171,12 @@ class ProductLedger:
         only content the vendor originated.
         """
         if direction is TradeDirection.BOUGHT:
-            for node in patch.inserted_nodes():
+            for node in patch.insert_nodes.values():
                 self.purchases.setdefault(node.product, set()).add(node.id)
                 self.hold(node.id, node.product)
         else:
             bought = self.purchased_ids()
-            for node in patch.inserted_nodes():
+            for node in patch.insert_nodes.values():
                 if node.id in bought:
                     continue
                 self.sales.setdefault(node.product, set()).add(node.id)

@@ -40,6 +40,16 @@ def _usage_error(msg: str) -> SystemExit:
     return SystemExit(EXIT_USAGE)
 
 
+def _out_dir(text: str) -> Path:
+    """The ``--out`` directory, refused before any work is done when a
+    non-directory stands at it or at the nearest of its parents that exists."""
+    out = Path(text)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise _usage_error(f"cannot write --out {out}: {existing} is not a directory")
+    return out
+
+
 def _parse_rates(text: str, robots: int, flag: str) -> list[float]:
     parts = [p for p in text.split(",") if p]
     try:
@@ -68,6 +78,7 @@ def cmd_verify_convergence(args) -> int:
     sigma = _parse_rates(args.sigma, args.robots, "--sigma")
     if any(v < 0 for v in sigma):
         raise _usage_error("--sigma: must be >= 0")
+    out_dir = _out_dir(args.out) if args.out else None
     choice_kind = Choice(args.gamma)
     import random as _random
 
@@ -80,8 +91,8 @@ def cmd_verify_convergence(args) -> int:
     report = monte_carlo_convergence(args.robots, args.forays, args.trials,
                                      mu, sigma, policy, seed=args.seed,
                                      overlap=args.overlap)
-    if args.out:
-        write_convergence_report(Path(args.out), report, args.seed)
+    if out_dir is not None:
+        write_convergence_report(out_dir, report, args.seed)
     print(f"R={report.R} K={report.K} M={report.M} policy={report.policy} "
           f"gamma={choice_kind.value} divergence_events={report.divergence_events}")
     return EXIT_OK if report.divergence_events == 0 else EXIT_VIOLATION
@@ -95,8 +106,8 @@ def cmd_run_scenario(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    out_dir = _out_dir(args.out)
     trials = run_scenario(config, args.seed, args.trials, jobs=args.jobs)
-    out_dir = Path(args.out)
     write_run(out_dir, config.raw, args.seed, trials)
     total = sum(t.total_dropout() for t in trials)
     print(f"{len(trials)} trial(s) -> {out_dir}  strategy={trials[0].strategy} "

@@ -37,7 +37,7 @@ def record_foray_patch(base: Graph, observations: Sequence[Observation],
                        metadata: MetadataFn = _default_metadata,
                        counter: MatchCounter | None = None,
                        _explained: Sequence[NodeId | None] | None = None) -> Patch:
-    """One insert element per observation the base map cannot explain.
+    """One inserted node per observation the base map cannot explain.
 
     Consecutive new nodes are chained by edges whose pose translation is the
     ground-truth spacing between their observations, keeping each foray one

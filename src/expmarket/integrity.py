@@ -43,7 +43,7 @@ class MergeTrial:
     drops_right: dict
 
     def configuration_nodes(self) -> list[Node]:
-        nodes = list(self.left_patch.inserted_nodes()) + list(self.right_patch.inserted_nodes())
+        nodes = [*self.left_patch.insert_nodes.values(), *self.right_patch.insert_nodes.values()]
         return sorted(nodes, key=lambda n: n.id)
 
 
@@ -323,8 +323,8 @@ def monte_carlo_convergence(R: int, K: int, M: int,
                 size = max(0, round(rng.gauss(mus[i], sigmas[i])))
                 patch = _toy_patch(repos[i], size, rng, idgens[i], k, dim,
                                    spread, pool, overlap if i > 0 else 0.0, dup_scale)
-                # id order: a frozenset's iteration order follows the string-hash seed
-                pool = sorted(patch.inserted_nodes(), key=lambda n: n.id)
+                # duplicates are drawn in id order, whatever order the patch was built in
+                pool = sorted(patch.insert_nodes.values(), key=lambda n: n.id)
                 repos[i].commit(patch)
             repos = sweep_all_pairs(repos, policy)
             digests = [r.digest() for r in repos]

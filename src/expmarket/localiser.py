@@ -137,8 +137,8 @@ def match_patches(left: Patch, right: Patch, cfg: LocaliserConfig,
     the unordered id pair, which makes the result independent of which side
     calls itself "left".
     """
-    lnodes = sorted(left.inserted_nodes(), key=lambda n: n.id)
-    rnodes = sorted(right.inserted_nodes(), key=lambda n: n.id)
+    lnodes = sorted(left.insert_nodes.values(), key=lambda n: n.id)
+    rnodes = sorted(right.insert_nodes.values(), key=lambda n: n.id)
     if not lnodes or not rnodes:
         return MatchSet()
     lm = np.array([n.descriptor for n in lnodes], dtype=np.float64)

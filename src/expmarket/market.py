@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 from .ids import RobotId
 from .merging import ChoicePolicy, gamma_score
-from .patches import Patch, build_patch
-from .graph import Graph
+from .patches import Patch
 
 
 class EmptyPatch(Exception):
@@ -73,7 +72,7 @@ class Belief:
 
 def price_patch(patch: Patch, policy: ChoicePolicy) -> float:
     """Mean node value of a patch: its per-packet price."""
-    nodes = patch.inserted_nodes()
+    nodes = patch.insert_nodes.values()
     if not nodes:
         raise EmptyPatch("cannot price a patch with no inserts")
     return price_nodes(nodes, policy)
@@ -116,20 +115,18 @@ def sample_for_query(new_content: Patch, budget: SamplingBudget,
     restricted to surviving endpoints. The result is a query artifact, not an
     applicable patch, so its endpoint states are zeroed out.
     """
-    nodes = sorted(new_content.inserted_nodes(),
+    nodes = sorted(new_content.insert_nodes.values(),
                    key=lambda n: (-gamma_score(n, policy), n.id))
-    chosen = nodes[: budget.max_nodes]
-    chosen_ids = {n.id for n in chosen}
-    edges = {e for e in new_content.flat_edge_inserts()
-             if e.src in chosen_ids and e.dst in chosen_ids}
-    patch = build_patch(Graph(), insert_nodes=chosen, insert_edges=edges)
+    chosen = {n.id: n for n in nodes[: budget.max_nodes]}
+    edges = frozenset(e for e in new_content.insert_edges
+                      if e.src in chosen and e.dst in chosen)
     zero = b"\x00" * 32
-    return Patch(zero, zero, patch.elements, patch.edge_inserts, patch.edge_deletes)
+    return Patch(zero, zero, chosen, {}, edges)
 
 
 def query_bytes(sample: Patch, budget: SamplingBudget) -> int:
     """Network charge for sending a query sample."""
-    return len(sample.elements) * budget.bytes_per_node
+    return len(sample.insert_nodes) * budget.bytes_per_node
 
 
 def adjudicate(offers: dict[RobotId, float], beliefs: dict[RobotId, Belief]) -> RobotId:

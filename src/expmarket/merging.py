@@ -132,8 +132,7 @@ def _side_patch(side: Graph, carried: Patch, drop_map: dict[NodeId, NodeId],
     """
     no_delete = "no_delete" in faults
     no_reconnect = "no_reconnect" in faults
-    carried_ins = carried.inserts()
-    insert_nodes = [el.node for nid, el in carried_ins.items()
+    insert_nodes = [node for nid, node in carried.insert_nodes.items()
                     if no_delete or nid not in drop_map]
     own_drops = {nid for nid in drop_map if nid in side}
     delete_ids = set() if no_delete else own_drops
@@ -159,7 +158,7 @@ def _side_patch(side: Graph, carried: Patch, drop_map: dict[NodeId, NodeId],
         # is the identity, so rewired edges keep their pose
         return e if (src == e.src and dst == e.dst) else Edge(src, dst, e.pose)
 
-    for e in carried.flat_edge_inserts():
+    for e in carried.insert_edges:
         if no_delete and present_after(e.src) and present_after(e.dst) and e.src != e.dst:
             offer(e)
         offer(remap(e))
@@ -194,11 +193,10 @@ def commute(incoming: Patch, outgoing: Patch, policy: CommutationPolicy,
         return ConvergentPatchPair(for_left=incoming, for_right=outgoing)
 
     matches = match_patches(outgoing, incoming, policy.localiser, counter)
-    out_ins, inc_ins = outgoing.inserts(), incoming.inserts()
     drops_left: dict[NodeId, NodeId] = {}
     drops_right: dict[NodeId, NodeId] = {}
     for pair in sorted(matches.pairs, key=lambda p: (p.left, p.right)):
-        mine, theirs = out_ins[pair.left].node, inc_ins[pair.right].node
+        mine, theirs = outgoing.insert_nodes[pair.left], incoming.insert_nodes[pair.right]
         keep, drop = choose(mine, theirs, policy.choice)
         drops_left[drop.id] = keep.id
         keep, drop = choose(theirs, mine, policy.choice)
@@ -307,7 +305,7 @@ def execute_trade(left: Repository, right: Repository, policy: CommutationPolicy
         k=k,
         buyer=left.robot,
         seller=right.robot,
-        nodes_in=len(pair.for_left.inserts()),
+        nodes_in=len(pair.for_left.insert_nodes),
         nodes_deleted=len(pair.drops_left),
         matches=len(pair.matches),
         bytes_in=patch_wire_size(pair.for_left),

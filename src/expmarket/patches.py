@@ -1,21 +1,20 @@
 """Patch theory over experience maps.
 
 A patch is a concrete, invertible transformation between two identified
-repository states. Elements insert or delete a node together with its
-out-edges; standalone edge records carry boundary insertions (edges whose
-source is not itself part of the patch, e.g. reconnection edges created by
-merges) and the edge deletions a node delete needs to be invertible.
+repository states, held as four flat collections: the nodes it inserts,
+the nodes it deletes, the edges it inserts and the edges it deletes. The
+paper's elements (a node together with its out-edges) exist only on the
+wire, where ``serialize`` groups each edge under the node it starts at.
 
 Application is staged (edge deletes, node deletes, node inserts, edge
-inserts) so an element set has no meaningful order: any enumeration yields
-the same resulting content.
+inserts), so the order of each collection has no meaning: any enumeration
+yields the same resulting content.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .graph import EMPTY_GRAPH_DIGEST, Edge, Graph, Node, StateDigest
 from .ids import NodeId, RobotId, id_text
@@ -46,77 +45,32 @@ class CompositionError(PatchError):
     """The two patches cannot be combined into one well-formed patch."""
 
 
-class PatchAction(enum.Enum):
-    INSERT = 1
-    DELETE = 0
-
-
-@dataclass(frozen=True)
-class PatchElement:
-    """Atomic change: insert or delete one node and its out-edges."""
-
-    action: PatchAction
-    node: Node
-    out_edges: frozenset[Edge] = frozenset()
-
-    def __post_init__(self):
-        for e in self.out_edges:
-            if e.src != self.node.id:
-                raise ValueError("payload edge does not originate at the element node")
-
-
 @dataclass(frozen=True)
 class Patch:
-    """A set of elements transforming ``input_state`` into ``output_state``.
+    """The nodes and edges that transform ``input_state`` into ``output_state``.
 
-    ``edge_inserts`` and ``edge_deletes`` hold edges whose source node is not
-    an element of this patch; payload edges of delete elements plus
-    ``edge_deletes`` must cover every edge incident to a deleted node.
+    ``insert_nodes`` and ``delete_nodes`` map node ids to node records in
+    the order the patch was built; treat them as read-only. The edge sets
+    hold every inserted and every deleted edge, wherever its endpoints lie,
+    and the deleted edges must cover every edge incident to a deleted node.
     """
 
     input_state: StateDigest
     output_state: StateDigest
-    elements: frozenset[PatchElement]
-    edge_inserts: frozenset[Edge] = frozenset()
-    edge_deletes: frozenset[Edge] = frozenset()
+    insert_nodes: dict[NodeId, Node]
+    delete_nodes: dict[NodeId, Node]
+    insert_edges: frozenset[Edge] = frozenset()
+    delete_edges: frozenset[Edge] = frozenset()
 
     def __post_init__(self):
-        seen: set[NodeId] = set()
-        for el in self.elements:
-            if el.node.id in seen:
-                raise ValueError(f"node {id_text(el.node.id)} appears in two elements")
-            seen.add(el.node.id)
-
-    # -- views ------------------------------------------------------------
-
-    def inserts(self) -> dict[NodeId, PatchElement]:
-        return {el.node.id: el for el in self.elements if el.action is PatchAction.INSERT}
-
-    def deletes(self) -> dict[NodeId, PatchElement]:
-        return {el.node.id: el for el in self.elements if el.action is PatchAction.DELETE}
-
-    def inserted_nodes(self) -> list[Node]:
-        return [el.node for el in self.elements if el.action is PatchAction.INSERT]
-
-    def flat_edge_inserts(self) -> set[Edge]:
-        flat = set(self.edge_inserts)
-        for el in self.elements:
-            if el.action is PatchAction.INSERT:
-                flat |= el.out_edges
-        return flat
-
-    def flat_edge_deletes(self) -> set[Edge]:
-        flat = set(self.edge_deletes)
-        for el in self.elements:
-            if el.action is PatchAction.DELETE:
-                flat |= el.out_edges
-        return flat
+        if self.insert_nodes and self.delete_nodes:
+            both = self.insert_nodes.keys() & self.delete_nodes.keys()
+            if both:
+                raise ValueError(f"node {id_text(min(both))} is both inserted and deleted")
 
     def is_empty(self) -> bool:
-        return not self.elements and not self.edge_inserts and not self.edge_deletes
-
-    def size(self) -> int:
-        return len(self.elements) + len(self.edge_inserts) + len(self.edge_deletes)
+        return not (self.insert_nodes or self.delete_nodes
+                    or self.insert_edges or self.delete_edges)
 
 
 def _remove_edges(graph: Graph, edges: Iterable[Edge]) -> None:
@@ -128,19 +82,18 @@ def _remove_edges(graph: Graph, edges: Iterable[Edge]) -> None:
 
 def _apply_content(graph: Graph, patch: Patch) -> None:
     """Apply a patch's content changes in the canonical stage order."""
-    _remove_edges(graph, patch.flat_edge_deletes())
-    for nid, el in patch.deletes().items():
+    _remove_edges(graph, patch.delete_edges)
+    for nid in patch.delete_nodes:
         if nid not in graph:
             raise MissingTarget(f"delete of absent node {id_text(nid)}")
         if graph.out_edges(nid) or graph.in_edges(nid):
             raise DanglingEdge(f"node {id_text(nid)} deleted while edges remain")
         graph.remove_node(nid)
-    for el in patch.elements:
-        if el.action is PatchAction.INSERT:
-            if el.node.id in graph:
-                raise DuplicateContent(f"insert of existing node {id_text(el.node.id)}")
-            graph.insert_node(el.node)
-    for e in patch.flat_edge_inserts():
+    for nid, node in patch.insert_nodes.items():
+        if nid in graph:
+            raise DuplicateContent(f"insert of existing node {id_text(nid)}")
+        graph.insert_node(node)
+    for e in patch.insert_edges:
         if e.src not in graph or e.dst not in graph:
             raise DanglingEdge(f"edge {id_text(e.src)}->{id_text(e.dst)} has an absent endpoint")
         if graph.has_edge(e.src, e.dst):
@@ -167,60 +120,9 @@ def apply_patch(graph: Graph, patch: Patch) -> Graph:
 
 
 def invert_patch(patch: Patch) -> Patch:
-    """The opposite transformation: endpoints swapped, every action flipped."""
-    flipped = frozenset(
-        PatchElement(
-            PatchAction.DELETE if el.action is PatchAction.INSERT else PatchAction.INSERT,
-            el.node,
-            el.out_edges,
-        )
-        for el in patch.elements
-    )
-    return Patch(
-        input_state=patch.output_state,
-        output_state=patch.input_state,
-        elements=flipped,
-        edge_inserts=patch.edge_deletes,
-        edge_deletes=patch.edge_inserts,
-    )
-
-
-def _regroup(
-    input_state: StateDigest,
-    output_state: StateDigest,
-    node_inserts: Mapping[NodeId, Node],
-    node_deletes: Mapping[NodeId, Node],
-    edge_inserts: set[Edge],
-    edge_deletes: set[Edge],
-) -> Patch:
-    """Build the canonical element form from flat insert/delete sets."""
-    elements = []
-    # group payload edges under their owning element
-    by_src_ins: dict[NodeId, set[Edge]] = {}
-    loose_ins: set[Edge] = set()
-    for e in edge_inserts:
-        if e.src in node_inserts:
-            by_src_ins.setdefault(e.src, set()).add(e)
-        else:
-            loose_ins.add(e)
-    by_src_del: dict[NodeId, set[Edge]] = {}
-    loose_del: set[Edge] = set()
-    for e in edge_deletes:
-        if e.src in node_deletes:
-            by_src_del.setdefault(e.src, set()).add(e)
-        else:
-            loose_del.add(e)
-    for nid, node in node_inserts.items():
-        elements.append(PatchElement(PatchAction.INSERT, node, frozenset(by_src_ins.get(nid, ()))))
-    for nid, node in node_deletes.items():
-        elements.append(PatchElement(PatchAction.DELETE, node, frozenset(by_src_del.get(nid, ()))))
-    return Patch(
-        input_state=input_state,
-        output_state=output_state,
-        elements=frozenset(elements),
-        edge_inserts=frozenset(loose_ins),
-        edge_deletes=frozenset(loose_del),
-    )
+    """The opposite transformation: endpoints and inserts/deletes swapped."""
+    return Patch(patch.output_state, patch.input_state, patch.delete_nodes,
+                 patch.insert_nodes, patch.delete_edges, patch.insert_edges)
 
 
 def compose(first: Patch, second: Patch) -> Patch:
@@ -232,11 +134,9 @@ def compose(first: Patch, second: Patch) -> Patch:
     """
     if first.output_state != second.input_state:
         raise StateMismatch("patches do not share a state")
-    ins_a = {el.node.id: el.node for el in first.elements if el.action is PatchAction.INSERT}
-    del_a = {el.node.id: el.node for el in first.elements if el.action is PatchAction.DELETE}
-    ins_b = {el.node.id: el.node for el in second.elements if el.action is PatchAction.INSERT}
-    del_b = {el.node.id: el.node for el in second.elements if el.action is PatchAction.DELETE}
-    if set(del_a) & set(ins_b):
+    ins_a, del_a = first.insert_nodes, first.delete_nodes
+    ins_b, del_b = second.insert_nodes, second.delete_nodes
+    if not del_a.keys().isdisjoint(ins_b):
         raise CompositionError("node id deleted by first and re-inserted by second")
 
     node_inserts = {nid: n for nid, n in ins_a.items() if nid not in del_b}
@@ -244,31 +144,24 @@ def compose(first: Patch, second: Patch) -> Patch:
     node_deletes = dict(del_a)
     node_deletes.update({nid: n for nid, n in del_b.items() if nid not in ins_a})
 
-    eins_a, edel_a = first.flat_edge_inserts(), first.flat_edge_deletes()
-    eins_b, edel_b = second.flat_edge_inserts(), second.flat_edge_deletes()
-    edge_inserts = (eins_a - edel_b) | eins_b
-    edge_deletes = edel_a | (edel_b - eins_a)
+    edge_inserts = (first.insert_edges - second.delete_edges) | second.insert_edges
+    edge_deletes = first.delete_edges | (second.delete_edges - first.insert_edges)
     # drop edges attached to cancelled nodes
-    cancelled = set(ins_a) & set(del_b)
+    cancelled = ins_a.keys() & del_b.keys()
     if cancelled:
-        edge_inserts = {e for e in edge_inserts if e.src not in cancelled and e.dst not in cancelled}
-        edge_deletes = {e for e in edge_deletes if e.src not in cancelled and e.dst not in cancelled}
+        edge_inserts = frozenset(e for e in edge_inserts
+                                 if e.src not in cancelled and e.dst not in cancelled)
+        edge_deletes = frozenset(e for e in edge_deletes
+                                 if e.src not in cancelled and e.dst not in cancelled)
 
-    return _regroup(first.input_state, second.output_state,
-                    node_inserts, node_deletes, edge_inserts, edge_deletes)
+    return Patch(first.input_state, second.output_state,
+                 node_inserts, node_deletes, edge_inserts, edge_deletes)
 
 
 def patches_equal(a: Patch, b: Patch) -> bool:
     """Same transformation: equal insert/delete sets by id and full payload."""
-    def key(p: Patch):
-        return (
-            {nid: el.node for nid, el in p.inserts().items()},
-            {nid: el.node for nid, el in p.deletes().items()},
-            p.flat_edge_inserts(),
-            p.flat_edge_deletes(),
-        )
-
-    return key(a) == key(b)
+    return (a.insert_nodes == b.insert_nodes and a.delete_nodes == b.delete_nodes
+            and a.insert_edges == b.insert_edges and a.delete_edges == b.delete_edges)
 
 
 def build_patch(
@@ -281,9 +174,9 @@ def build_patch(
 ) -> Patch:
     """Construct a digest-correct patch against ``base``.
 
-    Delete elements take their payload (node record and out-edges) from the
-    base graph; in-edges of deleted nodes are collected into the patch's edge
-    deletes automatically, so the result is always invertible.
+    Deleted nodes take their records from the base graph, and every edge
+    incident to one joins the deleted edges, so the result is always
+    invertible.
 
     The output state is the base digest with the patch's item delta spliced
     in (``Graph.digest_after``); nothing is applied here. A deleted edge the
@@ -291,19 +184,15 @@ def build_patch(
     or duplicate insertion) is refused by ``apply_patch`` at commit, with the
     same ``PatchError``.
     """
-    delete_ids = set(delete_ids)
     node_deletes = {nid: base.node(nid) for nid in delete_ids}
     edge_deletes = set(delete_edges)
-    for nid in delete_ids:
-        for e in base.out_edges(nid):
-            edge_deletes.add(e)
-        for e in base.in_edges(nid):
-            if e.src not in delete_ids:  # otherwise carried as that node's payload
-                edge_deletes.add(e)
+    for nid in node_deletes:
+        edge_deletes.update(base.out_edges(nid))
+        edge_deletes.update(base.in_edges(nid))
     node_inserts = {n.id: n for n in insert_nodes}
-    edge_inserts = set(insert_edges)
-    if not (node_inserts or node_deletes or edge_inserts or edge_deletes):
-        return Patch(base.digest(), base.digest(), frozenset())  # the state stays put
+    edge_inserts = frozenset(insert_edges)
+    if not (node_inserts or node_deletes or edge_inserts or edge_deletes):  # the state stays put
+        return Patch(base.digest(), base.digest(), node_inserts, node_deletes)
     dropped = [n.item_hash for n in node_deletes.values()]
     dropped += [e.item_hash for e in edge_deletes]
     added = [n.item_hash for n in node_inserts.values()]
@@ -312,8 +201,8 @@ def build_patch(
         output = base.digest_after(dropped, added)
     except KeyError:
         raise MissingTarget("a deleted edge is absent from the base graph") from None
-    return _regroup(base.digest(), output,
-                    node_inserts, node_deletes, edge_inserts, edge_deletes)
+    return Patch(base.digest(), output, node_inserts, node_deletes,
+                 edge_inserts, frozenset(edge_deletes))
 
 
 def diff(mine: Graph, theirs: Graph,
@@ -321,12 +210,11 @@ def diff(mine: Graph, theirs: Graph,
     """The divergent insert pair: what I lack of theirs, what they lack of mine.
 
     ``incoming`` applied to ``mine`` and ``outgoing`` applied to ``theirs``
-    both reach the union state. Besides each new node's own out-edges, edges
-    from shared nodes into the transferred content travel as standalone edge
-    inserts (they belong to no transferred element). A product scope narrows
-    the transfer to nodes labelled with those catalogue sections; edge
-    payloads are always restricted to endpoints that survive on the
-    receiving side, so nothing ever dangles.
+    both reach the union state. Besides each new node's own out-edges, the
+    edges from shared nodes into the transferred content are inserted too. A
+    product scope narrows the transfer to nodes labelled with those
+    catalogue sections; inserted edges are always restricted to endpoints
+    that survive on the receiving side, so nothing ever dangles.
     """
 
     def one_way(dst_graph: Graph, src_graph: Graph) -> Patch:

@@ -12,6 +12,13 @@ struct formats stated in ``graph`` (``NODE_HEAD``, ``NODE_WIRE_TAIL``,
   patch  = "EMP1" | input[32] | output[32] | n_elements u64
            | (action u8 | node | n_out u64 | edge*)*
            | n_edge_inserts u64 | edge* | n_edge_deletes u64 | edge*
+
+A patch is held flat (``patches.Patch``); its elements, the paper's unit of
+a node with its out-edges, are formed here at encode time. Each inserted
+node (action 1) carries the inserted edges that start at it, each deleted
+node (action 0) the deleted edges that start at it, and every other edge
+goes in the trailing insert or delete set. The decoder flattens the
+elements again.
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ from typing import Iterable
 
 from .graph import (EDGE_RECORD, NODE_HEAD, NODE_WIRE_TAIL, Edge, Graph, Node,
                     graph_from_content, node_format, node_record)
-from .patches import Patch, PatchAction, PatchElement
+from .ids import NodeId, id_text
+from .patches import Patch
 from .pose import Pose
 
 GRAPH_MAGIC = b"EMG1"
@@ -30,6 +38,7 @@ PATCH_MAGIC = b"EMP1"
 _MAGIC = "<4s"
 _COUNT = "<Q"  # the length prefix of every set
 _ACTION = "<B"
+_DELETE, _INSERT = 0, 1  # the action byte of an element
 _STATE = "<32s"
 
 
@@ -91,14 +100,30 @@ def graph_from_bytes(data: bytes) -> Graph:
     return graph_from_content(nodes, edges)
 
 
+def _grouped(nodes: dict[NodeId, Node], edges: Iterable[Edge]
+             ) -> tuple[dict[NodeId, list[Edge]], list[Edge]]:
+    """Each node's out-edges among ``edges``, and the edges that start at
+    none of ``nodes``."""
+    out: dict[NodeId, list[Edge]] = {nid: [] for nid in nodes}
+    loose = []
+    for e in edges:
+        (out[e.src] if e.src in out else loose).append(e)
+    return out, loose
+
+
 def patch_to_bytes(patch: Patch) -> bytes:
-    elements = sorted(patch.elements, key=lambda el: el.node.id)
+    ins_out, ins_loose = _grouped(patch.insert_nodes, patch.insert_edges)
+    del_out, del_loose = _grouped(patch.delete_nodes, patch.delete_edges)
+    elements = sorted([(nid, _INSERT, node, ins_out[nid])
+                       for nid, node in patch.insert_nodes.items()]
+                      + [(nid, _DELETE, node, del_out[nid])
+                         for nid, node in patch.delete_nodes.items()],
+                      key=lambda el: el[0])
     out = [PATCH_MAGIC, patch.input_state, patch.output_state,
            struct.pack(_COUNT, len(elements))]
-    for el in elements:
-        out += (struct.pack(_ACTION, el.action.value), node_record(el.node),
-                *_edge_set(el.out_edges))
-    out += _edge_set(patch.edge_inserts) + _edge_set(patch.edge_deletes)
+    for _, action, node, edges in elements:
+        out += (struct.pack(_ACTION, action), node_record(node), *_edge_set(edges))
+    out += _edge_set(ins_loose) + _edge_set(del_loose)
     return b"".join(out)
 
 
@@ -107,15 +132,25 @@ def patch_from_bytes(data: bytes) -> Patch:
     if r.unpack(_MAGIC) != (PATCH_MAGIC,):
         raise ValueError("not a serialized patch")
     (input_state,), (output_state,) = r.unpack(_STATE), r.unpack(_STATE)
-    elements = []
+    nodes: tuple[dict[NodeId, Node], dict[NodeId, Node]] = ({}, {})  # by action byte
+    edges: tuple[set[Edge], set[Edge]] = (set(), set())
     for _ in range(r.unpack(_COUNT)[0]):
-        action = PatchAction(r.unpack(_ACTION)[0])
+        (action,) = r.unpack(_ACTION)
+        if action not in (_DELETE, _INSERT):
+            raise ValueError(f"unknown element action {action}")
         node = _read_node(r)
-        elements.append(PatchElement(action, node, frozenset(_read_edge_set(r))))
-    edge_inserts = frozenset(_read_edge_set(r))
-    edge_deletes = frozenset(_read_edge_set(r))
+        if node.id in nodes[_DELETE] or node.id in nodes[_INSERT]:
+            raise ValueError(f"node {id_text(node.id)} appears in two elements")
+        nodes[action][node.id] = node
+        for e in _read_edge_set(r):
+            if e.src != node.id:
+                raise ValueError("payload edge does not originate at the element node")
+            edges[action].add(e)
+    edges[_INSERT].update(_read_edge_set(r))
+    edges[_DELETE].update(_read_edge_set(r))
     r.finish()
-    return Patch(input_state, output_state, frozenset(elements), edge_inserts, edge_deletes)
+    return Patch(input_state, output_state, nodes[_INSERT], nodes[_DELETE],
+                 frozenset(edges[_INSERT]), frozenset(edges[_DELETE]))
 
 
 # fixed-width parts of the layout above
@@ -127,10 +162,13 @@ _PATCH_BYTES = len(PATCH_MAGIC) + 3 * struct.calcsize(_COUNT)  # magic and the t
 
 def patch_wire_size(patch: Patch) -> int:
     """Bytes on the wire for a patch transfer: ``len(patch_to_bytes(patch))``,
-    counted from the fixed-width layout without encoding anything."""
+    counted from the fixed-width layout without encoding anything. Every
+    node is one element and every edge one record, wherever it is grouped."""
     size = (_PATCH_BYTES + len(patch.input_state) + len(patch.output_state)
-            + _EDGE_BYTES * (len(patch.edge_inserts) + len(patch.edge_deletes)))
-    for el in patch.elements:
-        size += (_ELEMENT_BYTES + _DESC_BYTES * len(el.node.descriptor)
-                 + _EDGE_BYTES * len(el.out_edges))
+            + _ELEMENT_BYTES * (len(patch.insert_nodes) + len(patch.delete_nodes))
+            + _EDGE_BYTES * (len(patch.insert_edges) + len(patch.delete_edges)))
+    for node in patch.insert_nodes.values():
+        size += _DESC_BYTES * len(node.descriptor)
+    for node in patch.delete_nodes.values():
+        size += _DESC_BYTES * len(node.descriptor)
     return size

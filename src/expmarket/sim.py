@@ -246,7 +246,7 @@ class _Agent:
 
     def observe_trade(self, seller: RobotId, k: int, patch: Patch,
                       choice_policy) -> None:
-        nodes = patch.inserted_nodes()
+        nodes = patch.insert_nodes.values()
         m = Measurement(seller=seller, k=k, value=price_nodes(nodes, choice_policy))
         self.beliefs[seller] = update_belief(self.belief_about(seller), m)
         by_product: dict[int, list] = {}
@@ -261,8 +261,8 @@ class _Agent:
     def apply_ledger(self, received: Patch, delivered: Patch) -> None:
         self.ledger.record_trade(received, TradeDirection.BOUGHT)
         self.ledger.record_trade(delivered, TradeDirection.SOLD)
-        for el in received.deletes().values():
-            self.ledger.release(el.node.id, el.node.product)
+        for nid, node in received.delete_nodes.items():
+            self.ledger.release(nid, node.product)
 
 
 def _tender_offer(seller_graph: Graph, sample: Patch | None, choice_policy) -> float:
@@ -270,11 +270,9 @@ def _tender_offer(seller_graph: Graph, sample: Patch | None, choice_policy) -> f
     content it could supply for the sampled products."""
     if sample is None:
         return 0.0
-    sampled = sample.inserted_nodes()
-    products = {n.product for n in sampled}
-    sample_ids = {n.id for n in sampled}
+    products = {n.product for n in sample.insert_nodes.values()}
     supply = [n for n in seller_graph.nodes()
-              if n.product in products and n.id not in sample_ids]
+              if n.product in products and n.id not in sample.insert_nodes]
     return price_nodes(supply, choice_policy)
 
 
@@ -328,7 +326,7 @@ def _mapping(t: _Trial, k: int) -> None:
                            counter=a.counter)
         if not result.patch.is_empty():
             a.repo.commit(result.patch)
-            for node in result.patch.inserted_nodes():
+            for node in result.patch.insert_nodes.values():
                 a.ledger.hold(node.id, node.product)
         a.foray, a.position = result.patch, result.final_position
         for d in result.dropouts:
@@ -341,7 +339,7 @@ def _sampling(t: _Trial) -> None:
     for a in t.agents:
         a.sample = (
             sample_for_query(a.foray, t.config.budget, t.config.commutation.choice)
-            if a.foray.inserts() else None
+            if a.foray.insert_nodes else None
         )
 
 

@@ -262,3 +262,24 @@ def test_run_scenario_rejects_out_of_range_config_values(tmp_path, capsys):
         assert "Traceback" not in err
         assert list(overrides)[-1] in err
     assert not (tmp_path / "out").exists()
+
+
+def test_out_that_is_not_a_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    """A file at ``--out`` (or at a parent of it) is refused before any run."""
+    import expmarket.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before checking --out")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    monkeypatch.setattr(cli, "monte_carlo_convergence", no_run)
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    path = _write_scenario(tmp_path)
+    for out in (blocker, blocker / "sub"):
+        for argv in (["run-scenario", "--config", str(path), "--out", str(out)],
+                     ["verify-convergence", "--forays", "1", "--trials", "1",
+                      "--out", str(out)]):
+            err = _usage_exit(argv, capsys)
+            assert err.startswith(f"error: cannot write --out {out}")
+    assert blocker.read_text() == "not a directory\n"

@@ -23,8 +23,8 @@ def test_unexplained_world_three_inserts_two_chain_edges():
                     obs_at(10.0, [10.0, 0.0])]
     patch = record_foray_patch(Graph(), observations, creator=0, foray=1,
                                cfg=LocaliserConfig(), ids=ids)
-    assert len(patch.inserts()) == 3
-    edges = sorted(patch.flat_edge_inserts(), key=lambda e: e.pose.tx)
+    assert len(patch.insert_nodes) == 3
+    edges = sorted(patch.insert_edges, key=lambda e: e.pose.tx)
     assert len(edges) == 2
     assert all(e.pose.tx == 5.0 for e in edges)
 
@@ -51,10 +51,10 @@ def test_partially_explained_inserts_only_failures():
     assert [e is not None for e in explained] == [False, True, False]
     patch = record_foray_patch(base, observations, creator=0, foray=1,
                                cfg=cfg, ids=ids)
-    inserted = sorted(n.descriptor[0] for n in patch.inserted_nodes())
+    inserted = sorted(n.descriptor[0] for n in patch.insert_nodes.values())
     assert inserted == [0.0, 10.0]
     # the two new nodes bridge the explained gap with the true 10 m spacing
-    (edge,) = patch.flat_edge_inserts()
+    (edge,) = patch.insert_edges
     assert edge.pose.tx == 10.0
 
 
@@ -65,7 +65,7 @@ def test_nodes_carry_product_labels_from_policy():
     observations = [obs_at(p, [p, p], product=product_of(p, cat)) for p in positions]
     patch = record_foray_patch(Graph(), observations, creator=3, foray=2,
                                cfg=LocaliserConfig(), ids=ids)
-    by_pos = {n.descriptor[0]: n for n in patch.inserted_nodes()}
+    by_pos = {n.descriptor[0]: n for n in patch.insert_nodes.values()}
     for p in positions:
         assert by_pos[p].product == product_of(p, cat)
         assert by_pos[p].creator == 3
@@ -78,7 +78,7 @@ def test_metadata_hook_sets_quality_fields():
     patch = record_foray_patch(Graph(), observations, creator=0, foray=1,
                                cfg=LocaliserConfig(), ids=ids,
                                metadata=lambda m: (10 * (m + 1), 0.25 * (m + 1)))
-    got = sorted((n.inlier_count, n.fabmap_score) for n in patch.inserted_nodes())
+    got = sorted((n.inlier_count, n.fabmap_score) for n in patch.insert_nodes.values())
     assert got == [(10, 0.25), (20, 0.5)]
 
 

@@ -10,6 +10,9 @@ different value means the program computes something else.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,6 +67,28 @@ def test_run_scenario_tree_is_pinned(tmp_path, name):
     assert main(["run-scenario", "--config", str(config), "--seed", "3",
                  "--out", str(out)]) == 0
     assert _tree_hash(out) == expected
+
+
+def test_float_choice_tree_ignores_string_hash_seed(tmp_path):
+    """The FAB-MAP choice sums float scores in patch order, so a patch's
+    iteration order must not follow the interpreter's string-hash seed."""
+    doc = bundled_scenario("scaling")
+    doc["strategies"]["choice"] = "fabmap"
+    doc["team"]["robots"] = 3
+    doc["sim"]["forays"] = 3
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    src = Path(__file__).resolve().parent.parent / "src"
+    trees = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"hashseed{hash_seed}"
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed}
+        proc = subprocess.run([sys.executable, "-m", "expmarket.cli", "run-scenario",
+                               "--config", str(config), "--seed", "0", "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        trees.append(_tree_hash(out))
+    assert trees[0] == trees[1]
 
 
 def test_match_convergence_tree_is_pinned(tmp_path):

@@ -36,7 +36,7 @@ def test_vector_length_equals_battery_size():
     multiset = evaluate_battery(battery, trial)
     assert all(len(vec) == 2 for vec in multiset)
     total = sum(multiset.values())
-    assert total == len(config.left.inserts()) + len(config.right.inserts())
+    assert total == len(config.left.insert_nodes) + len(config.right.insert_nodes)
 
 
 def test_coverage_sufficiency_rule():
@@ -93,8 +93,8 @@ def test_full_overlap_matches_every_smaller_side_node():
     params = GeneratorParams(overlap=1.0)
     for config in generate_configurations(5, 10, params):
         got = match_patches(config.left, config.right, LocaliserConfig(tau_m=0.1))
-        assert len(got) == min(len(config.left.inserts()),
-                               len(config.right.inserts()))
+        assert len(got) == min(len(config.left.insert_nodes),
+                               len(config.right.insert_nodes))
 
 
 def test_generation_is_seed_deterministic():

@@ -150,28 +150,28 @@ def test_belief_adversarial_orderings():
 def test_sample_keeps_highest_value_nodes():
     patch, nodes = patch_with_gammas([5, 9, 7])
     sample = sample_for_query(patch, SamplingBudget(max_nodes=2), INLIERS)
-    kept = {n.inlier_count for n in sample.inserted_nodes()}
+    kept = {n.inlier_count for n in sample.insert_nodes.values()}
     assert kept == {9, 7}
 
 
 def test_sample_whole_patch_when_budget_allows():
     patch, nodes = patch_with_gammas([5, 9, 7])
     sample = sample_for_query(patch, SamplingBudget(max_nodes=10), INLIERS)
-    assert len(sample.inserts()) == 3
+    assert len(sample.insert_nodes) == 3
 
 
 def test_sample_tie_break_smallest_id():
     patch, nodes = patch_with_gammas([4, 4, 4])
     sample = sample_for_query(patch, SamplingBudget(max_nodes=1), INLIERS)
-    (kept,) = sample.inserted_nodes()
+    (kept,) = sample.insert_nodes.values()
     assert kept.id == min(n.id for n in nodes)
 
 
 def test_sample_edges_restricted_to_survivors():
     patch, nodes = patch_with_gammas([1, 9, 9])
     sample = sample_for_query(patch, SamplingBudget(max_nodes=2), INLIERS)
-    kept_ids = set(sample.inserts())
-    for e in sample.flat_edge_inserts():
+    kept_ids = set(sample.insert_nodes)
+    for e in sample.insert_edges:
         assert e.src in kept_ids and e.dst in kept_ids
 
 

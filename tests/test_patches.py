@@ -18,8 +18,6 @@ from expmarket.patches import (
     DuplicateContent,
     MissingTarget,
     Patch,
-    PatchAction,
-    PatchElement,
     Repository,
     StateMismatch,
     apply_patch,
@@ -144,8 +142,8 @@ def test_apply_missing_delete_target():
     staged = Graph()
     staged.insert_node(ghost)
     patch = build_patch(staged, delete_ids=[ghost.id])
-    bad = Patch(base.digest(), patch.output_state, patch.elements,
-                patch.edge_inserts, patch.edge_deletes)
+    bad = Patch(base.digest(), patch.output_state, patch.insert_nodes,
+                patch.delete_nodes, patch.insert_edges, patch.delete_edges)
     with pytest.raises(MissingTarget):
         apply_patch(base, bad)
 
@@ -155,9 +153,8 @@ def test_apply_dangling_edge_rejected():
     g = gen()
     n1 = mknode(g, [0.0])
     stranger = mknode(g, [1.0])
-    el = PatchElement(PatchAction.INSERT, n1,
-                      frozenset({Edge(n1.id, stranger.id, Pose.identity())}))
-    bad = Patch(base.digest(), b"\x00" * 32, frozenset({el}))
+    bad = Patch(base.digest(), b"\x00" * 32, {n1.id: n1}, {},
+                frozenset({Edge(n1.id, stranger.id, Pose.identity())}))
     with pytest.raises(DanglingEdge):
         apply_patch(base, bad)
 
@@ -167,20 +164,16 @@ def test_apply_duplicate_insert_rejected():
     node = mknode(g, [1.0])
     base = Graph()
     base.insert_node(node)
-    el = PatchElement(PatchAction.INSERT, node)
-    bad = Patch(base.digest(), b"\x00" * 32, frozenset({el}))
+    bad = Patch(base.digest(), b"\x00" * 32, {node.id: node}, {})
     with pytest.raises(DuplicateContent):
         apply_patch(base, bad)
 
 
-def test_no_node_in_two_elements():
+def test_no_node_both_inserted_and_deleted():
     g = gen()
     node = mknode(g, [1.0])
     with pytest.raises(ValueError):
-        Patch(b"\x00" * 32, b"\x00" * 32, frozenset({
-            PatchElement(PatchAction.INSERT, node),
-            PatchElement(PatchAction.DELETE, node),
-        }))
+        Patch(b"\x00" * 32, b"\x00" * 32, {node.id: node}, {node.id: node})
 
 
 # -- invert ------------------------------------------------------------------
@@ -190,8 +183,7 @@ def test_invert_insert_becomes_delete_with_same_payload():
     base = Graph()
     patch = random_insert_patch(base, 3, 2)
     inv = invert_patch(patch)
-    assert {el.node.id for el in inv.elements if el.action is PatchAction.DELETE} \
-        == set(patch.inserts())
+    assert set(inv.delete_nodes) == set(patch.insert_nodes)
     assert inv.input_state == patch.output_state
     assert inv.output_state == patch.input_state
 
@@ -229,7 +221,7 @@ def test_compose_disjoint_inserts_union():
     mid = apply_patch(base, a)
     b = random_insert_patch(mid, 2, 3)
     c = compose(a, b)
-    assert set(c.inserts()) == set(a.inserts()) | set(b.inserts())
+    assert set(c.insert_nodes) == set(a.insert_nodes) | set(b.insert_nodes)
     assert c.input_state == a.input_state
     assert c.output_state == b.output_state
 
@@ -238,7 +230,7 @@ def test_compose_insert_then_delete_cancels():
     base = Graph()
     a = random_insert_patch(base, 3, 2)
     mid = apply_patch(base, a)
-    b = build_patch(mid, delete_ids=list(a.inserts()))
+    b = build_patch(mid, delete_ids=list(a.insert_nodes))
     c = compose(a, b)
     assert c.is_empty()
     assert c.input_state == c.output_state == base.digest()
@@ -288,8 +280,8 @@ def test_patches_equal_reflexive_and_set_semantics():
     patch = random_insert_patch(base, 3, 3)
     assert patches_equal(patch, patch)
     reordered = Patch(patch.input_state, patch.output_state,
-                      frozenset(sorted(patch.elements, key=lambda e: e.node.id)),
-                      patch.edge_inserts, patch.edge_deletes)
+                      dict(sorted(patch.insert_nodes.items())), patch.delete_nodes,
+                      patch.insert_edges, patch.delete_edges)
     assert patches_equal(patch, reordered)
 
 
@@ -327,8 +319,8 @@ def _fig2_pair():
 def test_diff_fig2_node_sets():
     mine, theirs, mine_nodes, theirs_nodes = _fig2_pair()
     incoming, outgoing = diff(mine, theirs)
-    assert set(incoming.inserts()) == {n.id for n in theirs_nodes}
-    assert set(outgoing.inserts()) == {n.id for n in mine_nodes}
+    assert set(incoming.insert_nodes) == {n.id for n in theirs_nodes}
+    assert set(outgoing.insert_nodes) == {n.id for n in mine_nodes}
     # both reach the union state u = {n1..n7}
     u1 = apply_patch(mine, incoming)
     u2 = apply_patch(theirs, outgoing)
@@ -348,7 +340,7 @@ def test_diff_one_sided():
     theirs = Graph()
     theirs.insert_node(node)
     incoming, outgoing = diff(Graph(), theirs)
-    assert set(incoming.inserts()) == {node.id}
+    assert set(incoming.insert_nodes) == {node.id}
     assert outgoing.is_empty()
 
 
@@ -366,13 +358,13 @@ def test_diff_closure_property_1000_cases():
 
 
 def test_element_application_order_is_irrelevant():
-    # apply the same patch content via differently-ordered element sets
+    # apply the same patch content via differently-ordered node maps
     base = random_graph(77, 5)
     patch = random_insert_patch(base, 78, 4)
     out1 = apply_patch(base, patch)
     shuffled = Patch(patch.input_state, patch.output_state,
-                     frozenset(list(patch.elements)[::-1]),
-                     patch.edge_inserts, patch.edge_deletes)
+                     dict(list(patch.insert_nodes.items())[::-1]), patch.delete_nodes,
+                     patch.insert_edges, patch.delete_edges)
     out2 = apply_patch(base, shuffled)
     assert out1.digest() == out2.digest()
 

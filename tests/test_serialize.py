@@ -2,17 +2,16 @@
 
 import hashlib
 import random
+import struct
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expmarket.graph import Edge, Graph, Node
+from expmarket.graph import Edge, Graph, Node, node_record
 from expmarket.patches import (
     Patch,
-    PatchAction,
-    PatchElement,
     apply_patch,
     build_patch,
     patches_equal,
@@ -90,24 +89,75 @@ _poses = st.builds(Pose, *([_floats] * 7))
 _edges = st.builds(Edge, _ids, _ids, _poses)
 
 
+_states = st.binary(min_size=32, max_size=32)
+
+
 @st.composite
 def _patches(draw) -> Patch:
-    elements = []
-    for node in draw(st.lists(_nodes, max_size=5, unique_by=lambda n: n.id)):
-        out = draw(st.lists(_poses, max_size=3).map(
-            lambda poses: frozenset(Edge(node.id, i, p)
-                                    for i, p in enumerate(poses))))
-        elements.append(PatchElement(draw(st.sampled_from(PatchAction)), node, out))
-    return Patch(draw(st.binary(min_size=32, max_size=32)),
-                 draw(st.binary(min_size=32, max_size=32)), frozenset(elements),
-                 frozenset(draw(st.lists(_edges, max_size=4))),
-                 frozenset(draw(st.lists(_edges, max_size=4))))
+    """Flat patches whose edges start at one of the patch's nodes (so the
+    codec groups them into an element) or at some other id (so they travel
+    loose); at most one edge per (src, dst) in each set, as in a graph."""
+    nodes = draw(st.lists(_nodes, max_size=5, unique_by=lambda n: n.id))
+    inserted = [draw(st.booleans()) for _ in nodes]
+    srcs = st.sampled_from([n.id for n in nodes]) | _ids if nodes else _ids
+    edges = st.lists(st.builds(Edge, srcs, _ids, _poses), max_size=6,
+                     unique_by=lambda e: (e.src, e.dst)).map(frozenset)
+    return Patch(draw(_states), draw(_states),
+                 {n.id: n for n, ins in zip(nodes, inserted) if ins},
+                 {n.id: n for n, ins in zip(nodes, inserted) if not ins},
+                 draw(edges), draw(edges))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_patches())
 def test_wire_size_equals_encoded_length(patch):
     assert patch_wire_size(patch) == len(patch_to_bytes(patch))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_patches())
+def test_flat_patch_round_trips_field_by_field(patch):
+    data = patch_to_bytes(patch)
+    back = patch_from_bytes(data)
+    assert (back.input_state, back.output_state) == (patch.input_state, patch.output_state)
+    assert back.insert_nodes == patch.insert_nodes
+    assert back.delete_nodes == patch.delete_nodes
+    assert back.insert_edges == patch.insert_edges
+    assert back.delete_edges == patch.delete_edges
+    assert patch_to_bytes(back) == data
+
+
+def _element_encoding(*elements: tuple[int, Node, list[Edge]]) -> bytes:
+    """A patch encoding with the given (action byte, node, out-edges)
+    elements and no loose edges, written field by field."""
+    count = struct.Struct("<Q").pack
+    out = [b"EMP1", b"\x00" * 64, count(len(elements))]
+    for action, node, edges in elements:
+        out += [bytes([action]), node_record(node), count(len(edges)),
+                *(e.content_bytes() for e in edges)]
+    return b"".join(out + [count(0), count(0)])
+
+
+def test_decoder_rejects_unknown_action_byte():
+    node = Node(1, (1.0,))
+    patch_from_bytes(_element_encoding((1, node, [])))  # the well-formed twin
+    with pytest.raises(ValueError, match="action"):
+        patch_from_bytes(_element_encoding((2, node, [])))
+
+
+def test_decoder_rejects_one_id_in_two_elements():
+    node = Node(1, (1.0,))
+    for actions in ((1, 0), (0, 0), (1, 1)):
+        with pytest.raises(ValueError, match="two elements"):
+            patch_from_bytes(_element_encoding(*((a, node, []) for a in actions)))
+
+
+def test_decoder_rejects_payload_edge_from_another_node():
+    node = Node(1, (1.0,))
+    own, foreign = Edge(1, 2, Pose.identity()), Edge(3, 2, Pose.identity())
+    assert patch_from_bytes(_element_encoding((1, node, [own]))).insert_edges == {own}
+    with pytest.raises(ValueError, match="payload edge"):
+        patch_from_bytes(_element_encoding((1, node, [foreign])))
 
 
 def test_wire_size_of_built_patches():

@@ -100,7 +100,7 @@ def test_foray_empty_map_single_full_dropout():
     route = Route(0.0, 100.0)
     result = run_foray(repo, world, route, 1, LocaliserConfig(), ids)
     assert result.dropouts == [95.0]  # 20 stops, 19 travelled blind
-    assert len(result.patch.inserts()) == 20
+    assert len(result.patch.insert_nodes) == 20
 
 
 def test_foray_covered_map_no_dropouts():
@@ -121,7 +121,7 @@ def test_foray_half_covered_single_half_dropout():
     result = run_foray(repo, world, Route(0.0, 100.0), 1, cfg, ids)
     assert len(result.dropouts) == 1
     assert abs(result.dropouts[0] - 50.0) <= 5.0
-    assert len(result.patch.inserts()) == 10
+    assert len(result.patch.insert_nodes) == 10
 
 
 def test_foray_dropout_total_bounded_by_route():
