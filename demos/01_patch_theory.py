@@ -57,8 +57,8 @@ print(f"sequential and composed application agree: "
       f"{via_steps.digest() == via_combined.digest()}")
 
 print("\n== diff produces the divergent pair of a trade ==")
-left = Repository(0, g.copy())
-right = Repository(1, g.copy())
+left = Repository(0, g)  # each repository copies the graph it is given
+right = Repository(1, g)
 left.commit(build_patch(left.graph, insert_nodes=[place(25.0, 30), place(30.0, 31)]))
 right.commit(build_patch(right.graph, insert_nodes=[place(40.0, 8), place(45.0, 14)]))
 

@@ -42,8 +42,8 @@ def make_repos():
                  Edge(fresh[0].id, fresh[1].id, Pose.from_translation(5.0))]
         repo.commit(build_patch(repo.graph, insert_nodes=fresh, insert_edges=edges))
 
-    left = Repository(0, base.copy())
-    right = Repository(1, base.copy())
+    left = Repository(0, base)  # each repository copies the graph it is given
+    right = Repository(1, base)
     extend(left, (10.0, 0.0), quality=5)     # both teams map the same place:
     extend(right, (10.05, 0.0), quality=9)   # descriptors 0.05 apart
     return left, right

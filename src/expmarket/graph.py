@@ -23,17 +23,11 @@ hashes, and returns nothing at once when the two digests agree: equal
 content-addressed states hold equal item-hash sets. The digest bytes are the
 same as hashing every item afresh (``compute_digest_from_scratch``).
 
-``Graph.copy`` is O(1): it hands the graph's containers (its *store*) to the
-copy, and the original becomes a *view* that keeps only its cached digest,
-its descriptor index and a mark into the store's undo journal. While a store
-has live views, its owner journals the inverse of each insert and
-``bump_path_memory``. The first read of a view's containers rebuilds it from
-the store (Baker's version trees for functional arrays): the view takes a
-copy-on-write copy of the store and undoes the journal back to its mark on
-that copy. Undoing an insert restores every dict's insertion order exactly,
-but undoing a removal would not, so an owner about to remove an item first
-rebuilds its live views. So a graph handed to ``copy`` keeps its content
-and every iteration order, and is never changed by what its copy does.
+A graph belongs to one owner, a ``Repository`` or a caller that built it,
+which changes it in place. ``Graph.copy`` gives an independent graph: it
+copies the dicts and the hash buffer, and the two graphs share every
+node's adjacency containers until one of them first changes that node's
+(copy on write, ``Graph._own``).
 
 The digest of the empty graph is SHA-256 of the empty string:
 ``e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855``.
@@ -43,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-import weakref
 from dataclasses import dataclass, replace
 from itertools import chain, filterfalse, islice, repeat
 from typing import Iterable, Iterator, NamedTuple
@@ -186,35 +179,14 @@ _NO_INDEX = DescriptorIndex((), np.empty((0, 0), dtype=np.float64), {})
 _REC = 32  # bytes per record in the sorted hash buffer (one SHA-256)
 
 
-# kinds of undo record in a store's journal: (kind, item, item hash)
-_NODE, _EDGE, _BUMP = range(3)
-
-# the containers a graph owns: its store
-_PARTS = ("_nodes", "_out", "_in", "_owned", "_items", "_sorted", "_delta")
-# what ``copy`` hands over and a view lacks; reading one rebuilds the view
-_HANDOFF = _PARTS + ("_journal",)
-
-
 class Graph:
     """Mutable node/edge store with in- and out-adjacency and item hashes.
 
-    Instances are confined to one owning agent; the patch layer exposes the
-    value-semantics API (apply returns a fresh graph).
-
-    A graph is an *owner* or a *view*. An owner holds the store: the
-    containers named in ``_PARTS``. ``copy`` hands the store to the new
-    graph and turns this one into a view (class ``_View``), which keeps its
-    ``_digest`` and ``_desc_index``, a ``_Journal`` (``_base``) and a mark
-    into its records (``_mark``), and no container. Reading any container of
-    a view goes through ``_View.__getattr__``, which rebuilds it first
-    (``_rebuild``: a copy of the store, with the journal undone back to the
-    mark), so a view always reads its own version.
-
-    While a store has live views, its owner logs an undo record for each
-    insert and ``bump_path_memory``; a removal first rebuilds every view.
-    ``_owned`` holds the ids whose adjacency containers this graph may
-    change in place; a rebuilt view shares the others until one side first
-    mutates them.
+    A graph is changed in place by its one owner; ``copy`` makes an
+    independent graph. ``_owned`` holds the ids whose adjacency containers
+    (``_out[id]``, ``_in[id]``) this graph may change in place; a copy
+    shares the others with the graph it was copied from, and the first
+    change to one gives the changing graph a private copy (``_own``).
 
     ``_items`` maps every item hash to its node or edge. ``_sorted`` is one
     ``bytearray`` of the hashes as sorted 32-byte records. ``_delta`` holds
@@ -228,12 +200,12 @@ class Graph:
     ``_desc_index`` caches ``descriptor_index``: the first nodes of
     ``_nodes`` in insertion order, which ``descriptor_index`` extends by the
     nodes inserted since. Node and edge inserts, edge removals and
-    ``bump_path_memory`` leave it valid; only a node removal drops it. A
-    copy and its views share it, so an extension builds new objects, and a
-    view keeps the index of its own version.
+    ``bump_path_memory`` leave it valid; only a node removal drops it.
+    Copies share it, so an extension builds new objects.
     """
 
-    __slots__ = _HANDOFF + ("_digest", "_desc_index", "_base", "_mark", "__weakref__")
+    __slots__ = ("_nodes", "_out", "_in", "_owned", "_items", "_sorted", "_delta",
+                 "_digest", "_desc_index")
 
     def __init__(self) -> None:
         self._nodes: dict[NodeId, Node] = {}
@@ -243,7 +215,6 @@ class Graph:
         self._items: dict[bytes, Node | Edge] = {}
         self._sorted = bytearray()
         self._delta: dict[bytes, bool] = {}
-        self._journal: _Journal | None = None  # made by the first copy
         self._digest: StateDigest | None = EMPTY_GRAPH_DIGEST
         self._desc_index: DescriptorIndex | None = None
 
@@ -312,15 +283,20 @@ class Graph:
         self._out[node.id] = {}
         self._in[node.id] = set()
         self._owned.add(node.id)
-        self._add_item(_NODE, node, node.item_hash)
+        self._items[node.item_hash] = node
+        self._track(node.item_hash, True)
 
     def remove_node(self, node_id: NodeId) -> Node:
         """Remove a node; its incident edges must already be gone."""
         if self._out.get(node_id) or self._in.get(node_id):
             raise ValueError(f"node {id_text(node_id)} still has incident edges")
-        node = self._nodes[node_id]
-        self._release_views()
-        self._unlink_node(node, node.item_hash)
+        node = self._nodes.pop(node_id)
+        del self._out[node_id]
+        del self._in[node_id]
+        self._owned.discard(node_id)
+        del self._items[node.item_hash]
+        self._track(node.item_hash, False)
+        self._desc_index = None
         return node
 
     def insert_edge(self, edge: Edge) -> None:
@@ -334,12 +310,17 @@ class Graph:
         self._own(edge.dst)
         self._out[edge.src][edge.dst] = edge
         self._in[edge.dst].add(edge.src)
-        self._add_item(_EDGE, edge, edge.item_hash)
+        self._items[edge.item_hash] = edge
+        self._track(edge.item_hash, True)
 
     def remove_edge(self, src: NodeId, dst: NodeId) -> Edge:
         edge = self._out[src][dst]
-        self._release_views()
-        self._unlink_edge(edge, edge.item_hash)
+        self._own(src)
+        self._own(dst)
+        del self._out[src][dst]
+        self._in[dst].discard(src)
+        del self._items[edge.item_hash]
+        self._track(edge.item_hash, False)
         return edge
 
     def bump_path_memory(self, node_id: NodeId) -> None:
@@ -347,25 +328,19 @@ class Graph:
         node = self._nodes[node_id]
         self._nodes[node_id] = replace(node, path_memory=node.path_memory + 1)
         # digest unaffected: path_memory is not versioned content
-        journal = self._journal
-        if journal is not None and journal.views:
-            journal.records.append((_BUMP, node, b""))
 
     def copy(self) -> "Graph":
-        """A graph with this one's content, in O(1): the copy takes over the
-        store and this graph becomes a view of it."""
-        journal = self._journal  # a view is rebuilt by this lookup
-        if journal is None:
-            journal = self._journal = _Journal(self)
+        """An independent graph with this one's content and iteration orders.
+
+        The dicts and the hash buffer are copied; the adjacency containers
+        are shared, and from now on both graphs copy one before changing it.
+        """
+        self._owned.clear()
         g = Graph.__new__(Graph)
-        g._nodes, g._out, g._in, g._owned = self._nodes, self._out, self._in, self._owned
-        g._items, g._sorted, g._delta = self._items, self._sorted, self._delta
-        g._journal, g._digest, g._desc_index = journal, self._digest, self._desc_index
-        self.__class__ = _View
-        del self._nodes, self._out, self._in, self._owned, self._items, self._sorted
-        del self._delta, self._journal
-        self._base, self._mark = journal, len(journal.records)
-        journal.views.add(weakref.ref(self, journal.forget))
+        g._nodes, g._out, g._in, g._owned = (self._nodes.copy(), self._out.copy(),
+                                             self._in.copy(), set())
+        g._items, g._sorted, g._delta = self._items.copy(), self._sorted[:], self._delta.copy()
+        g._digest, g._desc_index = self._digest, self._desc_index
         return g
 
     def _own(self, node_id: NodeId) -> None:
@@ -375,73 +350,7 @@ class Graph:
             self._in[node_id] = set(self._in[node_id])
             self._owned.add(node_id)
 
-    def _unlink_node(self, node: Node, h: bytes) -> None:
-        del self._nodes[node.id]
-        del self._out[node.id]
-        del self._in[node.id]
-        self._owned.discard(node.id)
-        del self._items[h]
-        self._track(h, False)
-        self._desc_index = None
-
-    def _unlink_edge(self, edge: Edge, h: bytes) -> None:
-        self._own(edge.src)
-        self._own(edge.dst)
-        del self._out[edge.src][edge.dst]
-        self._in[edge.dst].discard(edge.src)
-        del self._items[h]
-        self._track(h, False)
-
-    # -- views --------------------------------------------------------------
-
-    def _release_views(self) -> None:
-        """Rebuild every live view of this store before an item is removed.
-
-        Undoing a removal would put the item back at the end of its dicts,
-        so the view would iterate in another order than it did.
-        """
-        journal = self._journal  # a view is rebuilt by this lookup
-        if journal is not None and journal.views:
-            for ref in list(journal.views):
-                view = ref()
-                if view is not None:
-                    view._rebuild()
-
-    def _rebuild(self) -> None:
-        """Turn this view back into an owner of its own version: copy the
-        store (copy-on-write, as ``_own`` finishes) and undo the journal on
-        the copy back to this view's mark."""
-        journal, mark = self._base, self._mark
-        records = journal.records[mark:]
-        del self._base, self._mark
-        self.__class__ = Graph
-        nodes, out, in_, owned, items, buf, delta = journal.parts
-        owned.clear()  # the adjacency containers are shared from here on
-        self._nodes, self._out, self._in = nodes.copy(), out.copy(), in_.copy()
-        self._owned = set()
-        self._items = items.copy()
-        self._sorted = buf[:]
-        self._delta = delta.copy()
-        self._journal = None
-        journal.forget(weakref.ref(self))
-        cached = self._digest, self._desc_index
-        for kind, item, h in reversed(records):
-            if kind == _NODE:
-                self._unlink_node(item, h)
-            elif kind == _EDGE:
-                self._unlink_edge(item, h)
-            else:
-                self._nodes[item.id] = item
-        self._digest, self._desc_index = cached
-
     # -- digests ----------------------------------------------------------
-
-    def _add_item(self, kind: int, item: Node | Edge, h: bytes) -> None:
-        self._items[h] = item
-        self._track(h, True)
-        journal = self._journal
-        if journal is not None and journal.views:  # journal the undo
-            journal.records.append((kind, item, h))
 
     def _track(self, h: bytes, added: bool) -> None:
         """Note one added or dropped hash for the sorted hash buffer."""
@@ -489,8 +398,7 @@ class Graph:
 
         Until a node is removed, the cached index holds the first nodes of
         ``_nodes``, so it is extended by the nodes inserted since it was
-        built. The extension makes new objects: a copy and its views share
-        the old ones.
+        built. The extension makes new objects: copies share the old ones.
         """
         index = self._desc_index or _NO_INDEX
         start = len(index.ids)
@@ -504,49 +412,6 @@ class Graph:
                 index.rows | dict(zip(ids[start:], range(start, len(ids)))),
             )
         return index
-
-
-class _View(Graph):
-    """A graph whose store was handed to its copy. It holds no container, so
-    reading one comes here, and the view is rebuilt first.
-
-    A class of its own, set by ``copy`` and reset by ``_rebuild``: a
-    ``__getattr__`` on ``Graph`` itself would slow every attribute read of
-    every owner, because CPython then no longer specialises them. ``Graph``
-    has slots, so switching the class keeps a graph's attribute reads as
-    fast as before.
-    """
-
-    __slots__ = ()
-
-    def __getattr__(self, name: str):
-        if name not in _HANDOFF:
-            raise AttributeError(name)
-        self._rebuild()
-        return getattr(self, name)
-
-
-class _Journal:
-    """What the owner and the views of one store share.
-
-    ``parts`` are the store's containers in ``_PARTS`` order (the owner's
-    own objects, which a view copies when it is rebuilt), ``records`` undo
-    the owner's logged mutations when read backwards, and ``views`` holds a
-    weak reference to each live view.
-    """
-
-    __slots__ = ("parts", "records", "views")
-
-    def __init__(self, graph: Graph) -> None:
-        self.parts = tuple(getattr(graph, name) for name in _PARTS)
-        self.records: list[tuple[int, Node | Edge, bytes]] = []
-        self.views: set[weakref.ref] = set()
-
-    def forget(self, view: weakref.ref) -> None:
-        """Drop a view that died or was rebuilt; the records go with the last."""
-        self.views.discard(view)
-        if not self.views:
-            self.records.clear()
 
 
 def _offsets(buf: bytearray, hashes: list[bytes]) -> list[int]:

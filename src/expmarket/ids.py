@@ -18,6 +18,10 @@ import uuid
 RobotId = int
 NodeId = int
 
+# the version nibble (bits 76-79) and the two variant bits (62-63) of a UUID
+_CLEAR_VERSION_AND_VARIANT = ~(0xF000 << 64 | 0xC000 << 48) & (1 << 128) - 1
+_VERSION_4_AND_VARIANT = 0x4000 << 64 | 0x8000 << 48
+
 
 def derive_seed(*parts) -> int:
     """Derive a stable 128-bit integer seed from a label path."""
@@ -37,4 +41,6 @@ class NodeIdGenerator:
         self._rng = random.Random(derive_seed(seed, "node-ids", robot))
 
     def next_id(self) -> NodeId:
-        return uuid.UUID(int=self._rng.getrandbits(128), version=4).int
+        """128 random bits with the version (4) and variant (RFC 4122) bits
+        set as ``uuid.UUID(int=..., version=4)`` sets them."""
+        return self._rng.getrandbits(128) & _CLEAR_VERSION_AND_VARIANT | _VERSION_4_AND_VARIANT

@@ -215,13 +215,15 @@ def run_battery_trial(config: DivergentConfig, policy: CommutationPolicy,
                       faults: frozenset[str] = frozenset(),
                       counter: MatchCounter | None = None) -> MergeTrial:
     """Merge one configuration (optionally faulted) and package the outcome."""
-    left, right = Repository(0, config.left_graph()), Repository(1, config.right_graph())
-    out = execute_trade(left, right, policy, enforce=False, _faults=faults, counter=counter)
+    left_graph, right_graph = config.left_graph(), config.right_graph()
+    # the repositories copy these, so they stay the pre-trade graphs
+    out = execute_trade(Repository(0, left_graph), Repository(1, right_graph), policy,
+                        enforce=False, _faults=faults, counter=counter)
     return MergeTrial(
         left_patch=config.left,
         right_patch=config.right,
-        left_graph=left.graph,
-        right_graph=right.graph,
+        left_graph=left_graph,
+        right_graph=right_graph,
         post_left=out.left.graph,
         post_right=out.right.graph,
         drops_left=out.pair.drops_left,
@@ -279,9 +281,7 @@ def sweep_all_pairs(repos: list[Repository], policy: CommutationPolicy,
         for i in range(len(repos)):
             for j in range(i + 1, len(repos)):
                 before = (repos[i].digest(), repos[j].digest())
-                out = execute_trade(repos[i], repos[j], policy, counter=counter,
-                                    enforce=enforce)
-                repos[i], repos[j] = out.left, out.right
+                execute_trade(repos[i], repos[j], policy, counter=counter, enforce=enforce)
                 if (repos[i].digest(), repos[j].digest()) != before:
                     changed = True
         if not changed:

@@ -257,11 +257,6 @@ def _check_reconnected(neighbourhoods: dict[NodeId, set[NodeId]], post: Graph,
                                      f"{id_text(drop_map[drop_id])}")
 
 
-def _advanced(repo: Repository, patch: Patch) -> Repository:
-    """The repository after its side of a trade; empty patches are not recorded."""
-    return repo.copy() if patch.is_empty() else repo.committed(patch)
-
-
 @dataclass(frozen=True)
 class TradeOutcome:
     left: Repository
@@ -274,7 +269,10 @@ def execute_trade(left: Repository, right: Repository, policy: CommutationPolicy
                   *, products: set[int] | None = None, k: int = 0,
                   counter: MatchCounter | None = None, enforce: bool = True,
                   _faults: frozenset[str] = frozenset()) -> TradeOutcome:
-    """A pairwise exchange: diff, commute, apply on both sides.
+    """A pairwise exchange: diff, commute, and commit each side's patch to
+    ``left`` and ``right`` in place; the outcome holds those same two
+    repositories. Empty patches are not recorded. Each patch is built
+    against the graph it is committed to, so its input state matches.
 
     With no product scope the two repositories end in the same state
     (digest-checked). A product scope restricts the exchange to catalogue
@@ -291,16 +289,18 @@ def execute_trade(left: Repository, right: Repository, policy: CommutationPolicy
     pair = commute(incoming, outgoing, policy, left.graph, right.graph,
                    counter=counter, _faults=_faults)
     check = enforce and not _faults
-    if check:  # read the inputs before the commits: a trade never reads them after
+    if check:  # the neighbourhoods before the commits change them
         pre_left = {d: _neighbours(left.graph, d) for d in pair.drops_left if d in left.graph}
         pre_right = {d: _neighbours(right.graph, d) for d in pair.drops_right if d in right.graph}
-    new_left, new_right = _advanced(left, pair.for_left), _advanced(right, pair.for_right)
+    for repo, patch in ((left, pair.for_left), (right, pair.for_right)):
+        if not patch.is_empty():
+            repo.commit(patch)
     if check:
         where = f"trade k={k} buyer {left.robot} seller {right.robot}"
-        if products is None and new_left.digest() != new_right.digest():
+        if products is None and left.digest() != right.digest():
             raise IntegrityViolation(f"{where}: trade did not converge to a common state")
-        _check_reconnected(pre_left, new_left.graph, pair.drops_left, where)
-        _check_reconnected(pre_right, new_right.graph, pair.drops_right, where)
+        _check_reconnected(pre_left, left.graph, pair.drops_left, where)
+        _check_reconnected(pre_right, right.graph, pair.drops_right, where)
     stats = TradeStats(
         k=k,
         buyer=left.robot,
@@ -311,14 +311,14 @@ def execute_trade(left: Repository, right: Repository, policy: CommutationPolicy
         bytes_in=patch_wire_size(pair.for_left),
         bytes_out=patch_wire_size(pair.for_right),
     )
-    return TradeOutcome(new_left, new_right, stats, pair)
+    return TradeOutcome(left, right, stats, pair)
 
 
 def trade_merge(left: Repository, right: Repository, policy: CommutationPolicy,
                 *, products: set[int] | None = None, k: int = 0,
                 counter: MatchCounter | None = None,
                 enforce: bool = True) -> tuple[Repository, Repository, TradeStats]:
-    """Pairwise trade returning the two advanced repositories and its stats."""
+    """Pairwise trade: the two repositories, advanced in place, and its stats."""
     out = execute_trade(left, right, policy, products=products, k=k,
                         counter=counter, enforce=enforce)
     return out.left, out.right, out.stats

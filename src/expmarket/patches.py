@@ -101,21 +101,30 @@ def _apply_content(graph: Graph, patch: Patch) -> None:
         graph.insert_edge(e)
 
 
-def apply_patch(graph: Graph, patch: Patch) -> Graph:
-    """Apply ``patch`` to a graph whose digest equals the patch input state.
+def _apply_in_place(graph: Graph, patch: Patch) -> None:
+    """Apply ``patch`` to ``graph`` itself, checking the states on both sides.
 
-    The result takes over the graph's store (``Graph.copy``), and the patch
-    is applied to it there: this costs O(|patch|) plus one SHA-256 over the
-    result's item hashes. ``graph`` is left as a view that still reads as
-    it did; when next read, it is rebuilt as a copy of the result's store
-    with the result's undo journal undone on it.
+    A wrong input state is refused before anything changes. Content the
+    graph cannot take (a missing target, a dangling or duplicate insertion)
+    or a wrong output state is found only after the first changes, and
+    leaves the graph changed. No caller in the package commits such a patch.
     """
     if graph.digest() != patch.input_state:
         raise StateMismatch("graph digest does not match patch input state")
-    result = graph.copy()
-    _apply_content(result, patch)
-    if result.digest() != patch.output_state:
+    _apply_content(graph, patch)
+    if graph.digest() != patch.output_state:
         raise StateMismatch("applied patch did not reach its declared output state")
+
+
+def apply_patch(graph: Graph, patch: Patch) -> Graph:
+    """A copy of ``graph`` with ``patch`` applied; ``graph`` is not changed.
+
+    The patch's input state must be the graph's digest. This costs one
+    ``Graph.copy`` plus O(|patch|) and one SHA-256 over the result's item
+    hashes. A repository commits in place instead (``Repository.commit``).
+    """
+    result = graph.copy()
+    _apply_in_place(result, patch)
     return result
 
 
@@ -179,12 +188,15 @@ def build_patch(
     invertible.
 
     The output state is the base digest with the patch's item delta spliced
-    in (``Graph.digest_after``); nothing is applied here. A deleted edge the
-    base lacks raises ``MissingTarget``. Other malformed content (a dangling
-    or duplicate insertion) is refused by ``apply_patch`` at commit, with the
-    same ``PatchError``.
+    in (``Graph.digest_after``); nothing is applied here. A deleted node or
+    edge the base lacks raises ``MissingTarget``. Other malformed content (a
+    dangling or duplicate insertion) is refused at commit, with the same
+    ``PatchError``.
     """
-    node_deletes = {nid: base.node(nid) for nid in delete_ids}
+    try:
+        node_deletes = {nid: base.node(nid) for nid in delete_ids}
+    except KeyError as err:
+        raise MissingTarget(f"delete of absent node {id_text(err.args[0])}") from None
     edge_deletes = set(delete_edges)
     for nid in node_deletes:
         edge_deletes.update(base.out_edges(nid))
@@ -254,7 +266,7 @@ class History:
             raise StateMismatch("history does not start at the empty graph")
         g = Graph()
         for p in self.patches:
-            g = apply_patch(g, p)
+            _apply_in_place(g, p)
         return g
 
     def copy(self) -> "History":
@@ -268,10 +280,13 @@ class History:
 class Repository:
     """An agent's versioned map: the working graph plus its linear history.
 
-    ``commit`` and ``committed`` apply through ``apply_patch``, and ``copy``
-    copies the graph, so each hands the graph's store on in O(1) and leaves
-    the old graph reading as it did. A graph may be shared by several
-    repositories: none of them ever changes what another one reads.
+    The repository owns its graph: ``commit`` (and so a trade) changes it in
+    place. A graph passed in is copied first, so the caller's graph never
+    changes, even when several repositories are built from it. A commit is
+    refused before any change when the patch's input state is not the
+    repository's state. A patch whose content does not fit this graph can
+    fail after its first changes (``_apply_in_place``); the repository is
+    then unusable.
     """
 
     robot: RobotId
@@ -279,6 +294,7 @@ class Repository:
     history: History = field(default_factory=History)
 
     def __post_init__(self):
+        self.graph = self.graph.copy()
         # a fresh repo constructed around an existing graph starts its
         # history at that state
         if not self.history.patches and self.history.origin != self.graph.digest():
@@ -288,15 +304,8 @@ class Repository:
         return self.graph.digest()
 
     def commit(self, patch: Patch) -> None:
-        self.graph = apply_patch(self.graph, patch)
+        _apply_in_place(self.graph, patch)
         self.history.append(patch)
 
-    def committed(self, patch: Patch) -> "Repository":
-        """A new repository with ``patch`` committed; this one is unchanged."""
-        graph = apply_patch(self.graph, patch)
-        history = self.history.copy()
-        history.append(patch)
-        return Repository(self.robot, graph, history)
-
     def copy(self) -> "Repository":
-        return Repository(self.robot, self.graph.copy(), self.history.copy())
+        return Repository(self.robot, self.graph, self.history.copy())

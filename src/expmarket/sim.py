@@ -396,7 +396,6 @@ def _merging(t: _Trial, k: int) -> None:
             out = execute_trade(a_buy.repo, a_sell.repo, config.commutation,
                                 products=a_buy.wanted, k=k,
                                 counter=merge_counter)
-            a_buy.repo, a_sell.repo = out.left, out.right
             t.metrics.trades.append(out.stats)
             # each side: the patch it receives, the patch it delivers, the bytes in
             for me, other, received, delivered, size in (

@@ -1,5 +1,9 @@
-"""Property tests: ``Graph.copy`` hands the store over, and every handle it
-leaves behind reads its own version, whether the new owner lives or not."""
+"""Property tests: ``Graph.copy`` gives an independent graph, and every
+graph reads its own version whatever its copies do, whether they live or
+not. A copy shares each node's adjacency containers with the graph it was
+copied from until one of them changes them (``Graph._own``). In these
+names the *owner* is the latest copy in a chain and a *view* an earlier
+graph it was copied from."""
 
 import gc
 import random
@@ -7,27 +11,14 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expmarket import graph as graph_module
-from expmarket.graph import (Edge, Graph, compute_digest_from_scratch, export_text,
-                             graph_from_content)
-from expmarket.ids import NodeIdGenerator, derive_seed
-from expmarket.merging import (Choice, ChoicePolicy, Commutation, CommutationPolicy,
-                               execute_trade)
-from expmarket.patches import Repository, build_patch
-from expmarket.pose import Pose
-from expmarket.serialize import graph_to_bytes
+from expmarket.graph import Graph, compute_digest_from_scratch, export_text, graph_from_content
+from expmarket.ids import NodeIdGenerator
 
-from _builders import mknode
 from test_graph_properties import _Model, _mutate
 
 # _mutate's ops: 0 inserts a node, 1 removes a node with its edges, 2 inserts
 # an edge, 3 removes an edge, 4 bumps a path memory
 _INSERTS_AND_BUMPS = (0, 2, 4)
-
-
-def _unbuilt(g: Graph) -> bool:
-    """A view whose containers have not been rebuilt yet."""
-    return isinstance(g, graph_module._View)
 
 
 def _check(g: Graph, snap: _Model) -> None:
@@ -54,7 +45,7 @@ def test_every_handle_reads_its_own_version(seed, ops):
     for which, op in ops:
         i = which % len(handles)
         g, snap = handles[i]
-        if op < 40:  # mostly inserts and bumps: these are journaled
+        if op < 40:  # mostly inserts and bumps
             _mutate(g, snap, _INSERTS_AND_BUMPS[op % 3], rng, gen)
         elif op < 50:
             _mutate(g, snap, 1 + 2 * (op % 2), rng, gen)
@@ -97,7 +88,6 @@ def test_chain_of_three_copies_read_oldest_last_with_the_owner_alive():
     _grow(newest, snap2, 3)
     owner = newest.copy()
     _grow(owner, snap2.copy(), 4)
-    assert all(_unbuilt(v) for v in (oldest, middle, newest))
     _check(newest, snap2)
     _check(middle, snap1)
     _check(oldest, snap0)
@@ -138,73 +128,8 @@ def test_a_mutated_view_forks_from_its_owner():
     owner = g.copy()
     owner_snap = snap.copy()
     _grow(owner, owner_snap, 13)
-    _grow(g, snap, 14)  # the view is rebuilt, then changed
+    _grow(g, snap, 14)  # both change containers they shared
+    _mutate(owner, owner_snap, 1, random.Random(15), NodeIdGenerator(15, 0))  # a node removal
+    _mutate(g, snap, 3, random.Random(16), NodeIdGenerator(16, 0))  # an edge removal
     _check(g, snap)
     _check(owner, owner_snap)
-
-
-def test_a_removal_rebuilds_the_views_first():
-    g, snap = _grown(15, 10)
-    owner = g.copy()
-    owner_snap = snap.copy()
-    _grow(owner, owner_snap, 16)
-    assert _unbuilt(g)
-    _mutate(owner, owner_snap, 1, random.Random(17), NodeIdGenerator(17, 0))
-    assert not _unbuilt(g)
-    _check(g, snap)
-    _check(owner, owner_snap)
-
-
-# -- trades leave their inputs readable ------------------------------------------
-
-
-def _diverged_repos(seed: int, size: int = 1000) -> tuple[Repository, Repository]:
-    """Two 1k-node maps from one chain, each grown by its own 10-node patch."""
-    rng = random.Random(derive_seed(seed, "views-base"))
-    gen = NodeIdGenerator(seed, 0)
-    nodes = [mknode(gen, [rng.uniform(-9, 9) for _ in range(4)], inlier_count=rng.randrange(50),
-                    product=rng.randrange(4)) for _ in range(size)]
-    edges = [Edge(a.id, b.id, Pose.from_translation(5.0)) for a, b in zip(nodes, nodes[1:])]
-    base = graph_from_content(nodes, edges)
-    repos = []
-    for side in (1, 2):
-        side_gen = NodeIdGenerator(seed, side)
-        new = [mknode(side_gen, [rng.uniform(-9, 9) for _ in range(4)]) for _ in range(10)]
-        links = [Edge(rng.choice(nodes).id, new[0].id, Pose.from_translation(5.0))]
-        links += [Edge(a.id, b.id, Pose.from_translation(5.0)) for a, b in zip(new, new[1:])]
-        repo = Repository(side, base.copy())
-        repo.commit(build_patch(repo.graph, insert_nodes=new, insert_edges=links))
-        repos.append(repo)
-    return repos[0], repos[1]
-
-
-def _mutate_outputs(out, seed: int) -> None:
-    gen = NodeIdGenerator(seed, 9)
-    for repo in (out.left, out.right):
-        for nid in sorted(repo.graph.node_ids())[:3]:
-            repo.graph.bump_path_memory(nid)
-        repo.commit(build_patch(repo.graph, insert_nodes=[mknode(gen, [0.0, 1.0, 2.0, 3.0])]))
-
-
-def test_trade_inputs_are_read_back_after_the_outputs_change_or_go():
-    union = CommutationPolicy(Commutation.UNION)
-    match = CommutationPolicy(Commutation.MATCH, ChoicePolicy(Choice.INLIERS))
-    for seed, policy in ((0, union), (1, match)):
-        left, right = _diverged_repos(seed)
-        before = [graph_to_bytes(r.graph) for r in (left, right)]
-        out = execute_trade(left, right, policy)
-        if policy is union:
-            assert _unbuilt(left.graph) and _unbuilt(right.graph)
-        _mutate_outputs(out, seed)
-        if policy is union:  # inserts and bumps are journaled, not copied
-            assert _unbuilt(left.graph) and _unbuilt(right.graph)
-        assert [graph_to_bytes(r.graph) for r in (left, right)] == before
-
-        left, right = _diverged_repos(seed + 10)
-        before = [graph_to_bytes(r.graph) for r in (left, right)]
-        out = execute_trade(left, right, policy)
-        _mutate_outputs(out, seed)
-        del out
-        gc.collect()
-        assert [graph_to_bytes(r.graph) for r in (left, right)] == before
-        assert left.digest() == compute_digest_from_scratch(left.graph)

@@ -1,6 +1,7 @@
 """Node ids: plain ints carrying version-4 UUID bits, encoded as UUID bytes."""
 
 import hashlib
+import random
 import re
 from dataclasses import replace
 from uuid import UUID
@@ -51,6 +52,16 @@ def test_extreme_ids_round_trip_through_the_codecs(extreme):
     assert apply_patch(Graph(), decoded).node_ids() == {extreme, other}
 
 
+class _FixedBits:
+    """A stand-in random stream whose every draw is ``bits``."""
+
+    def __init__(self, bits: int):
+        self.bits = bits
+
+    def getrandbits(self, k: int) -> int:
+        return self.bits
+
+
 def test_next_id_is_an_int_with_version_4_uuid_bits():
     gen = NodeIdGenerator(3, 1)
     for _ in range(50):
@@ -58,6 +69,11 @@ def test_next_id_is_an_int_with_version_4_uuid_bits():
         assert type(nid) is int
         assert 0 <= nid < 2**128
         assert UUID(int=nid).version == 4
+    # the same bits as uuid.UUID(version=4) sets, on all-zero and all-one draws too
+    draws = random.Random(11)
+    for bits in [0, 2**128 - 1] + [draws.getrandbits(128) for _ in range(200)]:
+        gen._rng = _FixedBits(bits)
+        assert gen.next_id() == UUID(int=bits, version=4).int
 
 
 def test_item_hash_is_the_hash_of_the_content_and_ignores_path_memory():

@@ -39,6 +39,17 @@ def test_vector_length_equals_battery_size():
     assert total == len(config.left.insert_nodes) + len(config.right.insert_nodes)
 
 
+def test_battery_trial_keeps_the_pre_trade_graphs():
+    """The trade advances its repositories in place; the trial still holds
+    the graphs from before it, which the battery's tests compare against."""
+    for config in generate_configurations(3, 5):
+        trial = run_battery_trial(config, match_policy())
+        assert trial.left_graph.digest() == config.left_graph().digest()
+        assert trial.right_graph.digest() == config.right_graph().digest()
+        assert trial.post_left.digest() == trial.post_right.digest()
+        assert trial.post_left.digest() != trial.left_graph.digest()
+
+
 def test_coverage_sufficiency_rule():
     report = CoverageReport({(1, 1): 3, (0, 1): 1}, battery_size=2)
     assert report.distinct == 2

@@ -21,7 +21,7 @@ from expmarket.merging import (
     gamma_score,
     trade_merge,
 )
-from expmarket.patches import Repository, apply_patch, build_patch, diff
+from expmarket.patches import Repository, apply_patch, diff
 from expmarket.pose import Pose
 from expmarket.serialize import graph_to_bytes, patch_wire_size
 
@@ -165,21 +165,22 @@ def test_commute_empty_diffs():
 
 def test_trade_merge_fig2_union():
     left, right, *_ = fig2_repos()
+    committed = len(left.history)
     l2, r2, stats = trade_merge(left, right, union_policy())
     assert l2.digest() == r2.digest()
     assert len(l2.graph) == 7
     assert stats.nodes_in == 2
     assert stats.matches == 0
-    assert len(l2.history) == len(left.history) + 1
+    assert len(l2.history) == committed + 1
 
 
 def test_trade_merge_identical_repos_noop():
     left, right, *_ = fig2_repos()
     merged_l, merged_r, _ = trade_merge(left, right, union_policy())
+    merged = merged_l.digest(), len(merged_l.history)
     again_l, again_r, stats = trade_merge(merged_l, merged_r, union_policy())
     assert stats.nodes_in == 0 and stats.nodes_deleted == 0
-    assert again_l.digest() == merged_l.digest()
-    assert len(again_l.history) == len(merged_l.history)  # empty patches not recorded
+    assert (again_l.digest(), len(again_l.history)) == merged  # empty patches not recorded
 
 
 def test_trade_merge_rejects_asymmetric_policies():
@@ -292,10 +293,10 @@ def test_trade_merge_idempotent_without_new_forays():
         left, right = _random_divergent_repos(case + 3000, overlap=0.5)
         policy = match_policy(tau_m=0.1)
         l1, r1, _ = trade_merge(left, right, policy)
+        merged = l1.digest(), r1.digest()
         l2, r2, stats = trade_merge(l1, r1, policy)
         assert stats.nodes_in == 0 and stats.nodes_deleted == 0
-        assert l2.digest() == l1.digest()
-        assert r2.digest() == r1.digest()
+        assert (l2.digest(), r2.digest()) == merged
 
 
 def test_match_never_larger_than_union():
@@ -331,23 +332,26 @@ def test_trade_merge_product_scope_restricts_transfer():
     assert stats.nodes_in == 1
 
 
-def test_trade_leaves_its_inputs_untouched():
-    """Trades have value semantics: neither the input repositories nor their
-    graphs change, even when the outputs are mutated afterwards."""
+def test_trade_returns_its_own_inputs_advanced():
+    """A trade commits each side's non-empty patch to the repository it was
+    given, in place, and returns those same repositories."""
     for case in range(40):
         left, right = _random_divergent_repos(case + 5000, overlap=0.5)
         policy = match_policy(tau_m=0.1) if case % 2 else union_policy()
-        before = [(graph_to_bytes(r.graph), r.digest(), len(r.history)) for r in (left, right)]
+        pre = [(r.graph.copy(), len(r.history)) for r in (left, right)]
         out = execute_trade(left, right, policy)
-        for new in (out.left, out.right):
-            assert new.graph is not left.graph and new.graph is not right.graph
-            for nid in sorted(new.graph.node_ids())[:2]:
-                new.graph.bump_path_memory(nid)
-            gen = NodeIdGenerator(derive_seed("after", case), 7)
-            new.commit(build_patch(new.graph, insert_nodes=[mknode(gen, [0.0, 0.0, 0.0])]))
-        after = [(graph_to_bytes(r.graph), r.digest(), len(r.history)) for r in (left, right)]
-        assert after == before
-        assert left.digest() == compute_digest_from_scratch(left.graph)
+        assert out.left is left and out.right is right
+        for repo, (graph, committed), patch in zip((left, right), pre,
+                                                   (out.pair.for_left, out.pair.for_right)):
+            assert graph_to_bytes(repo.graph) == graph_to_bytes(apply_patch(graph, patch))
+            assert repo.digest() == compute_digest_from_scratch(repo.graph)
+            assert len(repo.history) == committed + (not patch.is_empty())
+            assert repo.history.patches[-1] is patch or patch.is_empty()
+        assert left.digest() == right.digest()
+        merged = [(r.digest(), len(r.history)) for r in (left, right)]
+        again = execute_trade(left, right, policy)  # nothing to exchange: nothing recorded
+        assert again.left is left and again.right is right
+        assert [(r.digest(), len(r.history)) for r in (left, right)] == merged
 
 
 def test_trade_of_one_shared_graph_is_a_noop():

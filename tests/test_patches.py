@@ -12,6 +12,7 @@ from expmarket.graph import (
     compute_digest_from_scratch,
 )
 from expmarket.ids import NodeIdGenerator, derive_seed
+from expmarket.merging import Commutation, CommutationPolicy, execute_trade
 from expmarket.patches import (
     CompositionError,
     DanglingEdge,
@@ -28,6 +29,7 @@ from expmarket.patches import (
     patches_equal,
 )
 from expmarket.pose import Pose
+from expmarket.serialize import graph_to_bytes
 
 from _builders import chain_graph, mknode, random_graph, random_insert_patch
 
@@ -146,6 +148,8 @@ def test_apply_missing_delete_target():
                 patch.delete_nodes, patch.insert_edges, patch.delete_edges)
     with pytest.raises(MissingTarget):
         apply_patch(base, bad)
+    with pytest.raises(MissingTarget):  # refused when built, too
+        build_patch(Graph(), delete_ids=[5])
 
 
 def test_apply_dangling_edge_rejected():
@@ -396,3 +400,63 @@ def test_history_chain_linearity():
     patches = repo.history.patches
     for a, b in zip(patches, patches[1:]):
         assert a.output_state == b.input_state
+
+
+def _edit(base, seed: int):
+    """A patch against ``base`` that deletes a node, links new nodes to the
+    base, and inserts an edge between two base nodes: it changes adjacency
+    containers that a copy of ``base`` shares."""
+    rng = random.Random(derive_seed("edit", seed))
+    ids = sorted(base.node_ids())
+    victim = rng.choice(ids)
+    kept = [nid for nid in ids if nid != victim]
+    ids_new = gen(seed, 3)
+    new = [mknode(ids_new, [rng.uniform(-9, 9) for _ in range(4)]) for _ in range(3)]
+    edges = [Edge(rng.choice(kept), new[0].id, Pose.from_translation(5.0)),
+             Edge(new[0].id, new[1].id, Pose.from_translation(5.0))]
+    src, dst = rng.sample(kept, 2)
+    if not base.has_edge(src, dst):
+        edges.append(Edge(src, dst, Pose.from_translation(2.0)))
+    return build_patch(base, insert_nodes=new, insert_edges=edges, delete_ids=[victim])
+
+
+def test_apply_patch_leaves_its_input_graph_unchanged():
+    for seed in range(20):
+        base = random_graph(seed, 12)
+        before = graph_to_bytes(base), base.digest()
+        patch = _edit(base, seed)
+        out = apply_patch(base, patch)
+        out.bump_path_memory(next(iter(out.node_ids())))
+        assert out.digest() == patch.output_state == compute_digest_from_scratch(out)
+        assert (graph_to_bytes(base), base.digest()) == before
+        assert base.digest() == compute_digest_from_scratch(base)
+        assert graph_to_bytes(apply_patch(base, patch)) != graph_to_bytes(out)  # the bump
+
+
+def test_repositories_built_from_one_graph_never_change_it():
+    """Two repositories built from one graph, as a benchmark's map pairs
+    are: their commits and a trade between them leave that graph as it was."""
+    for seed in range(20):
+        shared = random_graph(seed, 12)
+        before = graph_to_bytes(shared), shared.digest()
+        pair = [Repository(0, shared), Repository(1, shared)]
+        for side, repo in enumerate(pair):
+            assert repo.graph is not shared and repo.digest() == before[1]
+            repo.commit(_edit(repo.graph, 2 * seed + side))
+            repo.graph.bump_path_memory(next(iter(repo.graph.node_ids())))
+        execute_trade(pair[0], pair[1], CommutationPolicy(Commutation.UNION))
+        assert pair[0].digest() == pair[1].digest() != before[1]
+        assert (graph_to_bytes(shared), shared.digest()) == before
+        assert shared.digest() == compute_digest_from_scratch(shared)
+
+
+def test_commit_refused_for_a_wrong_input_state_changes_nothing():
+    repo = Repository(0, random_graph(4, 10))
+    repo.commit(_edit(repo.graph, 1))
+    stale = _edit(random_graph(4, 10), 2)  # built against the state before that commit
+    before = graph_to_bytes(repo.graph), repo.digest(), list(repo.history.patches)
+    with pytest.raises(StateMismatch):
+        repo.commit(stale)
+    assert (graph_to_bytes(repo.graph), repo.digest(), repo.history.patches) == before
+    repo.commit(_edit(repo.graph, 3))  # still usable
+    assert repo.digest() == compute_digest_from_scratch(repo.graph)
