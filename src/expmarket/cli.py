@@ -122,12 +122,13 @@ def cmd_report(args) -> int:
             print(f"error: {d} is not a run directory (no summary.json)",
                   file=sys.stderr)
             return EXIT_USAGE
+    out_dir = _out_dir(args.out)
     try:
-        write_report(Path(args.out), run_dirs)
+        write_report(out_dir, run_dirs)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: malformed run data: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(f"report -> {args.out}")
+    print(f"report -> {out_dir}")
     return EXIT_OK
 
 

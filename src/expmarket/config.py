@@ -244,6 +244,8 @@ def load_scenario_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         doc = json.loads(path.read_text())
+    except OSError as exc:  # a directory or an unreadable file
+        raise ConfigError(f"{path}: cannot read: {exc}") from None
     except (ValueError, RecursionError) as exc:  # undecodable, malformed or too deep
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None
     return parse_scenario_config(doc, base_dir=path.parent)

@@ -11,23 +11,23 @@ Each item's hash is computed once, the first time it is read, and cached on
 the frozen item (``Node.item_hash``, ``Edge.item_hash``), so an item that
 passes through many graphs and patches is hashed once. A graph keeps its
 item hashes up to date as it changes: each insert or remove reads that one
-item's hash, updates a hash-to-item dict and notes the hash
-as pending for one sorted ``bytearray`` of 32-byte hash records. The next
-read of the buffer folds the pending hashes in by one splice, which rewrites
-the buffer from the first change to the last. A digest is then one SHA-256
-over that buffer, read in place. ``Graph.digest_after`` gives the digest the
-graph would have after an item delta by streaming SHA-256 over the same
-splice; it copies and changes nothing. ``Graph.items_missing_from`` finds
-the items one graph holds and another lacks by a C-level scan of the
+item's hash, updates a hash-to-item dict and notes the hash as pending for
+one sorted ``bytes`` buffer of 32-byte hash records. The next read of the
+buffer folds the pending hashes in by one splice, which joins a new buffer
+once from the old one's unchanged runs and the added hashes. A digest is
+then one SHA-256 over that buffer. ``Graph.digest_after`` gives the digest
+the graph would have after an item delta by streaming SHA-256 over the
+same splice; it copies and changes nothing. ``Graph.items_missing_from``
+finds the items one graph holds and another lacks by a C-level scan of the
 hashes, and returns nothing at once when the two digests agree: equal
 content-addressed states hold equal item-hash sets. The digest bytes are the
 same as hashing every item afresh (``compute_digest_from_scratch``).
 
 A graph belongs to one owner, a ``Repository`` or a caller that built it,
-which changes it in place. ``Graph.copy`` gives an independent graph: it
-copies the dicts and the hash buffer, and the two graphs share every
-node's adjacency containers until one of them first changes that node's
-(copy on write, ``Graph._own``).
+which changes it in place. What a graph shares with its copies is never
+changed in place: each node's out-edge dict and in-neighbour ``frozenset``,
+the hash buffer and the descriptor index are replaced, not edited, so
+``Graph.copy`` copies only the dicts that map ids and hashes to them.
 
 The digest of the empty graph is SHA-256 of the empty string:
 ``e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855``.
@@ -158,7 +158,6 @@ class Observation:
 
     descriptor: tuple[float, ...]
     true_position: float
-    timestamp: float
     product: int
 
 
@@ -183,19 +182,19 @@ class Graph:
     """Mutable node/edge store with in- and out-adjacency and item hashes.
 
     A graph is changed in place by its one owner; ``copy`` makes an
-    independent graph. ``_owned`` holds the ids whose adjacency containers
-    (``_out[id]``, ``_in[id]``) this graph may change in place; a copy
-    shares the others with the graph it was copied from, and the first
-    change to one gives the changing graph a private copy (``_own``).
+    independent graph. The values its dicts hold are never changed once
+    stored: ``_out[id]`` (a dict of out-edges by target) and ``_in[id]`` (a
+    ``frozenset`` of sources) are replaced by an edge insert or removal, so
+    a copy may share them.
 
     ``_items`` maps every item hash to its node or edge. ``_sorted`` is one
-    ``bytearray`` of the hashes as sorted 32-byte records. ``_delta`` holds
-    the hashes added (True) or dropped (False) since the buffer was last
-    brought up to date, which ``_sorted_hashes`` does by one splice
-    (``_spliced``), whatever the delta's size. ``digest`` hashes the buffer
-    in place, and ``digest_after`` streams the splice of an item delta. A
-    node entry in ``_items`` may carry a stale ``path_memory``; the current
-    record is in ``_nodes``.
+    ``bytes`` buffer of the hashes as sorted 32-byte records. ``_delta``
+    holds the hashes added (True) or dropped (False) since the buffer was
+    last brought up to date, which ``_sorted_hashes`` does by one splice
+    (``_spliced``) into a new buffer, whatever the delta's size. ``digest``
+    hashes the buffer, and ``digest_after`` streams the splice of an item
+    delta. A node entry in ``_items`` may carry a stale ``path_memory``; the
+    current record is in ``_nodes``.
 
     ``_desc_index`` caches ``descriptor_index``: the first nodes of
     ``_nodes`` in insertion order, which ``descriptor_index`` extends by the
@@ -204,16 +203,15 @@ class Graph:
     Copies share it, so an extension builds new objects.
     """
 
-    __slots__ = ("_nodes", "_out", "_in", "_owned", "_items", "_sorted", "_delta",
-                 "_digest", "_desc_index")
+    __slots__ = ("_nodes", "_out", "_in", "_items", "_sorted", "_delta", "_digest",
+                 "_desc_index")
 
     def __init__(self) -> None:
         self._nodes: dict[NodeId, Node] = {}
         self._out: dict[NodeId, dict[NodeId, Edge]] = {}
-        self._in: dict[NodeId, set[NodeId]] = {}
-        self._owned: set[NodeId] = set()
+        self._in: dict[NodeId, frozenset[NodeId]] = {}
         self._items: dict[bytes, Node | Edge] = {}
-        self._sorted = bytearray()
+        self._sorted = b""
         self._delta: dict[bytes, bool] = {}
         self._digest: StateDigest | None = EMPTY_GRAPH_DIGEST
         self._desc_index: DescriptorIndex | None = None
@@ -281,8 +279,7 @@ class Graph:
             raise ValueError(f"duplicate node {id_text(node.id)}")
         self._nodes[node.id] = node
         self._out[node.id] = {}
-        self._in[node.id] = set()
-        self._owned.add(node.id)
+        self._in[node.id] = frozenset()
         self._items[node.item_hash] = node
         self._track(node.item_hash, True)
 
@@ -293,7 +290,6 @@ class Graph:
         node = self._nodes.pop(node_id)
         del self._out[node_id]
         del self._in[node_id]
-        self._owned.discard(node_id)
         del self._items[node.item_hash]
         self._track(node.item_hash, False)
         self._desc_index = None
@@ -304,21 +300,19 @@ class Graph:
             raise ValueError("self loop")
         if edge.src not in self._nodes or edge.dst not in self._nodes:
             raise ValueError(f"dangling edge {id_text(edge.src)}->{id_text(edge.dst)}")
-        if edge.dst in self._out[edge.src]:
+        out = self._out[edge.src]
+        if edge.dst in out:
             raise ValueError(f"duplicate edge {id_text(edge.src)}->{id_text(edge.dst)}")
-        self._own(edge.src)
-        self._own(edge.dst)
-        self._out[edge.src][edge.dst] = edge
-        self._in[edge.dst].add(edge.src)
+        self._out[edge.src] = {**out, edge.dst: edge}
+        self._in[edge.dst] |= {edge.src}
         self._items[edge.item_hash] = edge
         self._track(edge.item_hash, True)
 
     def remove_edge(self, src: NodeId, dst: NodeId) -> Edge:
-        edge = self._out[src][dst]
-        self._own(src)
-        self._own(dst)
-        del self._out[src][dst]
-        self._in[dst].discard(src)
+        out = self._out[src].copy()
+        edge = out.pop(dst)
+        self._out[src] = out
+        self._in[dst] -= {src}
         del self._items[edge.item_hash]
         self._track(edge.item_hash, False)
         return edge
@@ -332,23 +326,15 @@ class Graph:
     def copy(self) -> "Graph":
         """An independent graph with this one's content and iteration orders.
 
-        The dicts and the hash buffer are copied; the adjacency containers
-        are shared, and from now on both graphs copy one before changing it.
+        Only the five dicts are copied. The values they hold, the hash
+        buffer and the descriptor index are shared: neither graph ever
+        changes them in place. This graph is left as it was.
         """
-        self._owned.clear()
         g = Graph.__new__(Graph)
-        g._nodes, g._out, g._in, g._owned = (self._nodes.copy(), self._out.copy(),
-                                             self._in.copy(), set())
-        g._items, g._sorted, g._delta = self._items.copy(), self._sorted[:], self._delta.copy()
-        g._digest, g._desc_index = self._digest, self._desc_index
+        g._nodes, g._out, g._in = self._nodes.copy(), self._out.copy(), self._in.copy()
+        g._items, g._delta = self._items.copy(), self._delta.copy()
+        g._sorted, g._digest, g._desc_index = self._sorted, self._digest, self._desc_index
         return g
-
-    def _own(self, node_id: NodeId) -> None:
-        """Give this graph private adjacency containers for ``node_id``."""
-        if node_id not in self._owned:
-            self._out[node_id] = dict(self._out[node_id])
-            self._in[node_id] = set(self._in[node_id])
-            self._owned.add(node_id)
 
     # -- digests ----------------------------------------------------------
 
@@ -358,17 +344,19 @@ class Graph:
             self._delta[h] = added
         self._digest = None
 
-    def _sorted_hashes(self) -> bytearray:
-        """The sorted hash buffer, with the pending delta folded in: the
-        same object, rewritten from the first change to the last."""
-        buf, delta = self._sorted, self._delta
+    def _sorted_hashes(self) -> bytes:
+        """The sorted hash buffer, with the pending delta folded in: a new
+        buffer, joined once, whenever there was a delta."""
+        delta = self._delta
         if delta:
+            buf = self._sorted
             rest = _spliced(buf, [h for h, added in delta.items() if not added],
                             [h for h, added in delta.items() if added])
             lo, hi = next(rest)
-            buf[lo:hi] = bytearray().join(rest)  # bytes would be copied once more
+            view = memoryview(buf)
+            self._sorted = b"".join([view[:lo], *rest, view[hi:]])
             delta.clear()
-        return buf
+        return self._sorted
 
     def digest(self) -> StateDigest:
         if self._digest is None:
@@ -386,11 +374,11 @@ class Graph:
         buf = self._sorted_hashes()
         rest = _spliced(buf, dropped, added)
         lo, hi = next(rest)
-        with memoryview(buf) as view:
-            sha = hashlib.sha256(view[:lo])
-            for segment in rest:
-                sha.update(segment)
-            sha.update(view[hi:])
+        view = memoryview(buf)
+        sha = hashlib.sha256(view[:lo])
+        for segment in rest:
+            sha.update(segment)
+        sha.update(view[hi:])
         return sha.digest()
 
     def descriptor_index(self) -> DescriptorIndex:
@@ -414,23 +402,21 @@ class Graph:
         return index
 
 
-def _offsets(buf: bytearray, hashes: list[bytes]) -> list[int]:
+def _offsets(buf: bytes, hashes: list[bytes]) -> list[int]:
     """Byte offset of the first record in the sorted buffer not below each
     hash, by one binary search in C: numpy orders ``S32`` records as
-    ``bytes`` orders them. The buffer is exported only during the call,
-    because a bytearray cannot be resized while exported."""
+    ``bytes`` orders them."""
     found = np.searchsorted(np.frombuffer(buf, "S32"), np.array(hashes, dtype="S32"))
     return (found * _REC).tolist()
 
 
-def _spliced(buf: bytearray, dropped: Iterable[bytes], added: Iterable[bytes]) -> Iterator:
+def _spliced(buf: bytes, dropped: Iterable[bytes], added: Iterable[bytes]) -> Iterator:
     """The sorted buffer with ``added`` hashes spliced in and ``dropped``
     records skipped, as a stream: first ``(lo, hi)``, the byte offsets where
     the first change starts and the last one ends, then the segments that
     replace ``buf[lo:hi]``, in order: views into ``buf`` between changes, and
     the added hashes. Raises ``KeyError`` for a dropped hash the buffer
-    lacks, before ``(lo, hi)``. The buffer is exported only while the
-    segments run."""
+    lacks, before ``(lo, hi)``."""
     added, dropped = sorted(added), list(dropped)  # sorted: the cuts come in order
     offsets = _offsets(buf, added + dropped)
     # (offset, 0, hash) splices the hash in before the record at offset;
@@ -443,13 +429,13 @@ def _spliced(buf: bytearray, dropped: Iterable[bytes], added: Iterable[bytes]) -
     cuts.sort()
     lo = start = cuts[0][0] if cuts else len(buf)
     yield lo, cuts[-1][0] + cuts[-1][1] if cuts else lo
-    with memoryview(buf) as view:
-        for at, skip, h in cuts:
-            if at != start:  # no empty views: a bulk build is the added hashes alone
-                yield view[start:at]
-            if not skip:
-                yield h
-            start = at + skip
+    view = memoryview(buf)
+    for at, skip, h in cuts:
+        if at != start:  # no empty views: a bulk build is the added hashes alone
+            yield view[start:at]
+        if not skip:
+            yield h
+        start = at + skip
 
 
 def compute_digest_from_scratch(graph: Graph) -> StateDigest:

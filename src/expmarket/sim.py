@@ -26,7 +26,7 @@ from .catalogue import (
     shopping_list,
 )
 from .config import ScenarioConfig
-from .foray import explain_observations, record_foray_patch
+from .foray import MetadataFn, _default_metadata, explain_observations, record_foray_patch
 from .graph import Graph
 from .ids import NodeIdGenerator, RobotId, derive_seed
 from .localiser import LocaliserConfig, MatchCounter
@@ -149,7 +149,7 @@ class ForayResult:
 
 def run_foray(repo: Repository, world: World, route: Route, epoch: int,
               localiser: LocaliserConfig, ids: NodeIdGenerator,
-              metadata=lambda m: (0, 0.0),
+              metadata: MetadataFn = _default_metadata,
               counter: MatchCounter | None = None) -> ForayResult:
     """Walk a route: localise every stop, record the unexplained as a patch.
 

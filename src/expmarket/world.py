@@ -11,7 +11,7 @@ worlds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class WorldConfig:
     latent_scale: float = 1.0
     drift_sigma: float = 0.05  # per-component random-walk step per epoch
     noise_sigma: float = 0.01  # per-observation descriptor noise
-    epoch_seconds: float = 600.0
 
 
 def _normal(seed: int, n: int, scale: float) -> np.ndarray:
@@ -79,11 +78,9 @@ class World:
         noise = _normal(derive_seed(self.seed, "noise", robot, epoch, bucket),
                         self.config.descriptor_dim, self.config.noise_sigma)
         desc = self.latent(bucket) + self.drift(section, epoch) + noise
-        timestamp = epoch * self.config.epoch_seconds + position / max(self.extent, 1.0)
         return Observation(
             descriptor=tuple(float(v) for v in desc),
             true_position=position,
-            timestamp=timestamp,
             product=section,
         )
 
@@ -126,11 +123,8 @@ class RoutePlan:
     width: int = 2
     stride: int = 2
     shift: int = 1
-    fixed: dict[RobotId, list[int]] = field(default_factory=dict)
 
     def sections_for(self, robot: RobotId, epoch: int) -> list[int]:
-        if self.fixed:
-            return list(self.fixed[robot])
         n = len(self.catalogue)
         if self.catalogue.cyclic:
             start = (robot * self.stride + (epoch - 1) * self.shift) % n

@@ -77,6 +77,14 @@ def test_run_scenario_missing_config(tmp_path, capsys):
     assert "absent.json" in capsys.readouterr().err
 
 
+def test_run_scenario_config_that_is_a_directory(tmp_path, capsys):
+    code = main(["run-scenario", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {tmp_path}: cannot read")
+    assert "Traceback" not in err
+
+
 def test_run_scenario_bad_config_field(tmp_path, capsys):
     path = _write_scenario(tmp_path)
     doc = json.loads(path.read_text())
@@ -273,13 +281,18 @@ def test_out_that_is_not_a_directory_is_a_usage_error(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(cli, "run_scenario", no_run)
     monkeypatch.setattr(cli, "monte_carlo_convergence", no_run)
+    monkeypatch.setattr(cli, "write_report", no_run)
     blocker = tmp_path / "taken"
     blocker.write_text("not a directory\n")
     path = _write_scenario(tmp_path)
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "summary.json").write_text("{}\n")
     for out in (blocker, blocker / "sub"):
         for argv in (["run-scenario", "--config", str(path), "--out", str(out)],
                      ["verify-convergence", "--forays", "1", "--trials", "1",
-                      "--out", str(out)]):
+                      "--out", str(out)],
+                     ["report", "--input", str(run), "--out", str(out)]):
             err = _usage_exit(argv, capsys)
             assert err.startswith(f"error: cannot write --out {out}")
     assert blocker.read_text() == "not a directory\n"

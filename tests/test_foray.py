@@ -14,7 +14,7 @@ from _builders import mknode
 
 def obs_at(position, descriptor, product=0):
     return Observation(descriptor=tuple(descriptor), true_position=position,
-                       timestamp=0.0, product=product)
+                       product=product)
 
 
 def test_unexplained_world_three_inserts_two_chain_edges():

@@ -1,9 +1,9 @@
 """Property tests: ``Graph.copy`` gives an independent graph, and every
 graph reads its own version whatever its copies do, whether they live or
-not. A copy shares each node's adjacency containers with the graph it was
-copied from until one of them changes them (``Graph._own``). In these
-names the *owner* is the latest copy in a chain and a *view* an earlier
-graph it was copied from."""
+not. A copy shares each node's adjacency containers and the sorted hash
+buffer with the graph it was copied from, and neither graph may change
+them in place. In these names the *owner* is the latest copy in a chain
+and a *view* an earlier graph it was copied from."""
 
 import gc
 import random

@@ -24,7 +24,7 @@ from _builders import chain_graph, mknode, random_graph
 
 
 def obs(desc, pos=0.0):
-    return Observation(descriptor=tuple(desc), true_position=pos, timestamp=0.0, product=0)
+    return Observation(descriptor=tuple(desc), true_position=pos, product=0)
 
 
 def test_seed_single_node_graph():
