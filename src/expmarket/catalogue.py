@@ -158,12 +158,6 @@ class ProductLedger:
     def release(self, node_id: NodeId, product: ProductIndex) -> None:
         self.wares.get(product, set()).discard(node_id)
 
-    def purchased_ids(self) -> set[NodeId]:
-        out: set[NodeId] = set()
-        for ids in self.purchases.values():
-            out |= ids
-        return out
-
     def record_trade(self, patch: Patch, direction: TradeDirection) -> None:
         """Fold a trade's inserted nodes into the ledgers.
 
@@ -175,9 +169,8 @@ class ProductLedger:
                 self.purchases.setdefault(node.product, set()).add(node.id)
                 self.hold(node.id, node.product)
         else:
-            bought = self.purchased_ids()
             for node in patch.insert_nodes.values():
-                if node.id in bought:
+                if node.id in self.purchases.get(node.product, ()):
                     continue
                 self.sales.setdefault(node.product, set()).add(node.id)
 

@@ -19,7 +19,7 @@ from .config import _MAX_ROBOTS, ConfigError, load_scenario_config
 from .integrity import monte_carlo_convergence
 from .localiser import LocaliserConfig
 from .merging import Choice, ChoicePolicy, Commutation, CommutationPolicy
-from .reporting import write_convergence_report, write_report, write_run
+from .reporting import read_report, write_convergence_report, write_report, write_run
 from .sim import run_scenario
 
 EXIT_OK = 0
@@ -48,6 +48,10 @@ def _out_dir(text: str) -> Path:
     if not existing.is_dir():
         raise _usage_error(f"cannot write --out {out}: {existing} is not a directory")
     return out
+
+
+def _cannot_write(out_dir: Path, exc: OSError) -> SystemExit:
+    return _usage_error(f"cannot write {exc.filename or out_dir}: {exc.strerror}")
 
 
 def _parse_rates(text: str, robots: int, flag: str) -> list[float]:
@@ -101,14 +105,13 @@ def cmd_verify_convergence(args) -> int:
 def cmd_run_scenario(args) -> int:
     if args.trials < 1 or args.jobs < 1:
         raise _usage_error("--trials and --jobs must be >= 1")
-    try:
-        config = load_scenario_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    config = load_scenario_config(args.config)
     out_dir = _out_dir(args.out)
     trials = run_scenario(config, args.seed, args.trials, jobs=args.jobs)
-    write_run(out_dir, config.raw, args.seed, trials)
+    try:
+        write_run(out_dir, config.raw, args.seed, trials)
+    except OSError as exc:
+        raise _cannot_write(out_dir, exc) from None
     total = sum(t.total_dropout() for t in trials)
     print(f"{len(trials)} trial(s) -> {out_dir}  strategy={trials[0].strategy} "
           f"total_dropout={total:g} m")
@@ -124,10 +127,14 @@ def cmd_report(args) -> int:
             return EXIT_USAGE
     out_dir = _out_dir(args.out)
     try:
-        write_report(out_dir, run_dirs)
+        tables = read_report(run_dirs)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: malformed run data: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        write_report(out_dir, tables)
+    except OSError as exc:
+        raise _cannot_write(out_dir, exc) from None
     print(f"report -> {out_dir}")
     return EXIT_OK
 

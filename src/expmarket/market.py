@@ -15,7 +15,6 @@ spelled out to prevent misuse.
 from __future__ import annotations
 
 import enum
-import math
 import random
 from dataclasses import dataclass
 
@@ -64,10 +63,6 @@ class Belief:
         if self.count < 2:
             return 0.0
         return self.m2 / (self.count - 1)
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
 
 
 def price_patch(patch: Patch, policy: ChoicePolicy) -> float:

@@ -173,7 +173,10 @@ def _side_patch(side: Graph, carried: Patch, drop_map: dict[NodeId, NodeId],
         if src in side and dst in side and src not in delete_ids and dst not in delete_ids \
                 and side.has_edge(src, dst):
             continue  # survives as-is
-        edge_inserts.append(min(cands, key=lambda e: e.pose.to_bytes()))
+        # the other side holds a carried edge as it is, so it beats rewired
+        # ones; ties go to the smallest record
+        edge_inserts.append(min(cands, key=lambda e: (e not in carried.insert_edges,
+                                                      e.content_bytes())))
 
     return build_patch(side, insert_nodes=insert_nodes,
                        insert_edges=edge_inserts, delete_ids=delete_ids)

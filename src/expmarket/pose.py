@@ -1,19 +1,15 @@
-"""Rigid 6DoF transforms: a translation in meters plus a unit quaternion.
+"""The 6DoF relative pose an edge carries: a translation in meters plus a
+quaternion (w, x, y, z).
 
-The canonical form (normalized quaternion, hemisphere fixed to w >= 0) is
-what gets serialized and digested, so two agents computing the same edge
-always produce the same bytes. Composition with the identity is bit-exact
-by a fast path; merge machinery relies on that to keep rewired edge poses
-identical on both sides of a trade.
+A pose is a plain record. A MATCH merge rewires a dropped node's edges onto
+its keeper, which stands for the same place, so an edge keeps its pose
+unchanged and no transforms are composed. The byte layout of a pose is
+stated once, inside ``graph.EDGE_RECORD``.
 """
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass
-
-_PACK = struct.Struct("<7d")
 
 
 @dataclass(frozen=True)
@@ -28,75 +24,8 @@ class Pose:
 
     @staticmethod
     def identity() -> "Pose":
-        return _IDENTITY
+        return Pose()
 
     @staticmethod
     def from_translation(tx: float, ty: float = 0.0, tz: float = 0.0) -> "Pose":
         return Pose(float(tx), float(ty), float(tz), 1.0, 0.0, 0.0, 0.0)
-
-    def canonical(self) -> "Pose":
-        """Normalize the quaternion and fix the hemisphere (w >= 0)."""
-        n = math.sqrt(self.qw**2 + self.qx**2 + self.qy**2 + self.qz**2)
-        if n == 0.0:
-            raise ValueError("zero quaternion")
-        q = (self.qw / n, self.qx / n, self.qy / n, self.qz / n)
-        if q[0] < 0.0 or (q[0] == 0.0 and _first_nonzero(q[1:]) < 0.0):
-            q = (-q[0], -q[1], -q[2], -q[3])
-        return Pose(self.tx, self.ty, self.tz, *q)
-
-    def is_identity(self) -> bool:
-        return self == _IDENTITY
-
-    def compose(self, other: "Pose") -> "Pose":
-        """This transform followed by ``other`` (other expressed in this frame)."""
-        if other.is_identity():
-            return self
-        if self.is_identity():
-            return other
-        w1, x1, y1, z1 = self.qw, self.qx, self.qy, self.qz
-        w2, x2, y2, z2 = other.qw, other.qx, other.qy, other.qz
-        qw = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
-        qx = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
-        qy = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
-        qz = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
-        rx, ry, rz = self._rotate(other.tx, other.ty, other.tz)
-        return Pose(self.tx + rx, self.ty + ry, self.tz + rz, qw, qx, qy, qz).canonical()
-
-    def inverse(self) -> "Pose":
-        if self.is_identity():
-            return self
-        w, x, y, z = self.qw, -self.qx, -self.qy, -self.qz
-        inv = Pose(0.0, 0.0, 0.0, w, x, y, z)
-        rx, ry, rz = inv._rotate(self.tx, self.ty, self.tz)
-        return Pose(-rx, -ry, -rz, w, x, y, z).canonical()
-
-    def _rotate(self, vx: float, vy: float, vz: float) -> tuple[float, float, float]:
-        w, x, y, z = self.qw, self.qx, self.qy, self.qz
-        # v' = v + 2w(q x v) + 2(q x (q x v))
-        cx1 = y * vz - z * vy
-        cy1 = z * vx - x * vz
-        cz1 = x * vy - y * vx
-        cx2 = y * cz1 - z * cy1
-        cy2 = z * cx1 - x * cz1
-        cz2 = x * cy1 - y * cx1
-        return (vx + 2.0 * (w * cx1 + cx2), vy + 2.0 * (w * cy1 + cy2), vz + 2.0 * (w * cz1 + cz2))
-
-    def translation_norm(self) -> float:
-        return math.sqrt(self.tx**2 + self.ty**2 + self.tz**2)
-
-    def to_bytes(self) -> bytes:
-        return _PACK.pack(self.tx, self.ty, self.tz, self.qw, self.qx, self.qy, self.qz)
-
-    @staticmethod
-    def from_bytes(raw: bytes) -> "Pose":
-        return Pose(*_PACK.unpack(raw))
-
-
-def _first_nonzero(vals) -> float:
-    for v in vals:
-        if v != 0.0:
-            return v
-    return 0.0
-
-
-_IDENTITY = Pose()

@@ -163,10 +163,9 @@ def _load_run(run_dir: Path) -> tuple[dict, list[list[str]]]:
     return summary, rows
 
 
-def write_report(out_dir: Path, run_dirs: list[Path]) -> None:
-    """Merge one or more run directories into plot-ready tables."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+def read_report(run_dirs: list[Path]) -> dict[str, tuple[list[str], list]]:
+    """Merge one or more run directories into plot-ready tables, keyed by
+    the file name ``write_report`` gives each."""
     ccdf_rows = []
     bytes_rows = []
     size_rows = []
@@ -193,13 +192,19 @@ def write_report(out_dir: Path, run_dirs: list[Path]) -> None:
             t = trial_dir.name.split("_")[1]
             for r in rows:
                 belief_rows.append((strategy, t, *r))
-    write_csv(out_dir / "failure_ccdf.csv", ["strategy", "x_meters", "p_ge_x"],
-              ccdf_rows)
-    write_csv(out_dir / "bytes_by_team.csv",
-              ["strategy", "robots", "sent_mean_per_robot", "query_mean_per_robot"],
-              bytes_rows)
-    write_csv(out_dir / "map_size_vs_k.csv",
-              ["strategy", "k", "robot", "nodes_mean", "nodes_std"], size_rows)
-    write_csv(out_dir / "belief_trajectories.csv",
-              ["strategy", "trial", "k", "robot", "seller", "count", "mean",
-               "variance"], belief_rows)
+    return {
+        "failure_ccdf.csv": (["strategy", "x_meters", "p_ge_x"], ccdf_rows),
+        "bytes_by_team.csv": (["strategy", "robots", "sent_mean_per_robot",
+                               "query_mean_per_robot"], bytes_rows),
+        "map_size_vs_k.csv": (["strategy", "k", "robot", "nodes_mean", "nodes_std"],
+                              size_rows),
+        "belief_trajectories.csv": (["strategy", "trial", "k", "robot", "seller",
+                                     "count", "mean", "variance"], belief_rows),
+    }
+
+
+def write_report(out_dir: Path, tables: dict[str, tuple[list[str], list]]) -> None:
+    """Write ``read_report``'s tables into ``out_dir``."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        write_csv(out_dir / name, header, rows)

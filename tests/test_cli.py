@@ -157,9 +157,8 @@ def test_env_seed_fallback(tmp_path, monkeypatch, capsys):
     assert "divergence_events=0" in first
 
 
-def test_report_handles_empty_dropouts(tmp_path):
-    # a scenario whose map fully explains every epoch would have no dropouts;
-    # emulate by writing a run directory with an empty aggregate table
+def _empty_run(tmp_path) -> Path:
+    """A run directory whose aggregate tables have headers and no rows."""
     run = tmp_path / "run"
     (run / "aggregate").mkdir(parents=True)
     (run / "summary.json").write_text(json.dumps(
@@ -170,6 +169,13 @@ def test_report_handles_empty_dropouts(tmp_path):
         "match_ops_mean,match_ops_std\n")
     (run / "aggregate" / "map_sizes.csv").write_text(
         "k,robot,nodes_mean,nodes_std\n")
+    return run
+
+
+def test_report_handles_empty_dropouts(tmp_path):
+    # a scenario whose map fully explains every epoch would have no dropouts;
+    # emulate by writing a run directory with an empty aggregate table
+    run = _empty_run(tmp_path)
     report = tmp_path / "rep"
     assert main(["report", "--input", str(run), "--out", str(report)]) == 0
     header, rows = read_csv(report / "failure_ccdf.csv")
@@ -296,3 +302,24 @@ def test_out_that_is_not_a_directory_is_a_usage_error(tmp_path, capsys, monkeypa
             err = _usage_exit(argv, capsys)
             assert err.startswith(f"error: cannot write --out {out}")
     assert blocker.read_text() == "not a directory\n"
+
+
+def test_report_that_cannot_write_names_the_output(tmp_path, capsys):
+    """A directory where ``report`` writes a table is an output error
+    (exit 2, naming the path), not malformed run data."""
+    run = _empty_run(tmp_path)
+    blocked = tmp_path / "rep" / "failure_ccdf.csv"
+    blocked.mkdir(parents=True)
+    err = _usage_exit(["report", "--input", str(run), "--out", str(tmp_path / "rep")], capsys)
+    assert err.startswith(f"error: cannot write {blocked}: ")
+    assert "malformed" not in err
+
+
+def test_run_scenario_that_cannot_write_names_the_output(tmp_path, capsys):
+    """A directory where ``write_run`` writes a file exits 2 and names it."""
+    path = _write_scenario(tmp_path, **{"sim.forays": 2})
+    blocked = tmp_path / "out" / "summary.json"
+    blocked.mkdir(parents=True)
+    err = _usage_exit(["run-scenario", "--config", str(path),
+                       "--out", str(tmp_path / "out")], capsys)
+    assert err.startswith(f"error: cannot write {blocked}: ")

@@ -316,6 +316,66 @@ def test_match_does_not_fragment_the_map():
             len(connected_components(lu.graph))
 
 
+def test_match_keeps_the_keepers_edge_when_a_rewired_edge_collides_with_it():
+    """N is shared; the left side adds D with N->D, the right side adds D's
+    near twin K (the keeper) with N->K at another pose. Rewiring N->D onto K
+    on the left collides with the carried N->K, which must win: the right
+    side keeps its own N->K."""
+    for dropped_pose, kept_pose in ((9.0, 1.0), (1.0, 9.0)):
+        gen = NodeIdGenerator(7, 0)
+        base, (shared,) = chain_graph(gen, [[0.0, 0.0]])
+        left, right = base.copy(), base.copy()
+        dropped = mknode(gen, [10.0, 10.0], inlier_count=1)
+        keeper = mknode(gen, [10.0, 10.01], inlier_count=50)
+        left.insert_node(dropped)
+        left.insert_edge(Edge(shared.id, dropped.id, Pose.from_translation(dropped_pose)))
+        right.insert_node(keeper)
+        right.insert_edge(Edge(shared.id, keeper.id, Pose.from_translation(kept_pose)))
+        out = execute_trade(Repository(0, left), Repository(1, right), match_policy())
+        assert out.pair.drops_left == {dropped.id: keeper.id}
+        for repo in (out.left, out.right):
+            assert repo.graph.edge(shared.id, keeper.id).pose == Pose.from_translation(kept_pose)
+            assert dropped.id not in repo.graph
+        assert out.left.digest() == out.right.digest()
+
+
+def _anchored_repos(case: int):
+    """Both sides extend a shared base with new nodes, each anchored to a
+    base node by an edge of random direction and pose; about half the right
+    side's nodes are near twins of left-side nodes."""
+    rng = random.Random(derive_seed("anchored", case))
+    gen = NodeIdGenerator(derive_seed("anchored-ids", case), 0)
+    base, base_nodes = chain_graph(gen, [[rng.uniform(-50, 50) for _ in range(3)]
+                                         for _ in range(rng.randrange(1, 4))])
+
+    def extend(n_new, twins):
+        side = base.copy()
+        new_nodes = []
+        for _ in range(n_new):
+            if twins and rng.random() < 0.5:
+                desc = [v + rng.uniform(-0.02, 0.02) for v in rng.choice(twins).descriptor]
+            else:
+                desc = [rng.uniform(-50, 50) for _ in range(3)]
+            node = mknode(gen, desc, inlier_count=rng.randrange(100))
+            side.insert_node(node)
+            anchor = rng.choice(base_nodes).id
+            src, dst = (anchor, node.id) if rng.random() < 0.5 else (node.id, anchor)
+            side.insert_edge(Edge(src, dst, Pose.from_translation(rng.choice([1.0, 5.0, 9.0]))))
+            new_nodes.append(node)
+        return side, new_nodes
+
+    left, left_new = extend(rng.randrange(1, 5), [])
+    right, _ = extend(rng.randrange(1, 5), left_new)
+    return Repository(0, left), Repository(1, right)
+
+
+def test_match_converges_with_anchor_edges_of_mixed_poses():
+    for case in range(300):
+        left, right = _anchored_repos(case)
+        out = execute_trade(left, right, match_policy(tau_m=0.1))
+        assert out.left.digest() == out.right.digest()
+
+
 def test_trade_merge_product_scope_restricts_transfer():
     gen = NodeIdGenerator(7, 0)
     base = Graph()
