@@ -17,11 +17,15 @@ buffer folds the pending hashes in by one splice, which joins a new buffer
 once from the old one's unchanged runs and the added hashes. A digest is
 then one SHA-256 over that buffer. ``Graph.digest_after`` gives the digest
 the graph would have after an item delta by streaming SHA-256 over the
-same splice; it copies and changes nothing. ``Graph.items_missing_from``
-finds the items one graph holds and another lacks by a C-level scan of the
-hashes, and returns nothing at once when the two digests agree: equal
-content-addressed states hold equal item-hash sets. The digest bytes are the
-same as hashing every item afresh (``compute_digest_from_scratch``).
+same splice; it copies nothing and changes no content, and keeps its
+result, so that committing exactly that delta hashes nothing again.
+``Graph.items_missing_from`` finds the items one graph holds and another
+lacks by a C-level scan of the hashes, and returns nothing at once when
+the two digests agree: equal content-addressed states hold equal item-hash
+sets. ``Graph.listed_missing_from`` tests only a given list instead: the
+items inserted since a state both graphs held, when neither deleted
+anything since (``patches.diff``). The digest bytes are the same as
+hashing every item afresh (``compute_digest_from_scratch``).
 
 A graph belongs to one owner, a ``Repository`` or a caller that built it,
 which changes it in place. What a graph shares with its copies is never
@@ -193,8 +197,12 @@ class Graph:
     last brought up to date, which ``_sorted_hashes`` does by one splice
     (``_spliced``) into a new buffer, whatever the delta's size. ``digest``
     hashes the buffer, and ``digest_after`` streams the splice of an item
-    delta. A node entry in ``_items`` may carry a stale ``path_memory``; the
-    current record is in ``_nodes``.
+    delta. ``_after`` keeps the last ``digest_after`` result as (buffer,
+    delta, digest), a pure function of the first two; ``digest`` takes it
+    when ``_sorted`` is that buffer and ``_delta`` equals that delta, and
+    hashes otherwise. The fold stays lazy either way. A node entry in
+    ``_items`` may carry a stale ``path_memory``; the current record is in
+    ``_nodes``.
 
     ``_desc_index`` caches ``descriptor_index``: the first nodes of
     ``_nodes`` in insertion order, which ``descriptor_index`` extends by the
@@ -204,7 +212,7 @@ class Graph:
     """
 
     __slots__ = ("_nodes", "_out", "_in", "_items", "_sorted", "_delta", "_digest",
-                 "_desc_index")
+                 "_after", "_desc_index")
 
     def __init__(self) -> None:
         self._nodes: dict[NodeId, Node] = {}
@@ -214,6 +222,7 @@ class Graph:
         self._sorted = b""
         self._delta: dict[bytes, bool] = {}
         self._digest: StateDigest | None = EMPTY_GRAPH_DIGEST
+        self._after: tuple[bytes, dict[bytes, bool], StateDigest] | None = None
         self._desc_index: DescriptorIndex | None = None
 
     # -- content access -------------------------------------------------
@@ -271,6 +280,16 @@ class Graph:
             else:
                 nodes.append(self._nodes[item.id])
         return nodes, edges
+
+    def listed_missing_from(self, other: "Graph", nodes: Iterable[Node],
+                            edges: Iterable[Edge]) -> tuple[list[Node], list[Edge]]:
+        """Of the given nodes and edges, all held here, those whose item hash
+        ``other`` lacks, in the order given; nodes come as this graph holds
+        them (with its ``path_memory``). ``items_missing_from`` narrowed to a
+        list known to hold every missing item, at a cost of O(len(list))."""
+        theirs = other._items
+        return ([self._nodes[n.id] for n in nodes if n.item_hash not in theirs],
+                [e for e in edges if e.item_hash not in theirs])
 
     # -- mutation (used by the patch layer and the owning agent) ---------
 
@@ -333,7 +352,8 @@ class Graph:
         g = Graph.__new__(Graph)
         g._nodes, g._out, g._in = self._nodes.copy(), self._out.copy(), self._in.copy()
         g._items, g._delta = self._items.copy(), self._delta.copy()
-        g._sorted, g._digest, g._desc_index = self._sorted, self._digest, self._desc_index
+        g._sorted, g._digest, g._after = self._sorted, self._digest, self._after
+        g._desc_index = self._desc_index
         return g
 
     # -- digests ----------------------------------------------------------
@@ -356,11 +376,16 @@ class Graph:
             view = memoryview(buf)
             self._sorted = b"".join([view[:lo], *rest, view[hi:]])
             delta.clear()
+            self._after = None  # it names the old buffer
         return self._sorted
 
     def digest(self) -> StateDigest:
         if self._digest is None:
-            self._digest = hashlib.sha256(self._sorted_hashes()).digest()
+            after = self._after
+            if after is not None and after[0] is self._sorted and after[1] == self._delta:
+                self._digest = after[2]  # digest_after hashed this very content
+            else:
+                self._digest = hashlib.sha256(self._sorted_hashes()).digest()
         return self._digest
 
     def digest_after(self, dropped: Iterable[bytes], added: Iterable[bytes]) -> StateDigest:
@@ -370,7 +395,14 @@ class Graph:
         SHA-256 streams over the buffer up to the first change, then over
         the segments of the splice. Raises ``KeyError`` for a dropped hash
         the graph does not hold.
+
+        The result is kept with the buffer it read and the delta as
+        ``_track`` would record it, when no hash repeats. ``digest`` serves it
+        while the graph still holds that buffer with exactly that delta
+        pending, so a commit of the patch this was computed for hashes
+        nothing again.
         """
+        dropped, added = list(dropped), list(added)
         buf = self._sorted_hashes()
         rest = _spliced(buf, dropped, added)
         lo, hi = next(rest)
@@ -379,7 +411,12 @@ class Graph:
         for segment in rest:
             sha.update(segment)
         sha.update(view[hi:])
-        return sha.digest()
+        digest = sha.digest()
+        delta = dict.fromkeys(dropped, False)
+        delta.update(dict.fromkeys(added, True))
+        if len(delta) == len(dropped) + len(added):
+            self._after = buf, delta, digest
+        return digest
 
     def descriptor_index(self) -> DescriptorIndex:
         """Every node's descriptor as a matrix row, in insertion order (cached).

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .graph import Edge, Graph, Node
 from .ids import NodeId, RobotId, id_text
 from .localiser import LocaliserConfig, MatchCounter, MatchSet, match_patches
-from .patches import Patch, Repository, build_patch, diff
+from .patches import Patch, Repository, build_patch, diff, patches_since_common
 from .serialize import patch_wire_size
 
 
@@ -175,7 +175,8 @@ def _side_patch(side: Graph, carried: Patch, drop_map: dict[NodeId, NodeId],
             continue  # survives as-is
         # the other side holds a carried edge as it is, so it beats rewired
         # ones; ties go to the smallest record
-        edge_inserts.append(min(cands, key=lambda e: (e not in carried.insert_edges,
+        edge_inserts.append(cands[0] if len(cands) == 1 else
+                            min(cands, key=lambda e: (e not in carried.insert_edges,
                                                       e.content_bytes())))
 
     return build_patch(side, insert_nodes=insert_nodes,
@@ -278,8 +279,13 @@ def execute_trade(left: Repository, right: Repository, policy: CommutationPolicy
     against the graph it is committed to, so its input state matches.
 
     With no product scope the two repositories end in the same state
-    (digest-checked). A product scope restricts the exchange to catalogue
-    sections on the buyer's shopping list, converging those sections only.
+    (digest-checked), and when their digests differ ``diff`` reads only
+    each side's patches since the newest state both histories hold
+    (``patches_since_common``), falling back to a scan of every item hash
+    when there is none, when either side deleted anything since it, or when
+    the patches since it insert more items than a graph holds. A product
+    scope restricts the exchange to catalogue sections on the buyer's
+    shopping list, converging those sections only, and keeps the scan.
     ``enforce=False`` skips the convergence and reconnection checks so
     verification harnesses can observe misbehaving policies instead of
     crashing on them. A failed check raises ``IntegrityViolation`` naming
@@ -288,7 +294,10 @@ def execute_trade(left: Repository, right: Repository, policy: CommutationPolicy
     if policy.kind is Commutation.MATCH and not policy.choice.is_pure() \
             and not policy.allow_asymmetric:
         raise NonSymmetricPolicy(f"{policy.choice.kind.value} is not team-symmetric")
-    incoming, outgoing = diff(left.graph, right.graph, products=products)
+    since = None
+    if products is None and left.digest() != right.digest():
+        since = patches_since_common(left, right)
+    incoming, outgoing = diff(left.graph, right.graph, products=products, since=since)
     pair = commute(incoming, outgoing, policy, left.graph, right.graph,
                    counter=counter, _faults=_faults)
     check = enforce and not _faults

@@ -14,6 +14,7 @@ yields the same resulting content.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .graph import EMPTY_GRAPH_DIGEST, Edge, Graph, Node, StateDigest
@@ -120,8 +121,12 @@ def apply_patch(graph: Graph, patch: Patch) -> Graph:
     """A copy of ``graph`` with ``patch`` applied; ``graph`` is not changed.
 
     The patch's input state must be the graph's digest. This costs one
-    ``Graph.copy`` plus O(|patch|) and one SHA-256 over the result's item
-    hashes. A repository commits in place instead (``Repository.commit``).
+    ``Graph.copy`` plus O(|patch|), and one SHA-256 over the result's item
+    hashes unless the patch's item delta is the one ``build_patch`` last
+    streamed against this graph (``Graph.digest_after``), whose digest is
+    then taken as it is. The output state is checked against the result's
+    digest either way. A repository commits in place instead
+    (``Repository.commit``).
     """
     result = graph.copy()
     _apply_in_place(result, patch)
@@ -217,8 +222,8 @@ def build_patch(
                  edge_inserts, frozenset(edge_deletes))
 
 
-def diff(mine: Graph, theirs: Graph,
-         products: set[int] | None = None) -> tuple[Patch, Patch]:
+def diff(mine: Graph, theirs: Graph, products: set[int] | None = None,
+         since: tuple[Sequence[Patch], Sequence[Patch]] | None = None) -> tuple[Patch, Patch]:
     """The divergent insert pair: what I lack of theirs, what they lack of mine.
 
     ``incoming`` applied to ``mine`` and ``outgoing`` applied to ``theirs``
@@ -227,11 +232,25 @@ def diff(mine: Graph, theirs: Graph,
     product scope narrows the transfer to nodes labelled with those
     catalogue sections; inserted edges are always restricted to endpoints
     that survive on the receiving side, so nothing ever dangles.
+
+    The candidates are the items one side holds and the other lacks. With
+    ``since`` (my patches and their patches since a state S both graphs
+    held, all insert-only, as ``patches_since_common`` finds them), only
+    what each side inserted since S is tested, in O(|patches|): B∖A ⊆
+    (B∖S) ∪ (S∖A), and S∖A is empty when A deleted nothing since S.
+    Otherwise every item hash is scanned (``Graph.items_missing_from``).
+    Both give the candidates in the source graph's insertion order, which
+    is the order its patches since S were applied in.
     """
 
-    def one_way(dst_graph: Graph, src_graph: Graph) -> Patch:
+    def one_way(dst_graph: Graph, src_graph: Graph, inserted: Sequence[Patch] | None) -> Patch:
         # every item the patch carries is one whose hash dst_graph lacks
-        cand_nodes, cand_edges = src_graph.items_missing_from(dst_graph)
+        if inserted is None:
+            cand_nodes, cand_edges = src_graph.items_missing_from(dst_graph)
+        else:
+            cand_nodes, cand_edges = src_graph.listed_missing_from(
+                dst_graph, chain.from_iterable(p.insert_nodes.values() for p in inserted),
+                chain.from_iterable(p.insert_edges for p in inserted))
         nodes = [n for n in cand_nodes
                  if n.id not in dst_graph and (products is None or n.product in products)]
         new_ids = {n.id for n in nodes}
@@ -244,21 +263,37 @@ def diff(mine: Graph, theirs: Graph,
         }
         return build_patch(dst_graph, insert_nodes=nodes, insert_edges=edges)
 
-    return one_way(mine, theirs), one_way(theirs, mine)
+    mine_since, theirs_since = since or (None, None)
+    return one_way(mine, theirs, theirs_since), one_way(theirs, mine, mine_since)
 
 
 @dataclass
 class History:
-    """Linear chain of patches from an origin state."""
+    """Linear chain of patches from an origin state.
+
+    ``positions`` maps each state the chain passes through to its newest
+    position: the origin is 0, and the state after ``patches[i]`` is
+    ``i + 1``. ``append`` keeps it up to date and ``copy`` copies it, so
+    ``patches_since_common`` looks a state up in O(1).
+    """
 
     origin: StateDigest = EMPTY_GRAPH_DIGEST
     patches: list[Patch] = field(default_factory=list)
+    positions: dict[StateDigest, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.positions = {self.origin: 0}
+        for i, patch in enumerate(self.patches, 1):
+            self.positions[patch.output_state] = i
+
+    def state_at(self, position: int) -> StateDigest:
+        return self.patches[position - 1].output_state if position else self.origin
 
     def append(self, patch: Patch) -> None:
-        expected = self.patches[-1].output_state if self.patches else self.origin
-        if patch.input_state != expected:
+        if patch.input_state != self.state_at(len(self.patches)):
             raise StateMismatch("patch does not extend this history")
         self.patches.append(patch)
+        self.positions[patch.output_state] = len(self.patches)
 
     def replay(self) -> Graph:
         """Rebuild the working copy from the empty graph."""
@@ -270,7 +305,9 @@ class History:
         return g
 
     def copy(self) -> "History":
-        return History(self.origin, list(self.patches))
+        h = History(self.origin)
+        h.patches, h.positions = list(self.patches), self.positions.copy()
+        return h
 
     def __len__(self) -> int:
         return len(self.patches)
@@ -309,3 +346,42 @@ class Repository:
 
     def copy(self) -> "Repository":
         return Repository(self.robot, self.graph, self.history.copy())
+
+
+def _budget_after(budget: int, patch: Patch) -> int:
+    """``budget`` less the items ``patch`` inserts, or -1 when it deletes."""
+    if patch.delete_nodes or patch.delete_edges:
+        return -1
+    return budget - len(patch.insert_nodes) - len(patch.insert_edges)
+
+
+def patches_since_common(mine: Repository, theirs: Repository
+                         ) -> tuple[list[Patch], list[Patch]] | None:
+    """Each side's patches since the newest state both histories hold, as
+    ``diff``'s ``since``; None when ``diff`` must scan instead.
+
+    The walk goes back from the tip of ``theirs``' history to the first
+    state ``mine``'s history holds. It gives up, and None is returned, when
+    no such state exists, when a patch of either side since it deletes a
+    node or an edge, or when one side's patches since it insert more items
+    than the other side's graph holds, since a scan is then no dearer. A
+    graph that is not in its history's tip state, after a commit that
+    failed part way, also gives None.
+    """
+    a, b = mine.history, theirs.history
+    if a.state_at(len(a)) != mine.digest() or b.state_at(len(b)) != theirs.digest():
+        return None
+    i, budget = len(b), len(mine.graph) + mine.graph.edge_count()
+    while (at := a.positions.get(b.state_at(i))) is None:
+        if i == 0:
+            return None
+        i -= 1
+        budget = _budget_after(budget, b.patches[i])
+        if budget < 0:
+            return None
+    budget = len(theirs.graph) + theirs.graph.edge_count()
+    for patch in a.patches[at:]:
+        budget = _budget_after(budget, patch)
+        if budget < 0:
+            return None
+    return a.patches[at:], b.patches[i:]

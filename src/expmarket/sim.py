@@ -42,7 +42,7 @@ from .market import (
     select_partners,
     update_belief,
 )
-from .merging import TradeStats, execute_trade
+from .merging import IntegrityViolation, TradeStats, execute_trade
 from .patches import Patch, Repository
 from .world import Route, World
 
@@ -393,9 +393,12 @@ def _merging(t: _Trial, k: int) -> None:
         for seller in a_buy.sellers:
             a_sell = t.agents[seller]
             merge_counter = MatchCounter()
-            out = execute_trade(a_buy.repo, a_sell.repo, config.commutation,
-                                products=a_buy.wanted, k=k,
-                                counter=merge_counter)
+            try:
+                out = execute_trade(a_buy.repo, a_sell.repo, config.commutation,
+                                    products=a_buy.wanted, k=k,
+                                    counter=merge_counter)
+            except IntegrityViolation as err:
+                raise IntegrityViolation(f"trial {t.metrics.trial} {err}") from err
             t.metrics.trades.append(out.stats)
             # each side: the patch it receives, the patch it delivers, the bytes in
             for me, other, received, delivered, size in (

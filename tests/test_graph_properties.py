@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 from expmarket import graph as graph_module
 from expmarket.graph import Edge, Graph, compute_digest_from_scratch, export_text
 from expmarket.ids import NodeIdGenerator
-from expmarket.patches import (DanglingEdge, DuplicateContent, MissingTarget, apply_patch,
-                               build_patch, diff, patches_equal)
+from expmarket.merging import Commutation, CommutationPolicy, execute_trade
+from expmarket.patches import (DanglingEdge, DuplicateContent, MissingTarget, Repository,
+                               StateMismatch, apply_patch, build_patch, diff, patches_equal,
+                               patches_since_common)
 from expmarket.pose import Pose
 from expmarket.serialize import patch_to_bytes
 
@@ -237,6 +239,81 @@ def test_diff_matches_full_edge_scan(seed, size, products):
     assert right.digest() == compute_digest_from_scratch(right)
 
 
+# -- diff from the patches since the last common state --------------------------
+
+
+def _commit_random(repo: Repository, rng: random.Random, gen, pool: list, deletes: bool) -> None:
+    """Commit new nodes, some near copies of descriptors in ``pool`` (so that
+    MATCH finds pairs), chained and anchored to the map; with ``deletes``,
+    also delete a node and an edge of the map."""
+    ids = sorted(repo.graph.node_ids())
+    new = []
+    for _ in range(rng.randrange(1, 4)):
+        if pool and rng.random() < 0.5:
+            desc = [v + rng.uniform(-0.01, 0.01) for v in rng.choice(pool)]
+        else:
+            desc = [rng.uniform(-9, 9) for _ in range(2)]
+        new.append(mknode(gen, desc, product=rng.randrange(4), inlier_count=rng.randrange(50)))
+    pool.extend(n.descriptor for n in new)
+    victims = [rng.choice(ids)] if deletes and ids else []
+    kept = [i for i in ids if i not in victims]
+    edges = {(a.id, b.id): Edge(a.id, b.id, Pose.from_translation(1.0)) for a, b in zip(new, new[1:])}
+    if kept:
+        edges[(rng.choice(kept), new[0].id)] = Edge(rng.choice(kept), new[0].id, Pose.identity())
+    gone = [rng.choice(list(repo.graph.edges()))] if deletes and repo.graph.edge_count() else []
+    gone = [e for e in gone if e.src not in victims and e.dst not in victims]
+    repo.commit(build_patch(repo.graph, insert_nodes=new, insert_edges=edges.values(),
+                            delete_ids=victims, delete_edges=gone))
+
+
+def _assert_same_diff(got, want) -> None:
+    for a, b in zip(got, want):
+        assert patches_equal(a, b)
+        assert (a.input_state, a.output_state) == (b.input_state, b.output_state)
+        assert list(a.insert_nodes) == list(b.insert_nodes)
+        assert list(a.insert_edges) == list(b.insert_edges)
+        assert patch_to_bytes(a) == patch_to_bytes(b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), robots=st.sampled_from([2, 3]), shared=st.booleans(),
+       steps=st.lists(st.integers(0, 6), max_size=12))
+def test_history_diff_matches_the_scan(seed, robots, shared, steps):
+    """After every commit or trade (UNION or MATCH, scoped or not), the diff
+    read from the patches since the last common state equals the scan diff,
+    insert order included, for every ordered pair of repositories, and both
+    equal the full-edge-scan oracle."""
+    rng = random.Random(seed)
+    gen = NodeIdGenerator(rng.randrange(2**32), 9)
+    repos = [Repository(r, random_graph(seed % 1000 + (0 if shared else r), 5, dim=2,
+                                        edge_prob=0.3))
+             for r in range(robots)]
+    pool = [n.descriptor for r in repos for n in r.graph.nodes()]
+    union, match = CommutationPolicy(Commutation.UNION), CommutationPolicy(Commutation.MATCH)
+    for step in steps:
+        a, b = rng.sample(repos, 2)
+        if step <= 2:
+            _commit_random(a, rng, gen, pool, deletes=step == 2)
+        else:
+            policy = match if step in (4, 6) else union
+            products = set(rng.sample(range(4), 2)) if step >= 5 else None
+            execute_trade(a, b, policy, products=products)
+        for mine in repos:
+            assert mine.digest() == compute_digest_from_scratch(mine.graph)
+            for theirs in repos:
+                if theirs is mine:
+                    continue
+                since = patches_since_common(mine, theirs)
+                scan = diff(mine.graph, theirs.graph)
+                for got, want in zip(scan, reference_diff(mine.graph, theirs.graph)):
+                    assert patches_equal(got, want)
+                if since is not None:
+                    _assert_same_diff(diff(mine.graph, theirs.graph, since=since), scan)
+                    scope = {rng.randrange(4)}
+                    _assert_same_diff(diff(mine.graph, theirs.graph, scope, since),
+                                      diff(mine.graph, theirs.graph, scope))
+
+
 # -- digests streamed over an item delta ---------------------------------------
 
 
@@ -352,11 +429,10 @@ def test_a_bulk_delta_folds_on_a_copy_of_a_live_graph():
     assert export_text(original) == old_text
 
 
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 14))
-def test_built_output_state_is_the_applied_digest(seed, size):
+def _random_edit(base: Graph, seed: int) -> dict:
+    """``build_patch`` arguments for a random edit of ``base``: deleted nodes,
+    new nodes, new edges among kept and new nodes, and deleted edges."""
     rng = random.Random(seed)
-    base = random_graph(seed % 1000, size, dim=2, edge_prob=0.4)
     ids = sorted(base.node_ids())
     victims = set(rng.sample(ids, rng.randrange(len(ids) + 1)))
     kept = [i for i in ids if i not in victims]
@@ -370,10 +446,69 @@ def test_built_output_state_is_the_applied_digest(seed, size):
             inserts[(src, dst)] = Edge(src, dst, Pose.from_translation(rng.random()))
     deletes = [e for e in base.edges()
                if e.src not in victims and e.dst not in victims and rng.random() < 0.2]
-    patch = build_patch(base, insert_nodes=new, insert_edges=inserts.values(),
-                        delete_ids=victims, delete_edges=deletes)
+    return dict(insert_nodes=new, insert_edges=inserts.values(), delete_ids=victims,
+                delete_edges=deletes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 14))
+def test_built_output_state_is_the_applied_digest(seed, size):
+    base = random_graph(seed % 1000, size, dim=2, edge_prob=0.4)
+    patch = build_patch(base, **_random_edit(base, seed))
     after = apply_patch(base, patch)
     assert patch.output_state == after.digest() == compute_digest_from_scratch(after)
+
+
+# -- a commit reuses the digest its patch was built with -------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 14))
+def test_a_commit_takes_its_digest_from_the_build(seed, size):
+    """Committing a built patch hashes nothing again: the digest comes from
+    ``digest_after`` with the delta still pending, and it is the digest
+    from scratch and of the buffer once folded."""
+    repo = Repository(0, random_graph(seed % 1000, size, dim=2, edge_prob=0.4))
+    patch = build_patch(repo.graph, **_random_edit(repo.graph, seed))
+    repo.commit(patch)
+    g = repo.graph
+    assert g.digest() == patch.output_state == compute_digest_from_scratch(g)
+    assert bool(g._delta) == (not patch.is_empty())  # the fold stays lazy
+    assert hashlib.sha256(g._sorted_hashes()).digest() == g.digest()
+
+
+def _two_inserts(g: Graph):
+    """Two one-node patches against ``g``, each built on its own copy, so
+    ``g`` keeps no build result of either."""
+    gen = NodeIdGenerator(31, 4)
+    return [build_patch(g.copy(), insert_nodes=[mknode(gen, [float(i)])]) for i in range(2)]
+
+
+def test_a_forged_output_state_is_refused_after_a_build():
+    g = random_graph(5, 8, dim=2)
+    for forged in (g.digest(), _two_inserts(g)[0].output_state, bytes(32)):
+        repo = Repository(0, g)
+        built = build_patch(repo.graph, **_random_edit(g, 5))
+        assert not built.is_empty()
+        with pytest.raises(StateMismatch):
+            repo.commit(replace(built, output_state=forged))
+
+
+def test_content_other_than_the_built_delta_is_hashed_afresh():
+    g = random_graph(6, 8, dim=2)
+    first, second = _two_inserts(g)
+    build_patch(g, insert_nodes=first.insert_nodes.values())  # kept on g
+    apply_patch(g, second)  # another delta, on a copy sharing what g kept: hashed
+    with pytest.raises(StateMismatch):  # the kept digest is not taken for it
+        apply_patch(g, replace(second, output_state=first.output_state))
+    # the same delta over another buffer is hashed afresh too
+    kept = g._after
+    g.insert_node(next(iter(second.insert_nodes.values())))
+    g._sorted_hashes()  # a new buffer, with the delta folded in
+    g._after = kept
+    g.insert_node(next(iter(first.insert_nodes.values())))
+    assert g.digest() != first.output_state
+    assert g.digest() == compute_digest_from_scratch(g)
 
 
 def test_built_output_state_with_an_edge_between_two_deleted_nodes():

@@ -17,6 +17,7 @@ from expmarket.patches import (
     CompositionError,
     DanglingEdge,
     DuplicateContent,
+    History,
     MissingTarget,
     Patch,
     Repository,
@@ -400,6 +401,19 @@ def test_history_chain_linearity():
     patches = repo.history.patches
     for a, b in zip(patches, patches[1:]):
         assert a.output_state == b.input_state
+
+
+def test_history_positions_follow_appends_and_copies():
+    repo = Repository(0, random_graph(3, 4))
+    start = repo.digest()
+    repo.commit(random_insert_patch(repo.graph, derive_seed("pos", 0), 2))
+    twin = repo.copy()
+    twin.commit(random_insert_patch(twin.graph, derive_seed("pos", 1), 2))
+    assert repo.history.positions == {start: 0, repo.digest(): 1}
+    assert twin.history.positions == {start: 0, repo.digest(): 1, twin.digest(): 2}
+    assert History(repo.history.origin, list(twin.history.patches)).positions \
+        == twin.history.positions
+    assert [twin.history.state_at(i) for i in range(3)] == [start, repo.digest(), twin.digest()]
 
 
 def _edit(base, seed: int):

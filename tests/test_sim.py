@@ -9,7 +9,9 @@ from expmarket.catalogue import bundled_catalogue
 from expmarket.config import bundled_scenario, parse_scenario_config
 from expmarket.graph import connected_components
 from expmarket.ids import NodeIdGenerator
+from expmarket import sim
 from expmarket.localiser import LocaliserConfig
+from expmarket.merging import IntegrityViolation
 from expmarket.patches import Repository
 from expmarket.sim import (
     ADVISORY_BYTES,
@@ -220,6 +222,18 @@ def test_byte_conservation_error_names_trial_and_epoch():
 # -- failure distribution -------------------------------------------------------------
 
 
+def test_trade_integrity_error_names_the_trial(monkeypatch):
+    def broken(left, right, policy, *, k, **kw):
+        raise IntegrityViolation(f"trade k={k} buyer {left.robot} seller {right.robot}: "
+                                 "trade did not converge to a common state")
+
+    monkeypatch.setattr(sim, "execute_trade", broken)
+    cfg = parse_scenario_config(bundled_scenario("shopping"))
+    with pytest.raises(IntegrityViolation,
+                       match=r"^trial 3 trade k=1 buyer 0 seller \d+: trade did not converge"):
+        run_trial(cfg, seed=5, trial=3)
+
+
 def test_failure_distribution_counting_oracle():
     got = failure_distribution([10.0, 20.0, 20.0, 40.0])
     assert got == [(10.0, 1.0), (20.0, 0.75), (40.0, 0.25)]
@@ -314,8 +328,6 @@ def test_run_scenario_starts_no_more_workers_than_trials_or_cpus(monkeypatch):
     """A process pool may start all its workers at the first submit, so its
     size is capped by the trial count and the CPU count as well as ``jobs``."""
     import concurrent.futures
-
-    from expmarket import sim
 
     sizes = []
 
