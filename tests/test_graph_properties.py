@@ -257,12 +257,12 @@ def _commit_random(repo: Repository, rng: random.Random, gen, pool: list, delete
     pool.extend(n.descriptor for n in new)
     victims = [rng.choice(ids)] if deletes and ids else []
     kept = [i for i in ids if i not in victims]
-    edges = {(a.id, b.id): Edge(a.id, b.id, Pose.from_translation(1.0)) for a, b in zip(new, new[1:])}
+    edges = [Edge(a.id, b.id, Pose.from_translation(1.0)) for a, b in zip(new, new[1:])]
     if kept:
-        edges[(rng.choice(kept), new[0].id)] = Edge(rng.choice(kept), new[0].id, Pose.identity())
+        edges.append(Edge(rng.choice(kept), new[0].id, Pose.identity()))
     gone = [rng.choice(list(repo.graph.edges()))] if deletes and repo.graph.edge_count() else []
     gone = [e for e in gone if e.src not in victims and e.dst not in victims]
-    repo.commit(build_patch(repo.graph, insert_nodes=new, insert_edges=edges.values(),
+    repo.commit(build_patch(repo.graph, insert_nodes=new, insert_edges=edges,
                             delete_ids=victims, delete_edges=gone))
 
 

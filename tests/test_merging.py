@@ -433,31 +433,37 @@ def _insert_on_both_sides(left, right, step: int) -> None:
         repo.commit(random_insert_patch(repo.graph, derive_seed("since", step, repo.robot), 3))
 
 
-def test_unscoped_trades_after_a_common_state_read_only_the_patches_since(monkeypatch):
-    """Once two repositories share a state, an unscoped trade after
-    insert-only commits reads their patches since it and scans no item
-    hashes; a trade with no common state scans."""
-    scans = []
-    scan = Graph.items_missing_from
+def _count_scans(monkeypatch) -> list:
+    """Record the graph of every ``Graph.items_missing_from`` call."""
+    scans, scan = [], Graph.items_missing_from
 
     def counted(graph, other):
         scans.append(graph)
         return scan(graph, other)
 
+    monkeypatch.setattr(Graph, "items_missing_from", counted)
+    return scans
+
+
+def test_unscoped_trades_after_a_common_state_read_only_the_patches_since(monkeypatch):
+    """Once two repositories share a state, an unscoped trade after
+    insert-only commits reads their patches since it and scans no item
+    hashes; a trade with no common state scans."""
+
     def refused(graph, other):
         raise AssertionError("scanned every item hash")
 
     left, right = Repository(0, random_graph(1, 12)), Repository(1, random_graph(2, 12))
-    monkeypatch.setattr(Graph, "items_missing_from", counted)
-    execute_trade(left, right, union_policy())  # no common state: one scan each way
+    with monkeypatch.context() as m:
+        scans = _count_scans(m)
+        execute_trade(left, right, union_policy())  # no common state: one scan each way
     assert len(scans) == 2
     for step, policy in enumerate((union_policy(), match_policy(), union_policy())):
         _insert_on_both_sides(left, right, step)
-        monkeypatch.setattr(Graph, "items_missing_from", refused)
-        out = execute_trade(left, right, policy)
+        with monkeypatch.context() as m:
+            m.setattr(Graph, "items_missing_from", refused)
+            out = execute_trade(left, right, policy)
         assert out.stats.nodes_in == 3 and left.digest() == right.digest()
-        monkeypatch.setattr(Graph, "items_missing_from", counted)
-        execute_trade(left, right, policy)  # equal digests: nothing to read
 
 
 @pytest.mark.parametrize("deleter", [0, 1])
@@ -467,10 +473,7 @@ def test_a_delete_since_the_common_state_brings_the_scan_back(monkeypatch, delet
     _insert_on_both_sides(left, right, 0)
     repo = (left, right)[deleter]
     repo.commit(build_patch(repo.graph, delete_edges=[next(iter(base.edges()))]))
-    scans = []
-    scan = Graph.items_missing_from
-    monkeypatch.setattr(Graph, "items_missing_from",
-                        lambda graph, other: scans.append(graph) or scan(graph, other))
+    scans = _count_scans(monkeypatch)
     out = execute_trade(left, right, union_policy())
     assert len(scans) == 2
     assert left.digest() == right.digest() == compute_digest_from_scratch(left.graph)

@@ -5,11 +5,11 @@ import statistics
 
 import pytest
 
+from expmarket import sim
 from expmarket.catalogue import bundled_catalogue
 from expmarket.config import bundled_scenario, parse_scenario_config
 from expmarket.graph import connected_components
 from expmarket.ids import NodeIdGenerator
-from expmarket import sim
 from expmarket.localiser import LocaliserConfig
 from expmarket.merging import IntegrityViolation
 from expmarket.patches import Repository
@@ -219,9 +219,6 @@ def test_byte_conservation_error_names_trial_and_epoch():
         _check_byte_conservation(net, trial=2, k=5)
 
 
-# -- failure distribution -------------------------------------------------------------
-
-
 def test_trade_integrity_error_names_the_trial(monkeypatch):
     def broken(left, right, policy, *, k, **kw):
         raise IntegrityViolation(f"trade k={k} buyer {left.robot} seller {right.robot}: "
@@ -232,6 +229,9 @@ def test_trade_integrity_error_names_the_trial(monkeypatch):
     with pytest.raises(IntegrityViolation,
                        match=r"^trial 3 trade k=1 buyer 0 seller \d+: trade did not converge"):
         run_trial(cfg, seed=5, trial=3)
+
+
+# -- failure distribution -------------------------------------------------------------
 
 
 def test_failure_distribution_counting_oracle():
