@@ -197,10 +197,10 @@ class Graph:
     last brought up to date, which ``_sorted_hashes`` does by one splice
     (``_spliced``) into a new buffer, whatever the delta's size. ``digest``
     hashes the buffer, and ``digest_after`` streams the splice of an item
-    delta. ``_after`` keeps the last ``digest_after`` result as (buffer,
-    delta, digest), a pure function of the first two; ``digest`` takes it
-    when ``_sorted`` is that buffer and ``_delta`` equals that delta, and
-    hashes otherwise. The fold stays lazy either way. A node entry in
+    delta. ``_after`` keeps the last ``digest_after`` result as (delta,
+    digest) over the current buffer; every fold clears it, as the buffer it
+    was computed over is then gone. ``digest`` takes it when ``_delta``
+    equals that delta, and hashes otherwise. The fold stays lazy either way. A node entry in
     ``_items`` may carry a stale ``path_memory``; the current record is in
     ``_nodes``.
 
@@ -222,7 +222,7 @@ class Graph:
         self._sorted = b""
         self._delta: dict[bytes, bool] = {}
         self._digest: StateDigest | None = EMPTY_GRAPH_DIGEST
-        self._after: tuple[bytes, dict[bytes, bool], StateDigest] | None = None
+        self._after: tuple[dict[bytes, bool], StateDigest] | None = None
         self._desc_index: DescriptorIndex | None = None
 
     # -- content access -------------------------------------------------
@@ -382,8 +382,8 @@ class Graph:
     def digest(self) -> StateDigest:
         if self._digest is None:
             after = self._after
-            if after is not None and after[0] is self._sorted and after[1] == self._delta:
-                self._digest = after[2]  # digest_after hashed this very content
+            if after is not None and after[0] == self._delta:
+                self._digest = after[1]  # digest_after hashed this very content
             else:
                 self._digest = hashlib.sha256(self._sorted_hashes()).digest()
         return self._digest
@@ -396,11 +396,10 @@ class Graph:
         the segments of the splice. Raises ``KeyError`` for a dropped hash
         the graph does not hold.
 
-        The result is kept with the buffer it read and the delta as
-        ``_track`` would record it, when no hash repeats. ``digest`` serves it
-        while the graph still holds that buffer with exactly that delta
-        pending, so a commit of the patch this was computed for hashes
-        nothing again.
+        The result is kept with the delta as ``_track`` would record it,
+        when no hash repeats, until the next fold replaces the buffer it
+        read. ``digest`` serves it while exactly that delta is pending, so a
+        commit of the patch this was computed for hashes nothing again.
         """
         dropped, added = list(dropped), list(added)
         buf = self._sorted_hashes()
@@ -415,7 +414,7 @@ class Graph:
         delta = dict.fromkeys(dropped, False)
         delta.update(dict.fromkeys(added, True))
         if len(delta) == len(dropped) + len(added):
-            self._after = buf, delta, digest
+            self._after = delta, digest
         return digest
 
     def descriptor_index(self) -> DescriptorIndex:

@@ -282,8 +282,7 @@ def execute_trade(left: Repository, right: Repository, policy: CommutationPolicy
     (digest-checked), and when their digests differ ``diff`` reads only
     each side's patches since the newest state both histories hold
     (``patches_since_common``), falling back to a scan of every item hash
-    when there is none, when either side deleted anything since it, or when
-    the patches since it insert more items than a graph holds. A product
+    when there is none or when either side deleted anything since it. A product
     scope restricts the exchange to catalogue sections on the buyer's
     shopping list, converging those sections only, and keeps the scan.
     ``enforce=False`` skips the convergence and reconnection checks so

@@ -348,11 +348,8 @@ class Repository:
         return Repository(self.robot, self.graph, self.history.copy())
 
 
-def _budget_after(budget: int, patch: Patch) -> int:
-    """``budget`` less the items ``patch`` inserts, or -1 when it deletes."""
-    if patch.delete_nodes or patch.delete_edges:
-        return -1
-    return budget - len(patch.insert_nodes) - len(patch.insert_edges)
+def _deletes(patch: Patch) -> bool:
+    return bool(patch.delete_nodes or patch.delete_edges)
 
 
 def patches_since_common(mine: Repository, theirs: Repository
@@ -362,26 +359,20 @@ def patches_since_common(mine: Repository, theirs: Repository
 
     The walk goes back from the tip of ``theirs``' history to the first
     state ``mine``'s history holds. It gives up, and None is returned, when
-    no such state exists, when a patch of either side since it deletes a
-    node or an edge, or when one side's patches since it insert more items
-    than the other side's graph holds, since a scan is then no dearer. A
-    graph that is not in its history's tip state, after a commit that
-    failed part way, also gives None.
+    no such state exists or when a patch of either side since it deletes a
+    node or an edge. Each step back passes a patch that inserts what the
+    scan would read too, so the walk costs no more than the scan. A graph
+    that is not in its history's tip state, after a commit that failed part
+    way, also gives None.
     """
     a, b = mine.history, theirs.history
     if a.state_at(len(a)) != mine.digest() or b.state_at(len(b)) != theirs.digest():
         return None
-    i, budget = len(b), len(mine.graph) + mine.graph.edge_count()
+    i = len(b)
     while (at := a.positions.get(b.state_at(i))) is None:
-        if i == 0:
+        if i == 0 or _deletes(b.patches[i - 1]):
             return None
         i -= 1
-        budget = _budget_after(budget, b.patches[i])
-        if budget < 0:
-            return None
-    budget = len(theirs.graph) + theirs.graph.edge_count()
-    for patch in a.patches[at:]:
-        budget = _budget_after(budget, patch)
-        if budget < 0:
-            return None
+    if any(map(_deletes, a.patches[at:])):
+        return None
     return a.patches[at:], b.patches[i:]
