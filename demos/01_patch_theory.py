@@ -62,10 +62,14 @@ right = Repository(1, g)
 left.commit(build_patch(left.graph, insert_nodes=[place(25.0, 30), place(30.0, 31)]))
 right.commit(build_patch(right.graph, insert_nodes=[place(40.0, 8), place(45.0, 14)]))
 
-incoming, outgoing = diff(left.graph, right.graph)
+incoming, outgoing = diff(left.graph, right.graph)  # content only: nothing is hashed
 print(f"left lacks {len(incoming.insert_nodes)} nodes, "
       f"right lacks {len(outgoing.insert_nodes)}")
-u_left = apply_patch(left.graph, incoming)
-u_right = apply_patch(right.graph, outgoing)
+to_left = build_patch(left.graph, insert_nodes=incoming.insert_nodes.values(),
+                      insert_edges=incoming.insert_edges)
+to_right = build_patch(right.graph, insert_nodes=outgoing.insert_nodes.values(),
+                       insert_edges=outgoing.insert_edges)
+u_left = apply_patch(left.graph, to_left)
+u_right = apply_patch(right.graph, to_right)
 print(f"both sides reach the union state: {u_left.digest() == u_right.digest()}"
       f" ({len(u_left)} nodes)")

@@ -16,9 +16,10 @@ one sorted ``bytes`` buffer of 32-byte hash records. The next read of the
 buffer folds the pending hashes in by one splice, which joins a new buffer
 once from the old one's unchanged runs and the added hashes. A digest is
 then one SHA-256 over that buffer. ``Graph.digest_after`` gives the digest
-the graph would have after an item delta by streaming SHA-256 over the
-same splice; it copies nothing and changes no content, and keeps its
-result, so that committing exactly that delta hashes nothing again.
+the graph would have after an item delta: it joins the spliced buffer once
+and hashes it once, changes no content, and keeps the buffer and digest,
+so that committing exactly that delta adopts them and splices and hashes
+nothing again.
 ``Graph.items_missing_from`` finds the items one graph holds and another
 lacks by a C-level scan of the hashes, and returns nothing at once when
 the two digests agree: equal content-addressed states hold equal item-hash
@@ -137,12 +138,22 @@ def node_record(node: Node) -> bytes:
 class Edge:
     """Directed edge carrying the 6DoF relative pose between two places.
 
-    ``item_hash`` is cached as on ``Node``.
+    ``item_hash`` is cached as on ``Node``, and so is the value of
+    ``hash()``: the one the dataclass would compute, ``hash((src, dst,
+    pose))``, so sets of edges iterate in the same order.
     """
 
     src: NodeId
     dst: NodeId
     pose: Pose
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @_cached
+    def _hash(self) -> int:
+        """``hash((src, dst, pose))``, the dataclass's own hash, kept."""
+        return hash((self.src, self.dst, self.pose))
 
     def content_bytes(self) -> bytes:
         """The edge's record, the same in item hashes and on the wire."""
@@ -196,13 +207,15 @@ class Graph:
     holds the hashes added (True) or dropped (False) since the buffer was
     last brought up to date, which ``_sorted_hashes`` does by one splice
     (``_spliced``) into a new buffer, whatever the delta's size. ``digest``
-    hashes the buffer, and ``digest_after`` streams the splice of an item
-    delta. ``_after`` keeps the last ``digest_after`` result as (delta,
-    digest) over the current buffer; every fold clears it, as the buffer it
-    was computed over is then gone. ``digest`` takes it when ``_delta``
-    equals that delta, and hashes otherwise. The fold stays lazy either way. A node entry in
-    ``_items`` may carry a stale ``path_memory``; the current record is in
-    ``_nodes``.
+    hashes the buffer, and ``digest_after`` splices and hashes the buffer an
+    item delta leads to. ``_after`` keeps the last ``digest_after`` result
+    as (delta, digest, buffer) over the current buffer; every fold clears
+    it, as the buffer it was computed over is then gone. A fold while
+    ``_delta`` equals that delta installs the kept buffer and digest instead
+    of splicing; any other delta is spliced and hashed. Kept buffers are
+    immutable ``bytes``, so copies that share ``_after`` may each adopt the
+    same one. A node entry in ``_items`` may carry a stale ``path_memory``;
+    the current record is in ``_nodes``.
 
     ``_desc_index`` caches ``descriptor_index``: the first nodes of
     ``_nodes`` in insertion order, which ``descriptor_index`` extends by the
@@ -222,7 +235,7 @@ class Graph:
         self._sorted = b""
         self._delta: dict[bytes, bool] = {}
         self._digest: StateDigest | None = EMPTY_GRAPH_DIGEST
-        self._after: tuple[dict[bytes, bool], StateDigest] | None = None
+        self._after: tuple[dict[bytes, bool], StateDigest, bytes] | None = None
         self._desc_index: DescriptorIndex | None = None
 
     # -- content access -------------------------------------------------
@@ -365,56 +378,50 @@ class Graph:
         self._digest = None
 
     def _sorted_hashes(self) -> bytes:
-        """The sorted hash buffer, with the pending delta folded in: a new
-        buffer, joined once, whenever there was a delta."""
+        """The sorted hash buffer, with the pending delta folded in: the
+        buffer ``digest_after`` spliced for exactly that delta, whose digest
+        is then taken too, or else a new buffer spliced and joined once."""
         delta = self._delta
         if delta:
-            buf = self._sorted
-            rest = _spliced(buf, [h for h, added in delta.items() if not added],
-                            [h for h, added in delta.items() if added])
-            lo, hi = next(rest)
-            view = memoryview(buf)
-            self._sorted = b"".join([view[:lo], *rest, view[hi:]])
+            after = self._after
+            if after is not None and after[0] == delta:
+                _, self._digest, self._sorted = after  # digest_after built this very buffer
+            else:
+                self._sorted = _spliced(self._sorted,
+                                        [h for h, added in delta.items() if not added],
+                                        [h for h, added in delta.items() if added])
             delta.clear()
             self._after = None  # it names the old buffer
         return self._sorted
 
     def digest(self) -> StateDigest:
         if self._digest is None:
-            after = self._after
-            if after is not None and after[0] == self._delta:
-                self._digest = after[1]  # digest_after hashed this very content
-            else:
-                self._digest = hashlib.sha256(self._sorted_hashes()).digest()
+            buf = self._sorted_hashes()  # may take the digest of an adopted buffer
+            if self._digest is None:
+                self._digest = hashlib.sha256(buf).digest()
         return self._digest
 
     def digest_after(self, dropped: Iterable[bytes], added: Iterable[bytes]) -> StateDigest:
         """The digest this graph would have with ``dropped`` item hashes
         removed and ``added`` ones inserted; the graph is not changed.
 
-        SHA-256 streams over the buffer up to the first change, then over
-        the segments of the splice. Raises ``KeyError`` for a dropped hash
-        the graph does not hold.
+        The buffer is spliced and joined once, and hashed by one SHA-256
+        call. Raises ``KeyError`` for a dropped hash the graph does not hold.
 
-        The result is kept with the delta as ``_track`` would record it,
-        when no hash repeats, until the next fold replaces the buffer it
-        read. ``digest`` serves it while exactly that delta is pending, so a
-        commit of the patch this was computed for hashes nothing again.
+        The result is kept as (delta, digest, buffer), with the delta as
+        ``_track`` would record it, when no hash repeats, until the next fold
+        replaces the buffer it read. The next fold while exactly that delta
+        is pending installs the kept buffer and digest instead of splicing,
+        so a commit of the patch this was computed for splices and hashes
+        nothing again.
         """
         dropped, added = list(dropped), list(added)
-        buf = self._sorted_hashes()
-        rest = _spliced(buf, dropped, added)
-        lo, hi = next(rest)
-        view = memoryview(buf)
-        sha = hashlib.sha256(view[:lo])
-        for segment in rest:
-            sha.update(segment)
-        sha.update(view[hi:])
-        digest = sha.digest()
+        buf = _spliced(self._sorted_hashes(), dropped, added)
+        digest = hashlib.sha256(buf).digest()
         delta = dict.fromkeys(dropped, False)
         delta.update(dict.fromkeys(added, True))
         if len(delta) == len(dropped) + len(added):
-            self._after = delta, digest
+            self._after = delta, digest, buf
         return digest
 
     def descriptor_index(self) -> DescriptorIndex:
@@ -446,13 +453,11 @@ def _offsets(buf: bytes, hashes: list[bytes]) -> list[int]:
     return (found * _REC).tolist()
 
 
-def _spliced(buf: bytes, dropped: Iterable[bytes], added: Iterable[bytes]) -> Iterator:
-    """The sorted buffer with ``added`` hashes spliced in and ``dropped``
-    records skipped, as a stream: first ``(lo, hi)``, the byte offsets where
-    the first change starts and the last one ends, then the segments that
-    replace ``buf[lo:hi]``, in order: views into ``buf`` between changes, and
-    the added hashes. Raises ``KeyError`` for a dropped hash the buffer
-    lacks, before ``(lo, hi)``."""
+def _spliced(buf: bytes, dropped: Iterable[bytes], added: Iterable[bytes]) -> bytes:
+    """A new sorted buffer: ``buf`` with ``added`` hashes spliced in and
+    ``dropped`` records skipped, joined once from views of ``buf``'s
+    unchanged runs and the added hashes. Raises ``KeyError`` for a dropped
+    hash the buffer lacks."""
     added, dropped = sorted(added), list(dropped)  # sorted: the cuts come in order
     offsets = _offsets(buf, added + dropped)
     # (offset, 0, hash) splices the hash in before the record at offset;
@@ -463,15 +468,17 @@ def _spliced(buf: bytes, dropped: Iterable[bytes], added: Iterable[bytes]) -> It
             raise KeyError(h)
         cuts.append((at, _REC, h))
     cuts.sort()
-    lo = start = cuts[0][0] if cuts else len(buf)
-    yield lo, cuts[-1][0] + cuts[-1][1] if cuts else lo
     view = memoryview(buf)
+    parts = []
+    start = 0
     for at, skip, h in cuts:
-        if at != start:  # no empty views: a bulk build is the added hashes alone
-            yield view[start:at]
+        if at != start:  # no empty views: a bulk build joins the added hashes alone
+            parts.append(view[start:at])
         if not skip:
-            yield h
+            parts.append(h)
         start = at + skip
+    parts.append(view[start:])
+    return b"".join(parts)
 
 
 def compute_digest_from_scratch(graph: Graph) -> StateDigest:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .graph import DescriptorIndex, Graph, Observation, neighbourhood
 from .ids import NodeId
-from .patches import Patch
+from .patches import Inserts, Patch
 
 
 @dataclass
@@ -128,9 +128,10 @@ def localise(graph: Graph, obs: Observation, cfg: LocaliserConfig,
     return None
 
 
-def match_patches(left: Patch, right: Patch, cfg: LocaliserConfig,
+def match_patches(left: Patch | Inserts, right: Patch | Inserts, cfg: LocaliserConfig,
                   counter: MatchCounter | None = None) -> MatchSet:
-    """Greedy one-to-one matching between two insert-only divergent patches.
+    """Greedy one-to-one matching between two insert-only divergent patches
+    (or the ``Inserts`` of a ``diff``); only their inserted nodes are read.
 
     All cross pairs are ranked by ascending descriptor distance and accepted
     while within tau_m and both endpoints are unmatched. Ties are broken by

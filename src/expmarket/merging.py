@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .graph import Edge, Graph, Node
 from .ids import NodeId, RobotId, id_text
 from .localiser import LocaliserConfig, MatchCounter, MatchSet, match_patches
-from .patches import Patch, Repository, build_patch, diff, patches_since_common
+from .patches import Inserts, Patch, Repository, build_patch, diff, patches_since_common
 from .serialize import patch_wire_size
 
 
@@ -120,11 +120,11 @@ class ConvergentPatchPair:
     drops_right: dict = field(default_factory=dict, hash=False, compare=False)
 
 
-def _side_patch(side: Graph, carried: Patch, drop_map: dict[NodeId, NodeId],
+def _side_patch(side: Graph, carried: Inserts, drop_map: dict[NodeId, NodeId],
                 faults: frozenset[str]) -> Patch:
     """One side's convergent patch from the symmetric merge description.
 
-    ``carried`` is the diff patch headed for this side; ``drop_map`` sends
+    ``carried`` is the diff content headed for this side; ``drop_map`` sends
     every dropped node id (either side) to its keeper. Matched drops held
     here are deleted with their neighbourhood rewired; matched drops on the
     carried side are simply not inserted. Fault flags exist solely for the
@@ -145,7 +145,9 @@ def _side_patch(side: Graph, carried: Patch, drop_map: dict[NodeId, NodeId],
 
     def offer(e: Edge | None) -> None:
         if e is not None:
-            candidates.setdefault((e.src, e.dst), []).append(e)
+            cands = candidates.setdefault((e.src, e.dst), [])
+            if e not in cands:  # an edge between two own drops is rewired twice
+                cands.append(e)
 
     def remap(e: Edge) -> Edge | None:
         src = drop_map.get(e.src, e.src)
@@ -183,18 +185,24 @@ def _side_patch(side: Graph, carried: Patch, drop_map: dict[NodeId, NodeId],
                        insert_edges=edge_inserts, delete_ids=delete_ids)
 
 
-def commute(incoming: Patch, outgoing: Patch, policy: CommutationPolicy,
+def commute(incoming: Inserts, outgoing: Inserts, policy: CommutationPolicy,
             left: Graph, right: Graph, counter: MatchCounter | None = None,
             _faults: frozenset[str] = frozenset()) -> ConvergentPatchPair:
-    """Turn the divergent diff pair into per-side convergent patches.
+    """Turn the divergent diff pair into per-side convergent patches, built
+    against ``left`` and ``right``: the only patches of a trade, so each
+    side's item delta is spliced and hashed once (``build_patch``).
 
-    Under UNION the diff pair passes through verbatim. Under MATCH, the
-    localiser pairs up closely matching content across the two patches, the
-    choice policy picks each pair's survivor, and both sides' patches are
-    derived from that one shared decision.
+    Under UNION each side's patch carries its diff content verbatim. Under
+    MATCH, the localiser pairs up closely matching content across the two
+    sides, the choice policy picks each pair's survivor, and both sides'
+    patches are derived from that one shared decision.
     """
     if policy.kind is Commutation.UNION:
-        return ConvergentPatchPair(for_left=incoming, for_right=outgoing)
+        return ConvergentPatchPair(
+            for_left=build_patch(left, insert_nodes=incoming.insert_nodes.values(),
+                                 insert_edges=incoming.insert_edges),
+            for_right=build_patch(right, insert_nodes=outgoing.insert_nodes.values(),
+                                  insert_edges=outgoing.insert_edges))
 
     matches = match_patches(outgoing, incoming, policy.localiser, counter)
     drops_left: dict[NodeId, NodeId] = {}
@@ -276,7 +284,9 @@ def execute_trade(left: Repository, right: Repository, policy: CommutationPolicy
     """A pairwise exchange: diff, commute, and commit each side's patch to
     ``left`` and ``right`` in place; the outcome holds those same two
     repositories. Empty patches are not recorded. Each patch is built
-    against the graph it is committed to, so its input state matches.
+    against the graph it is committed to, so its input state matches, and
+    the commit adopts the hash buffer and digest its build spliced: one
+    splice and one SHA-256 pass per side that changes.
 
     With no product scope the two repositories end in the same state
     (digest-checked), and when their digests differ ``diff`` reads only

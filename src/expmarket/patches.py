@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph import EMPTY_GRAPH_DIGEST, Edge, Graph, Node, StateDigest
 from .ids import NodeId, RobotId, id_text
@@ -74,6 +74,23 @@ class Patch:
                     or self.insert_edges or self.delete_edges)
 
 
+class Inserts(NamedTuple):
+    """What one side of a trade lacks of the other (``diff``): the content
+    of an insert-only patch, not built against any state, so nothing is
+    hashed. ``build_patch`` makes it a patch, as ``Patch`` fields of the
+    same names: ``insert_nodes`` in candidate order, and ``insert_edges``.
+    Treat both as read-only, as a patch's."""
+
+    insert_nodes: dict[NodeId, Node]
+    insert_edges: frozenset[Edge]
+
+    def is_empty(self) -> bool:
+        return not (self.insert_nodes or self.insert_edges)
+
+
+_NOTHING = Inserts({}, frozenset())  # shared: its dict is never changed
+
+
 def _remove_edges(graph: Graph, edges: Iterable[Edge]) -> None:
     for e in edges:
         if not graph.has_edge(e.src, e.dst):
@@ -121,12 +138,12 @@ def apply_patch(graph: Graph, patch: Patch) -> Graph:
     """A copy of ``graph`` with ``patch`` applied; ``graph`` is not changed.
 
     The patch's input state must be the graph's digest. This costs one
-    ``Graph.copy`` plus O(|patch|), and one SHA-256 over the result's item
-    hashes unless the patch's item delta is the one ``build_patch`` last
-    streamed against this graph (``Graph.digest_after``), whose digest is
-    then taken as it is. The output state is checked against the result's
-    digest either way. A repository commits in place instead
-    (``Repository.commit``).
+    ``Graph.copy`` plus O(|patch|), and one splice and one SHA-256 over the
+    result's item hashes unless the patch's item delta is the one
+    ``build_patch`` last spliced against this graph (``Graph.digest_after``),
+    whose buffer and digest the result then adopts as they are. The output
+    state is checked against the result's digest either way. A repository
+    commits in place instead (``Repository.commit``).
     """
     result = graph.copy()
     _apply_in_place(result, patch)
@@ -193,7 +210,8 @@ def build_patch(
     invertible.
 
     The output state is the base digest with the patch's item delta spliced
-    in (``Graph.digest_after``); nothing is applied here. A deleted node or
+    in (``Graph.digest_after``); nothing is applied here, and the base keeps
+    the spliced buffer for the commit of this patch. A deleted node or
     edge the base lacks raises ``MissingTarget``. Other malformed content (a
     dangling or duplicate insertion) is refused at commit, with the same
     ``PatchError``.
@@ -223,15 +241,18 @@ def build_patch(
 
 
 def diff(mine: Graph, theirs: Graph, products: set[int] | None = None,
-         since: tuple[Sequence[Patch], Sequence[Patch]] | None = None) -> tuple[Patch, Patch]:
+         since: tuple[Sequence[Patch], Sequence[Patch]] | None = None) -> tuple[Inserts, Inserts]:
     """The divergent insert pair: what I lack of theirs, what they lack of mine.
 
-    ``incoming`` applied to ``mine`` and ``outgoing`` applied to ``theirs``
-    both reach the union state. Besides each new node's own out-edges, the
-    edges from shared nodes into the transferred content are inserted too. A
-    product scope narrows the transfer to nodes labelled with those
-    catalogue sections; inserted edges are always restricted to endpoints
-    that survive on the receiving side, so nothing ever dangles.
+    Each direction is content only (``Inserts``) and nothing is hashed:
+    ``merging.commute`` builds the patches that are committed. ``incoming``
+    built against and applied to ``mine``, and ``outgoing`` built against
+    and applied to ``theirs``, both reach the union state. Besides each new
+    node's own out-edges, the edges from shared nodes into the transferred
+    content are inserted too. A product scope narrows the transfer to nodes
+    labelled with those catalogue sections; inserted edges are always
+    restricted to endpoints that survive on the receiving side, so nothing
+    ever dangles.
 
     The candidates are the items one side holds and the other lacks. With
     ``since`` (my patches and their patches since a state S both graphs
@@ -243,14 +264,16 @@ def diff(mine: Graph, theirs: Graph, products: set[int] | None = None,
     is the order its patches since S were applied in.
     """
 
-    def one_way(dst_graph: Graph, src_graph: Graph, inserted: Sequence[Patch] | None) -> Patch:
-        # every item the patch carries is one whose hash dst_graph lacks
+    def one_way(dst_graph: Graph, src_graph: Graph, inserted: Sequence[Patch] | None) -> Inserts:
+        # every item carried is one whose hash dst_graph lacks
         if inserted is None:
             cand_nodes, cand_edges = src_graph.items_missing_from(dst_graph)
         else:
             cand_nodes, cand_edges = src_graph.listed_missing_from(
                 dst_graph, chain.from_iterable(p.insert_nodes.values() for p in inserted),
                 chain.from_iterable(p.insert_edges for p in inserted))
+        if not (cand_nodes or cand_edges):
+            return _NOTHING  # a no-op trade's side: no filters, no new objects
         nodes = [n for n in cand_nodes
                  if n.id not in dst_graph and (products is None or n.product in products)]
         new_ids = {n.id for n in nodes}
@@ -261,7 +284,7 @@ def diff(mine: Graph, theirs: Graph, products: set[int] | None = None,
             and (e.src in new_ids
                  or (e.src in dst_graph and not dst_graph.has_edge(e.src, e.dst)))
         }
-        return build_patch(dst_graph, insert_nodes=nodes, insert_edges=edges)
+        return Inserts({n.id: n for n in nodes}, frozenset(edges))
 
     mine_since, theirs_since = since or (None, None)
     return one_way(mine, theirs, theirs_since), one_way(theirs, mine, mine_since)

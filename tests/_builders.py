@@ -6,7 +6,7 @@ import random
 
 from expmarket.graph import Edge, Graph, Node
 from expmarket.ids import NodeIdGenerator, derive_seed
-from expmarket.patches import Patch, build_patch
+from expmarket.patches import Inserts, Patch, build_patch, diff
 from expmarket.pose import Pose
 
 
@@ -62,3 +62,17 @@ def random_insert_patch(base: Graph, seed: int, n_new: int, dim: int = 4) -> Pat
     if base_ids and nodes:
         edges.add(Edge(rng.choice(base_ids), nodes[0].id, Pose.from_translation(5.0)))
     return build_patch(base, insert_nodes=nodes, insert_edges=edges)
+
+
+def built(base: Graph, inserts: Inserts) -> Patch:
+    """One direction of ``diff`` built into a patch against the graph it is
+    headed for, as ``commute`` does under UNION."""
+    return build_patch(base, insert_nodes=inserts.insert_nodes.values(),
+                       insert_edges=inserts.insert_edges)
+
+
+def diff_patches(mine: Graph, theirs: Graph, *args) -> tuple[Patch, Patch]:
+    """``diff(mine, theirs, *args)`` with each direction built against its
+    receiving graph."""
+    incoming, outgoing = diff(mine, theirs, *args)
+    return built(mine, incoming), built(theirs, outgoing)

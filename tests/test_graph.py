@@ -130,3 +130,14 @@ def test_export_text_lists_every_item():
     assert all(l.startswith(("node\t", "edge\t")) for l in lines)
     # deterministic: same content, same bytes
     assert export_text(g.copy()) == text
+
+
+def test_an_edge_keeps_the_dataclass_hash():
+    """``Edge`` caches ``hash((src, dst, pose))``, the value its dataclass
+    would give, so sets of edges keep their iteration order."""
+    g = random_graph(4, 12, edge_prob=0.4)
+    for e in g.edges():
+        fresh = Edge(e.src, e.dst, e.pose)
+        assert hash(fresh) == hash((e.src, e.dst, e.pose))
+        assert vars(fresh)["_hash"] == hash(fresh)  # kept on the instance
+        assert fresh == e

@@ -15,13 +15,14 @@ from expmarket import graph as graph_module
 from expmarket.graph import Edge, Graph, compute_digest_from_scratch, export_text
 from expmarket.ids import NodeIdGenerator
 from expmarket.merging import Commutation, CommutationPolicy, execute_trade
+from expmarket.localiser import LocaliserConfig
 from expmarket.patches import (DanglingEdge, DuplicateContent, MissingTarget, Repository,
-                               StateMismatch, apply_patch, build_patch, diff, patches_equal,
-                               patches_since_common)
+                               StateMismatch, _apply_in_place, apply_patch, build_patch, diff,
+                               patches_equal, patches_since_common)
 from expmarket.pose import Pose
 from expmarket.serialize import patch_to_bytes
 
-from _builders import chain_graph, mknode, random_graph
+from _builders import built, chain_graph, diff_patches, mknode, random_graph
 
 # -- a graph and its copies under random mutation -----------------------------
 
@@ -229,7 +230,7 @@ def test_diff_matches_full_edge_scan(seed, size, products):
     rng = random.Random(seed)
     base = random_graph(seed % 1000, size, dim=2, edge_prob=0.25)
     left, right = _diverge(base, rng, 1), _diverge(base, rng, 2)
-    got = diff(left, right, products=products)
+    got = diff_patches(left, right, products)
     want = reference_diff(left, right, products=products)
     for a, b in zip(got, want):
         assert patches_equal(a, b)
@@ -266,8 +267,9 @@ def _commit_random(repo: Repository, rng: random.Random, gen, pool: list, delete
                             delete_ids=victims, delete_edges=gone))
 
 
-def _assert_same_diff(got, want) -> None:
-    for a, b in zip(got, want):
+def _assert_same_diff(mine: Graph, theirs: Graph, got, want) -> None:
+    for dst, got_inserts, want_inserts in zip((mine, theirs), got, want):
+        a, b = built(dst, got_inserts), built(dst, want_inserts)
         assert patches_equal(a, b)
         assert (a.input_state, a.output_state) == (b.input_state, b.output_state)
         assert list(a.insert_nodes) == list(b.insert_nodes)
@@ -305,12 +307,15 @@ def test_history_diff_matches_the_scan(seed, robots, shared, steps):
                     continue
                 since = patches_since_common(mine, theirs)
                 scan = diff(mine.graph, theirs.graph)
-                for got, want in zip(scan, reference_diff(mine.graph, theirs.graph)):
+                for got, want in zip(diff_patches(mine.graph, theirs.graph),
+                                     reference_diff(mine.graph, theirs.graph)):
                     assert patches_equal(got, want)
                 if since is not None:
-                    _assert_same_diff(diff(mine.graph, theirs.graph, since=since), scan)
+                    _assert_same_diff(mine.graph, theirs.graph,
+                                      diff(mine.graph, theirs.graph, since=since), scan)
                     scope = {rng.randrange(4)}
-                    _assert_same_diff(diff(mine.graph, theirs.graph, scope, since),
+                    _assert_same_diff(mine.graph, theirs.graph,
+                                      diff(mine.graph, theirs.graph, scope, since),
                                       diff(mine.graph, theirs.graph, scope))
 
 
@@ -465,16 +470,89 @@ def test_built_output_state_is_the_applied_digest(seed, size):
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 14))
 def test_a_commit_takes_its_digest_from_the_build(seed, size):
-    """Committing a built patch hashes nothing again: the digest comes from
-    ``digest_after`` with the delta still pending, and it is the digest
-    from scratch and of the buffer once folded."""
+    """Committing a built patch splices and hashes nothing again: the
+    commit adopts the buffer and digest ``digest_after`` made, and the
+    digest is the one from scratch and of the adopted buffer."""
     repo = Repository(0, random_graph(seed % 1000, size, dim=2, edge_prob=0.4))
     patch = build_patch(repo.graph, **_random_edit(repo.graph, seed))
+    kept = repo.graph._after
     repo.commit(patch)
     g = repo.graph
     assert g.digest() == patch.output_state == compute_digest_from_scratch(g)
-    assert bool(g._delta) == (not patch.is_empty())  # the fold stays lazy
+    assert not g._delta and g._after is None  # the build's buffer is adopted
+    if not patch.is_empty():
+        assert g._sorted is kept[2]
     assert hashlib.sha256(g._sorted_hashes()).digest() == g.digest()
+
+
+def _sorted_scratch_hashes(g: Graph) -> bytes:
+    return b"".join(sorted(_item_hashes(g)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 14))
+def test_a_commit_leaves_no_delta_to_fold(seed, size):
+    repo = Repository(0, random_graph(seed % 1000, size, dim=2, edge_prob=0.4))
+    repo.commit(build_patch(repo.graph, **_random_edit(repo.graph, seed)))
+    assert not repo.graph._delta
+    assert repo.graph._sorted_hashes() == _sorted_scratch_hashes(repo.graph)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 14))
+def test_a_copy_and_its_original_adopt_one_built_buffer(seed, size):
+    """A copy shares the kept build result: applying the patch to a copy
+    and then committing it to the original leaves both right."""
+    g = random_graph(seed % 1000, size, dim=2, edge_prob=0.4)
+    patch = build_patch(g, **_random_edit(g, seed))
+    kept = g._after
+    copy = apply_patch(g, patch)
+    _apply_in_place(g, patch)
+    for h in (copy, g):
+        assert h.digest() == patch.output_state == compute_digest_from_scratch(h)
+        assert h._sorted_hashes() == _sorted_scratch_hashes(h)
+        if not patch.is_empty():
+            assert h._sorted is kept[2]
+
+
+@pytest.mark.parametrize("policy", [Commutation.UNION, Commutation.MATCH])
+def test_a_trade_splices_and_hashes_each_changed_side_once(monkeypatch, policy):
+    """Each side of a trade that changes is built once (one ``digest_after``
+    call) and spliced once; its commit adopts that buffer."""
+    gen = NodeIdGenerator(17, 5)
+    base = random_graph(17, 8, dim=2, edge_prob=0.3)
+    sides = [Repository(r, base) for r in range(2)]
+    anchor = next(iter(base.node_ids()))
+    for r, repo in enumerate(sides):
+        # near-twins across the two sides, so that MATCH pairs them; each
+        # side wins some pairs, so each side deletes and inserts nodes
+        new = [mknode(gen, [float(i), 0.001 * r], inlier_count=(r + i) % 2) for i in range(3)]
+        edges = [Edge(anchor, new[0].id, Pose.identity())]
+        edges += [Edge(a.id, b.id, Pose.from_translation(1.0)) for a, b in zip(new, new[1:])]
+        repo.commit(build_patch(repo.graph, insert_nodes=new, insert_edges=edges))
+        repo.graph.digest()
+    calls = {"digest_after": 0, "splice": 0}
+    digest_after, spliced = Graph.digest_after, graph_module._spliced
+
+    def counted_digest_after(self, dropped, added):
+        calls["digest_after"] += 1
+        return digest_after(self, dropped, added)
+
+    def counted_splice(buf, dropped, added):
+        calls["splice"] += 1
+        return spliced(buf, dropped, added)
+
+    monkeypatch.setattr(Graph, "digest_after", counted_digest_after)
+    monkeypatch.setattr(graph_module, "_spliced", counted_splice)
+    out = execute_trade(sides[0], sides[1],
+                        CommutationPolicy(policy, localiser=LocaliserConfig(tau_m=0.1)))
+    changed = sum(not p.is_empty() for p in (out.pair.for_left, out.pair.for_right))
+    assert changed == 2
+    assert policy is Commutation.UNION or out.stats.matches == 3
+    for repo in sides:
+        assert repo.digest() == compute_digest_from_scratch(repo.graph)
+        assert not repo.graph._delta
+    assert calls == {"digest_after": changed, "splice": changed}
 
 
 def _two_inserts(g: Graph):
@@ -553,7 +631,7 @@ def test_equal_content_diffs_to_two_empty_patches(products):
     assert g.digest() == other.digest() == twin.digest()
     for a, b in ((g, other), (other, g), (g, twin), (twin, other)):
         assert a.items_missing_from(b) == ([], [])
-        incoming, outgoing = diff(a, b, products=products)
+        incoming, outgoing = diff_patches(a, b, products)
         assert incoming.is_empty() and outgoing.is_empty()
         assert incoming.input_state == incoming.output_state == a.digest()
 

@@ -21,11 +21,11 @@ from expmarket.merging import (
     gamma_score,
     trade_merge,
 )
-from expmarket.patches import Repository, apply_patch, build_patch, diff
+from expmarket.patches import Repository, apply_patch, build_patch, diff, patches_equal
 from expmarket.pose import Pose
 from expmarket.serialize import graph_to_bytes, patch_wire_size
 
-from _builders import chain_graph, mknode, random_graph, random_insert_patch
+from _builders import built, chain_graph, mknode, random_graph, random_insert_patch
 
 INLIERS = ChoicePolicy(Choice.INLIERS)
 
@@ -115,8 +115,12 @@ def test_commute_union_passes_diff_through():
     left, right, *_ = fig2_repos()
     incoming, outgoing = diff(left.graph, right.graph)
     pair = commute(incoming, outgoing, union_policy(), left.graph, right.graph)
-    assert pair.for_left is incoming
-    assert pair.for_right is outgoing
+    for patch, inserts, side in ((pair.for_left, incoming, left.graph),
+                                 (pair.for_right, outgoing, right.graph)):
+        want = built(side, inserts)
+        assert patches_equal(patch, want)
+        assert list(patch.insert_nodes) == list(inserts.insert_nodes)
+        assert (patch.input_state, patch.output_state) == (want.input_state, want.output_state)
     u1 = apply_patch(left.graph, pair.for_left)
     u2 = apply_patch(right.graph, pair.for_right)
     assert u1.digest() == u2.digest()

@@ -32,7 +32,7 @@ from expmarket.patches import (
 from expmarket.pose import Pose
 from expmarket.serialize import graph_to_bytes
 
-from _builders import chain_graph, mknode, random_graph, random_insert_patch
+from _builders import chain_graph, diff_patches, mknode, random_graph, random_insert_patch
 
 
 def gen(seed=0, robot=0):
@@ -323,7 +323,7 @@ def _fig2_pair():
 
 def test_diff_fig2_node_sets():
     mine, theirs, mine_nodes, theirs_nodes = _fig2_pair()
-    incoming, outgoing = diff(mine, theirs)
+    incoming, outgoing = diff_patches(mine, theirs)
     assert set(incoming.insert_nodes) == {n.id for n in theirs_nodes}
     assert set(outgoing.insert_nodes) == {n.id for n in mine_nodes}
     # both reach the union state u = {n1..n7}
@@ -357,7 +357,7 @@ def test_diff_closure_property_1000_cases():
                                                      rng.randrange(0, 5) + 1))
         theirs = apply_patch(base, random_insert_patch(base, derive_seed(case, "t"),
                                                        rng.randrange(0, 5) + 1))
-        incoming, outgoing = diff(mine, theirs)
+        incoming, outgoing = diff_patches(mine, theirs)
         assert apply_patch(mine, incoming).digest() == \
             apply_patch(theirs, outgoing).digest()
 
