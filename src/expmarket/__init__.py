@@ -12,7 +12,6 @@ from .catalogue import (
     Section,
     ShoppingKind,
     ShoppingStrategy,
-    TradeDirection,
     advise,
     bundled_catalogue,
     load_catalogue,

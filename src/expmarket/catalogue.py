@@ -1,10 +1,11 @@
 """The product catalogue: sections-of-interest, ledgers, and shopping lists.
 
 The world is demarcated into named sections (streets, colleges, labs); a
-section index is the product a node belongs to. Agents keep three ledgers
-per product: wares (what they hold), purchases (what they bought), and
-sales (what they delivered, excluding anything they themselves purchased).
-Sales popularity drives advertisements; per-product beliefs drive seller
+section index is the product a node belongs to. What an agent holds of a
+product is read from its map, where each node carries its product; agents
+keep two ledgers per product: purchases (what they bought) and sales (what
+they delivered, excluding anything they themselves purchased). Sales
+popularity drives advertisements; per-product beliefs drive seller
 advisories; both feed the RECOMMEND shopping strategy.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .ids import NodeId, RobotId
+from .ids import RobotId
 from .market import Belief
 from .patches import Patch
 
@@ -139,39 +140,26 @@ def shopping_list(strategy: ShoppingStrategy, current: ProductIndex,
     return window
 
 
-class TradeDirection(enum.Enum):
-    BOUGHT = "bought"
-    SOLD = "sold"
-
-
 @dataclass
 class ProductLedger:
-    """Per-product records of held, purchased, and sold nodes."""
+    """Per-product records of purchased and sold node ids."""
 
-    wares: dict = field(default_factory=dict)  # ProductIndex -> set[NodeId]
-    purchases: dict = field(default_factory=dict)
+    purchases: dict = field(default_factory=dict)  # ProductIndex -> set[NodeId]
     sales: dict = field(default_factory=dict)
 
-    def hold(self, node_id: NodeId, product: ProductIndex) -> None:
-        self.wares.setdefault(product, set()).add(node_id)
+    def bought(self, patch: Patch) -> None:
+        """Fold a received patch's inserted nodes into the purchases."""
+        for node in patch.insert_nodes.values():
+            self.purchases.setdefault(node.product, set()).add(node.id)
 
-    def release(self, node_id: NodeId, product: ProductIndex) -> None:
-        self.wares.get(product, set()).discard(node_id)
-
-    def record_trade(self, patch: Patch, direction: TradeDirection) -> None:
-        """Fold a trade's inserted nodes into the ledgers.
+    def sold(self, patch: Patch) -> None:
+        """Fold a delivered patch's inserted nodes into the sales.
 
         Sales exclude nodes the vendor itself purchased: popularity counts
         only content the vendor originated.
         """
-        if direction is TradeDirection.BOUGHT:
-            for node in patch.insert_nodes.values():
-                self.purchases.setdefault(node.product, set()).add(node.id)
-                self.hold(node.id, node.product)
-        else:
-            for node in patch.insert_nodes.values():
-                if node.id in self.purchases.get(node.product, ()):
-                    continue
+        for node in patch.insert_nodes.values():
+            if node.id not in self.purchases.get(node.product, ()):
                 self.sales.setdefault(node.product, set()).add(node.id)
 
     def advertise(self) -> ProductIndex | None:

@@ -21,11 +21,10 @@ and hashes it once, changes no content, and keeps the buffer and digest,
 so that committing exactly that delta adopts them and splices and hashes
 nothing again.
 ``Graph.items_missing_from`` finds the items one graph holds and another
-lacks by a C-level scan of the hashes, and returns nothing at once when
-the two digests agree: equal content-addressed states hold equal item-hash
-sets. ``Graph.listed_missing_from`` tests only a given list instead: the
-items inserted since a state both graphs held, when neither deleted
-anything since (``patches.diff``). The digest bytes are the same as
+lacks by a C-level scan of the hashes; a trade between equal digests
+never asks (``merging.execute_trade``). ``Graph.listed_missing_from``
+tests only a given list instead: the items inserted since a state both
+graphs held, when neither deleted anything since (``patches.diff``). The digest bytes are the same as
 hashing every item afresh (``compute_digest_from_scratch``).
 
 A graph belongs to one owner, a ``Repository`` or a caller that built it,
@@ -277,14 +276,11 @@ class Graph:
     def items_missing_from(self, other: "Graph") -> tuple[list[Node], list[Edge]]:
         """This graph's nodes and edges whose item hash ``other`` lacks.
 
-        Equal digests mean equal item-hash sets, so nothing is missing.
-        Otherwise the scan over the hashes runs in C; only the missing items
-        are visited in Python. They come in this graph's insertion order.
+        The scan over the hashes runs in C; only the missing items are
+        visited in Python. They come in this graph's insertion order.
         """
         nodes: list[Node] = []
         edges: list[Edge] = []
-        if self.digest() == other.digest():
-            return nodes, edges
         items = self._items
         for h in filterfalse(other._items.__contains__, items):
             item = items[h]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .ids import RobotId
 from .merging import ChoicePolicy, gamma_score
-from .patches import Patch
+from .patches import Inserts, Patch
 
 
 class EmptyPatch(Exception):
@@ -103,23 +103,22 @@ class SamplingBudget:
 
 
 def sample_for_query(new_content: Patch, budget: SamplingBudget,
-                     policy: ChoicePolicy) -> Patch:
+                     policy: ChoicePolicy) -> Inserts:
     """Down-sample newly recorded content for a market query.
 
     Keeps the budget's worth of highest-value nodes (ties by id), with edges
-    restricted to surviving endpoints. The result is a query artifact, not an
-    applicable patch, so its endpoint states are zeroed out.
+    restricted to surviving endpoints. The result is content for a query,
+    not a patch to apply, so it is built against no state.
     """
     nodes = sorted(new_content.insert_nodes.values(),
                    key=lambda n: (-gamma_score(n, policy), n.id))
     chosen = {n.id: n for n in nodes[: budget.max_nodes]}
     edges = frozenset(e for e in new_content.insert_edges
                       if e.src in chosen and e.dst in chosen)
-    zero = b"\x00" * 32
-    return Patch(zero, zero, chosen, {}, edges)
+    return Inserts(chosen, edges)
 
 
-def query_bytes(sample: Patch, budget: SamplingBudget) -> int:
+def query_bytes(sample: Inserts, budget: SamplingBudget) -> int:
     """Network charge for sending a query sample."""
     return len(sample.insert_nodes) * budget.bytes_per_node
 

@@ -288,13 +288,15 @@ def execute_trade(left: Repository, right: Repository, policy: CommutationPolicy
     the commit adopts the hash buffer and digest its build spliced: one
     splice and one SHA-256 pass per side that changes.
 
-    With no product scope the two repositories end in the same state
-    (digest-checked), and when their digests differ ``diff`` reads only
-    each side's patches since the newest state both histories hold
-    (``patches_since_common``), falling back to a scan of every item hash
-    when there is none or when either side deleted anything since it. A product
-    scope restricts the exchange to catalogue sections on the buyer's
-    shopping list, converging those sections only, and keeps the scan.
+    Two repositories with equal digests hold the same content, so the trade
+    between them is decided at once: two empty patches, with no ``diff`` or
+    ``commute``. Otherwise, with no product scope, the two end in the same
+    state (digest-checked), and ``diff`` reads only each side's patches
+    since the newest state both histories hold (``patches_since_common``),
+    falling back to a scan of every item hash when there is none or when
+    either side deleted anything since it. A product scope restricts the
+    exchange to catalogue sections on the buyer's shopping list, converging
+    those sections only, and keeps the scan.
     ``enforce=False`` skips the convergence and reconnection checks so
     verification harnesses can observe misbehaving policies instead of
     crashing on them. A failed check raises ``IntegrityViolation`` naming
@@ -303,12 +305,13 @@ def execute_trade(left: Repository, right: Repository, policy: CommutationPolicy
     if policy.kind is Commutation.MATCH and not policy.choice.is_pure() \
             and not policy.allow_asymmetric:
         raise NonSymmetricPolicy(f"{policy.choice.kind.value} is not team-symmetric")
-    since = None
-    if products is None and left.digest() != right.digest():
-        since = patches_since_common(left, right)
-    incoming, outgoing = diff(left.graph, right.graph, products=products, since=since)
-    pair = commute(incoming, outgoing, policy, left.graph, right.graph,
-                   counter=counter, _faults=_faults)
+    if left.digest() == right.digest():
+        pair = ConvergentPatchPair(build_patch(left.graph), build_patch(right.graph))
+    else:
+        since = patches_since_common(left, right) if products is None else None
+        incoming, outgoing = diff(left.graph, right.graph, products=products, since=since)
+        pair = commute(incoming, outgoing, policy, left.graph, right.graph,
+                       counter=counter, _faults=_faults)
     check = enforce and not _faults
     if check:  # the neighbourhoods before the commits change them
         pre_left = {d: _neighbours(left.graph, d) for d in pair.drops_left if d in left.graph}

@@ -20,7 +20,6 @@ from functools import partial
 from .catalogue import (
     Advisory,
     ProductLedger,
-    TradeDirection,
     advise,
     product_of,
     shopping_list,
@@ -43,7 +42,7 @@ from .market import (
     update_belief,
 )
 from .merging import IntegrityViolation, TradeStats, execute_trade
-from .patches import Patch, Repository
+from .patches import Inserts, Patch, Repository
 from .world import Route, World
 
 TENDER_REPLY_BYTES = 16
@@ -236,7 +235,7 @@ class _Agent:
         # this epoch's work, published phase by phase
         self.foray: Patch | None = None  # MAPPING: what the foray recorded
         self.position = 0.0  # MAPPING: where the route ended
-        self.sample: Patch | None = None  # SAMPLING: the market query
+        self.sample: Inserts | None = None  # SAMPLING: the market query
         self.offers: dict[RobotId, float] = {}  # TENDERING: candidate seller -> offer
         self.sellers: list[RobotId] = []  # PURCHASING: who to buy from
         self.wanted: set[int] = set()  # PURCHASING: the shopping list
@@ -258,14 +257,8 @@ class _Agent:
                              value=price_nodes(pnodes, choice_policy))
             cell[seller] = update_belief(cell.get(seller, Belief(seller)), pm)
 
-    def apply_ledger(self, received: Patch, delivered: Patch) -> None:
-        self.ledger.record_trade(received, TradeDirection.BOUGHT)
-        self.ledger.record_trade(delivered, TradeDirection.SOLD)
-        for nid, node in received.delete_nodes.items():
-            self.ledger.release(nid, node.product)
 
-
-def _tender_offer(seller_graph: Graph, sample: Patch | None, choice_policy) -> float:
+def _tender_offer(seller_graph: Graph, sample: Inserts | None, choice_policy) -> float:
     """What the seller measures on the buyer's sample: the mean value of the
     content it could supply for the sampled products."""
     if sample is None:
@@ -326,8 +319,6 @@ def _mapping(t: _Trial, k: int) -> None:
                            counter=a.counter)
         if not result.patch.is_empty():
             a.repo.commit(result.patch)
-            for node in result.patch.insert_nodes.values():
-                a.ledger.hold(node.id, node.product)
         a.foray, a.position = result.patch, result.final_position
         for d in result.dropouts:
             t.metrics.dropouts.append((k, a.robot, d))
@@ -408,7 +399,8 @@ def _merging(t: _Trial, k: int) -> None:
                 arrivals.append(deliver(net, size, t.net_rng, src=other.robot,
                                         dst=me.robot, kind="patch"))
                 me.observe_trade(other.robot, k, received, config.commutation.choice)
-                me.apply_ledger(received=received, delivered=delivered)
+                me.ledger.bought(received)
+                me.ledger.sold(delivered)
 
     # advisories travel at the barrier out of MERGING
     if config.trading.kind is not Strategy.NONE:
@@ -444,7 +436,6 @@ def _snapshot(t: _Trial, k: int) -> None:
             b = a.beliefs[seller]
             metrics.beliefs.append((k, a.robot, seller, b.count,
                                     b.mean, b.variance))
-        _check_wares_partition(a, metrics.trial, k)
         a.counter = MatchCounter()
     _check_byte_conservation(net, metrics.trial, k)
     net.sent, net.received = {}, {}
@@ -472,18 +463,6 @@ def _check_byte_conservation(net: NetworkModel, trial: int, k: int) -> None:
     if sent != received:
         raise RuntimeError(f"trial {trial} epoch {k}: network byte conservation "
                            f"violated ({sent} bytes sent, {received} received)")
-
-
-def _check_wares_partition(agent: _Agent, trial: int, k: int) -> None:
-    """The wares ledger must partition the agent's current node set."""
-    where = f"trial {trial} epoch {k} robot {agent.robot}"
-    union: set = set()
-    for product, ids in agent.ledger.wares.items():
-        if union & ids:
-            raise RuntimeError(f"{where}: wares overlap at product {product}")
-        union |= ids
-    if union != agent.repo.graph.node_ids():
-        raise RuntimeError(f"{where}: wares ledger out of step with the map")
 
 
 def run_scenario(config: ScenarioConfig, seed: int, trials: int = 1,

@@ -12,7 +12,6 @@ from expmarket.catalogue import (
     Section,
     ShoppingKind,
     ShoppingStrategy,
-    TradeDirection,
     advise,
     bundled_catalogue,
     catalogue_to_text,
@@ -129,22 +128,21 @@ def _patch_products(products, seed=0):
     return build_patch(Graph(), insert_nodes=nodes), nodes
 
 
-def test_bought_grows_purchases_and_wares():
+def test_bought_grows_purchases():
     ledger = ProductLedger()
     patch, nodes = _patch_products([2, 2, 5])
-    ledger.record_trade(patch, TradeDirection.BOUGHT)
+    ledger.bought(patch)
     assert ledger.purchases[2] == {nodes[0].id, nodes[1].id}
     assert ledger.purchases[5] == {nodes[2].id}
-    assert ledger.wares[2] == {nodes[0].id, nodes[1].id}
 
 
 def test_sold_excludes_previously_purchased():
     ledger = ProductLedger()
     bought, bnodes = _patch_products([1], seed=1)
-    ledger.record_trade(bought, TradeDirection.BOUGHT)
+    ledger.bought(bought)
     resale, rnodes = _patch_products([1, 1], seed=2)
     mixed = build_patch(Graph(), insert_nodes=[bnodes[0]] + list(rnodes))
-    ledger.record_trade(mixed, TradeDirection.SOLD)
+    ledger.sold(mixed)
     assert bnodes[0].id not in ledger.sales.get(1, set())
     assert {n.id for n in rnodes} <= ledger.sales[1]
 
@@ -152,20 +150,20 @@ def test_sold_excludes_previously_purchased():
 def test_empty_patch_leaves_ledger_alone():
     ledger = ProductLedger()
     empty = build_patch(Graph())
-    ledger.record_trade(empty, TradeDirection.BOUGHT)
-    ledger.record_trade(empty, TradeDirection.SOLD)
+    ledger.bought(empty)
+    ledger.sold(empty)
     assert not ledger.purchases and not ledger.sales
 
 
 def test_advertise_argmax_and_ties():
     ledger = ProductLedger()
     patch, nodes = _patch_products([0, 0, 0, 1, 1, 1, 1, 1, 1, 1])
-    ledger.record_trade(patch, TradeDirection.SOLD)
+    ledger.sold(patch)
     assert ledger.advertise() == 1
 
     tie = ProductLedger()
     tpatch, _ = _patch_products([0, 0, 0, 0, 2, 2, 2, 2], seed=5)
-    tie.record_trade(tpatch, TradeDirection.SOLD)
+    tie.sold(tpatch)
     assert tie.advertise() == 0
 
 

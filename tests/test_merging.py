@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from expmarket import merging
 from expmarket.graph import Edge, Graph, compute_digest_from_scratch, connected_components
 from expmarket.ids import NodeIdGenerator, derive_seed
 from expmarket.localiser import LocaliserConfig, MatchCounter
@@ -430,6 +431,30 @@ def test_trade_of_one_shared_graph_is_a_noop():
     assert out.left.digest() == out.right.digest() == shared.digest()
     assert len(out.left.history) == 0
     assert out.stats.bytes == 2 * patch_wire_size(out.pair.for_left)
+
+
+@pytest.mark.parametrize("products", [None, {0}])
+@pytest.mark.parametrize("policy", [union_policy(), match_policy()], ids=["union", "match"])
+def test_a_trade_between_equal_digests_reaches_no_diff_or_commute(monkeypatch, policy, products):
+    """Equal digests decide the trade at once: two empty patches, nothing
+    committed, nothing matched, and the wire size of an empty patch."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a trade between equal digests was diffed")
+
+    g = random_graph(7, 15)
+    left, right = Repository(0, g), Repository(1, Graph())
+    right.commit(build_patch(right.graph, insert_nodes=list(g.nodes())[::-1],
+                             insert_edges=g.edges()))
+    assert left.digest() == right.digest()
+    monkeypatch.setattr(merging, "diff", refused)
+    monkeypatch.setattr(merging, "commute", refused)
+    counter = MatchCounter()
+    out = execute_trade(left, right, policy, products=products, counter=counter)
+    assert out.pair.for_left.is_empty() and out.pair.for_right.is_empty()
+    assert (len(left.history), len(right.history)) == (0, 1)
+    assert counter.ops == 0
+    assert out.stats.bytes_in == patch_wire_size(build_patch(g))
 
 
 def _insert_on_both_sides(left, right, step: int) -> None:

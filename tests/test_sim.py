@@ -19,9 +19,7 @@ from expmarket.sim import (
     FsmState,
     NetworkModel,
     Phase,
-    _Agent,
     _check_byte_conservation,
-    _check_wares_partition,
     barrier_sync,
     deliver,
     failure_distribution,
@@ -245,18 +243,6 @@ def test_failure_distribution_empty_and_single():
 
 
 # -- scenario engine ------------------------------------------------------------------
-
-
-def test_wares_partition_error_names_trial_and_epoch():
-    agent = _Agent(3, trial_seed=0)
-    _check_wares_partition(agent, trial=1, k=4)
-    node_id = NodeIdGenerator(0, 3).next_id()
-    agent.ledger.hold(node_id, 0)  # held, but not in the map
-    with pytest.raises(RuntimeError, match=r"^trial 1 epoch 4 robot 3: .*out of step"):
-        _check_wares_partition(agent, trial=1, k=4)
-    agent.ledger.hold(node_id, 1)  # and held under two products
-    with pytest.raises(RuntimeError, match=r"^trial 1 epoch 4 robot 3: wares overlap"):
-        _check_wares_partition(agent, trial=1, k=4)
 
 
 def test_run_trial_deterministic_and_conserving():
