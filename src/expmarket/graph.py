@@ -19,7 +19,10 @@ then one SHA-256 over that buffer. ``Graph.digest_after`` gives the digest
 the graph would have after an item delta: it joins the spliced buffer once
 and hashes it once, changes no content, and keeps the buffer and digest,
 so that committing exactly that delta adopts them and splices and hashes
-nothing again.
+nothing again. Given another graph (``like``) whose kept buffer is
+byte-equal to the spliced one, it takes that graph's buffer and digest and
+hashes nothing: the two sides of a trade that converges splice once each,
+run one SHA-256 pass between them, and end sharing one buffer.
 ``Graph.items_missing_from`` finds the items one graph holds and another
 lacks by a C-level scan of the hashes; a trade between equal digests
 never asks (``merging.execute_trade``). ``Graph.listed_missing_from``
@@ -206,8 +209,9 @@ class Graph:
     holds the hashes added (True) or dropped (False) since the buffer was
     last brought up to date, which ``_sorted_hashes`` does by one splice
     (``_spliced``) into a new buffer, whatever the delta's size. ``digest``
-    hashes the buffer, and ``digest_after`` splices and hashes the buffer an
-    item delta leads to. ``_after`` keeps the last ``digest_after`` result
+    hashes the buffer, and ``digest_after`` splices the buffer an item delta
+    leads to and hashes it, or takes the digest another graph kept for a
+    byte-equal buffer. ``_after`` keeps the last ``digest_after`` result
     as (delta, digest, buffer) over the current buffer; every fold clears
     it, as the buffer it was computed over is then gone. A fold while
     ``_delta`` equals that delta installs the kept buffer and digest instead
@@ -397,12 +401,18 @@ class Graph:
                 self._digest = hashlib.sha256(buf).digest()
         return self._digest
 
-    def digest_after(self, dropped: Iterable[bytes], added: Iterable[bytes]) -> StateDigest:
+    def digest_after(self, dropped: Iterable[bytes], added: Iterable[bytes], *,
+                     like: "Graph | None" = None) -> StateDigest:
         """The digest this graph would have with ``dropped`` item hashes
         removed and ``added`` ones inserted; the graph is not changed.
 
-        The buffer is spliced and joined once, and hashed by one SHA-256
-        call. Raises ``KeyError`` for a dropped hash the graph does not hold.
+        The buffer is spliced and joined once. It is hashed by one SHA-256
+        call, unless it is byte-equal to the buffer ``like`` kept from its
+        own last ``digest_after``: then that buffer and its digest are taken
+        instead. A kept digest is always the SHA-256 of its kept buffer, so
+        the result is the same; the second side of a converging trade hashes
+        nothing, and both sides share one buffer. Raises ``KeyError`` for a
+        dropped hash the graph does not hold.
 
         The result is kept as (delta, digest, buffer), with the delta as
         ``_track`` would record it, when no hash repeats, until the next fold
@@ -413,7 +423,11 @@ class Graph:
         """
         dropped, added = list(dropped), list(added)
         buf = _spliced(self._sorted_hashes(), dropped, added)
-        digest = hashlib.sha256(buf).digest()
+        kept = like._after if like is not None else None
+        if kept is not None and kept[2] == buf:  # unequal lengths compare in O(1)
+            _, digest, buf = kept
+        else:
+            digest = hashlib.sha256(buf).digest()
         delta = dict.fromkeys(dropped, False)
         delta.update(dict.fromkeys(added, True))
         if len(delta) == len(dropped) + len(added):

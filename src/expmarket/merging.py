@@ -121,13 +121,14 @@ class ConvergentPatchPair:
 
 
 def _side_patch(side: Graph, carried: Inserts, drop_map: dict[NodeId, NodeId],
-                faults: frozenset[str]) -> Patch:
+                faults: frozenset[str], like: Graph | None = None) -> Patch:
     """One side's convergent patch from the symmetric merge description.
 
     ``carried`` is the diff content headed for this side; ``drop_map`` sends
     every dropped node id (either side) to its keeper. Matched drops held
     here are deleted with their neighbourhood rewired; matched drops on the
-    carried side are simply not inserted. Fault flags exist solely for the
+    carried side are simply not inserted. ``like`` is the other side, whose
+    kept buffer ``build_patch`` may reuse. Fault flags exist solely for the
     integrity battery.
     """
     no_delete = "no_delete" in faults
@@ -181,8 +182,8 @@ def _side_patch(side: Graph, carried: Inserts, drop_map: dict[NodeId, NodeId],
                             min(cands, key=lambda e: (e not in carried.insert_edges,
                                                       e.content_bytes())))
 
-    return build_patch(side, insert_nodes=insert_nodes,
-                       insert_edges=edge_inserts, delete_ids=delete_ids)
+    return build_patch(side, insert_nodes=insert_nodes, insert_edges=edge_inserts,
+                       delete_ids=delete_ids, like=like)
 
 
 def commute(incoming: Inserts, outgoing: Inserts, policy: CommutationPolicy,
@@ -190,7 +191,10 @@ def commute(incoming: Inserts, outgoing: Inserts, policy: CommutationPolicy,
             _faults: frozenset[str] = frozenset()) -> ConvergentPatchPair:
     """Turn the divergent diff pair into per-side convergent patches, built
     against ``left`` and ``right``: the only patches of a trade, so each
-    side's item delta is spliced and hashed once (``build_patch``).
+    side's item delta is spliced once (``build_patch``). The right side's
+    build is handed the left graph: when both reach one state, the right
+    side takes the digest and buffer the left side's build kept, so a
+    converging trade runs one SHA-256 pass.
 
     Under UNION each side's patch carries its diff content verbatim. Under
     MATCH, the localiser pairs up closely matching content across the two
@@ -202,7 +206,7 @@ def commute(incoming: Inserts, outgoing: Inserts, policy: CommutationPolicy,
             for_left=build_patch(left, insert_nodes=incoming.insert_nodes.values(),
                                  insert_edges=incoming.insert_edges),
             for_right=build_patch(right, insert_nodes=outgoing.insert_nodes.values(),
-                                  insert_edges=outgoing.insert_edges))
+                                  insert_edges=outgoing.insert_edges, like=left))
 
     matches = match_patches(outgoing, incoming, policy.localiser, counter)
     drops_left: dict[NodeId, NodeId] = {}
@@ -214,7 +218,7 @@ def commute(incoming: Inserts, outgoing: Inserts, policy: CommutationPolicy,
         keep, drop = choose(theirs, mine, policy.choice)
         drops_right[drop.id] = keep.id
     for_left = _side_patch(left, incoming, drops_left, _faults)
-    for_right = _side_patch(right, outgoing, drops_right, _faults)
+    for_right = _side_patch(right, outgoing, drops_right, _faults, like=left)
     return ConvergentPatchPair(for_left=for_left, for_right=for_right,
                                matches=matches, drops_left=drops_left,
                                drops_right=drops_right)
@@ -286,7 +290,9 @@ def execute_trade(left: Repository, right: Repository, policy: CommutationPolicy
     repositories. Empty patches are not recorded. Each patch is built
     against the graph it is committed to, so its input state matches, and
     the commit adopts the hash buffer and digest its build spliced: one
-    splice and one SHA-256 pass per side that changes.
+    splice per side that changes, and one SHA-256 pass per trade that
+    converges, as the second side reuses the first side's digest when their
+    buffers are byte-equal (``commute``).
 
     Two repositories with equal digests hold the same content, so the trade
     between them is decided at once: two empty patches, with no ``diff`` or

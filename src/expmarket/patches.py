@@ -202,6 +202,7 @@ def build_patch(
     insert_edges: Iterable[Edge] = (),
     delete_ids: Iterable[NodeId] = (),
     delete_edges: Iterable[Edge] = (),
+    like: Graph | None = None,
 ) -> Patch:
     """Construct a digest-correct patch against ``base``.
 
@@ -211,7 +212,9 @@ def build_patch(
 
     The output state is the base digest with the patch's item delta spliced
     in (``Graph.digest_after``); nothing is applied here, and the base keeps
-    the spliced buffer for the commit of this patch. A deleted node or
+    the spliced buffer for the commit of this patch. When that buffer equals
+    the one ``like`` kept from its own build, its digest is taken rather than
+    hashed again (the other side of a converging trade). A deleted node or
     edge the base lacks raises ``MissingTarget``. Other malformed content (a
     dangling or duplicate insertion) is refused at commit, with the same
     ``PatchError``.
@@ -233,7 +236,7 @@ def build_patch(
     added = [n.item_hash for n in node_inserts.values()]
     added += [e.item_hash for e in edge_inserts]
     try:
-        output = base.digest_after(dropped, added)
+        output = base.digest_after(dropped, added, like=like)
     except KeyError:
         raise MissingTarget("a deleted edge is absent from the base graph") from None
     return Patch(base.digest(), output, node_inserts, node_deletes,

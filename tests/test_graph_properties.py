@@ -12,13 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expmarket import graph as graph_module
+from expmarket import merging as merging_module
 from expmarket.graph import Edge, Graph, compute_digest_from_scratch, export_text
 from expmarket.ids import NodeIdGenerator
-from expmarket.merging import Commutation, CommutationPolicy, execute_trade
+from expmarket.merging import Commutation, CommutationPolicy, IntegrityViolation, execute_trade
 from expmarket.localiser import LocaliserConfig
-from expmarket.patches import (DanglingEdge, DuplicateContent, MissingTarget, Repository,
-                               StateMismatch, _apply_in_place, apply_patch, build_patch, diff,
-                               patches_equal, patches_since_common)
+from expmarket.patches import (DanglingEdge, DuplicateContent, Inserts, MissingTarget,
+                               Repository, StateMismatch, _apply_in_place, apply_patch,
+                               build_patch, diff, patches_equal, patches_since_common)
 from expmarket.pose import Pose
 from expmarket.serialize import patch_to_bytes
 
@@ -350,20 +351,42 @@ def test_digest_after_matches_an_applied_copy(seed, size):
     dropped += [e.item_hash for e in gone_edges]
     added = [n.item_hash for n in new_nodes]
     added += [e.item_hash for e in new_edges.values()]
-    streamed = g.digest_after(dropped, added)
 
-    twin = g.copy()
-    for e in gone_edges:
-        twin.remove_edge(e.src, e.dst)
-    for i in victims:
-        twin.remove_node(i)
-    for n in new_nodes:
-        twin.insert_node(n)
-    for e in new_edges.values():
-        twin.insert_edge(e)
-    assert streamed == twin.digest() == compute_digest_from_scratch(twin)
-    # the graph asked is unchanged
+    def applied(h: Graph) -> Graph:
+        for e in gone_edges:
+            h.remove_edge(e.src, e.dst)
+        for i in victims:
+            h.remove_node(i)
+        for n in new_nodes:
+            h.insert_node(n)
+        for e in new_edges.values():
+            h.insert_edge(e)
+        return h
+
+    # graphs for ``like``: one that kept a byte-equal buffer, one that kept
+    # an unequal buffer of the same length, one that kept nothing, and one
+    # whose kept build was never committed and whose content has moved on
+    equal = g.copy()
+    equal.digest_after(dropped, added)
+    records = len(_item_hashes(g)) - len(dropped) + len(added)
+    unequal = Graph()
+    unequal.digest_after([], [rng.randbytes(32) for _ in range(records)])
+    stale = g.copy()
+    stale.digest_after(dropped, added)
+    stale.insert_node(mknode(gen, [99.0]))
+    likes = [None, equal, unequal, Graph(), stale]
+
+    want = compute_digest_from_scratch(applied(g.copy()))
+    for like in likes:
+        h = g.copy()
+        assert h.digest_after(dropped, added, like=like) == want
+        # a commit of that delta adopts the buffer, taken or spliced
+        assert applied(h).digest() == want
+        assert h._sorted_hashes() == _sorted_scratch_hashes(h)
+    # the graph asked, and each graph named as ``like``, is unchanged
     assert g.digest() == before == compute_digest_from_scratch(g)
+    for like in likes[1:]:
+        assert like.digest() == compute_digest_from_scratch(like)
 
 
 @pytest.mark.parametrize("extra", [0, 2, 256])
@@ -515,28 +538,60 @@ def test_a_copy_and_its_original_adopt_one_built_buffer(seed, size):
             assert h._sorted is kept[2]
 
 
-@pytest.mark.parametrize("policy", [Commutation.UNION, Commutation.MATCH])
-def test_a_trade_splices_and_hashes_each_changed_side_once(monkeypatch, policy):
-    """Each side of a trade that changes is built once (one ``digest_after``
-    call) and spliced once; its commit adopts that buffer."""
+def _diverged_sides(products=(0, 0, 0)) -> list[Repository]:
+    """Two repositories on one base, each after its own three-node commit:
+    near-twins across the two sides, so that MATCH pairs them, each side
+    winning some pairs, so each side deletes and inserts nodes. The new
+    nodes take their products from ``products``."""
     gen = NodeIdGenerator(17, 5)
     base = random_graph(17, 8, dim=2, edge_prob=0.3)
     sides = [Repository(r, base) for r in range(2)]
     anchor = next(iter(base.node_ids()))
     for r, repo in enumerate(sides):
-        # near-twins across the two sides, so that MATCH pairs them; each
-        # side wins some pairs, so each side deletes and inserts nodes
-        new = [mknode(gen, [float(i), 0.001 * r], inlier_count=(r + i) % 2) for i in range(3)]
+        new = [mknode(gen, [float(i), 0.001 * r], inlier_count=(r + i) % 2, product=p)
+               for i, p in enumerate(products)]
         edges = [Edge(anchor, new[0].id, Pose.identity())]
         edges += [Edge(a.id, b.id, Pose.from_translation(1.0)) for a, b in zip(new, new[1:])]
         repo.commit(build_patch(repo.graph, insert_nodes=new, insert_edges=edges))
         repo.graph.digest()
+    return sides
+
+
+def _buffer_passes(monkeypatch, run):
+    """``run()``'s result and how many SHA-256 passes it made over a whole
+    hash buffer. Item-hash inputs start with a one-byte ``N``/``E`` tag and
+    have odd length; buffers are whole 32-byte records."""
+    passes = []
+    sha256 = hashlib.sha256
+
+    def counted(data=b"", *args, **kwargs):
+        if len(data) % 32 == 0:
+            passes.append(len(data))
+        return sha256(data, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(graph_module.hashlib, "sha256", counted)
+        result = run()
+    return result, len(passes)
+
+
+def _policy(kind: Commutation) -> CommutationPolicy:
+    return CommutationPolicy(kind, localiser=LocaliserConfig(tau_m=0.1))
+
+
+@pytest.mark.parametrize("policy", [Commutation.UNION, Commutation.MATCH])
+def test_a_trade_splices_and_hashes_each_changed_side_once(monkeypatch, policy):
+    """Each side of a trade that changes is built once (one ``digest_after``
+    call) and spliced once; its commit adopts that buffer. The two sides
+    converge, so the second side's build takes the first side's digest:
+    one SHA-256 pass over the common buffer, which both sides then share."""
+    sides = _diverged_sides()
     calls = {"digest_after": 0, "splice": 0}
     digest_after, spliced = Graph.digest_after, graph_module._spliced
 
-    def counted_digest_after(self, dropped, added):
+    def counted_digest_after(self, *args, **kwargs):
         calls["digest_after"] += 1
-        return digest_after(self, dropped, added)
+        return digest_after(self, *args, **kwargs)
 
     def counted_splice(buf, dropped, added):
         calls["splice"] += 1
@@ -544,8 +599,8 @@ def test_a_trade_splices_and_hashes_each_changed_side_once(monkeypatch, policy):
 
     monkeypatch.setattr(Graph, "digest_after", counted_digest_after)
     monkeypatch.setattr(graph_module, "_spliced", counted_splice)
-    out = execute_trade(sides[0], sides[1],
-                        CommutationPolicy(policy, localiser=LocaliserConfig(tau_m=0.1)))
+    out, passes = _buffer_passes(monkeypatch,
+                                 lambda: execute_trade(sides[0], sides[1], _policy(policy)))
     changed = sum(not p.is_empty() for p in (out.pair.for_left, out.pair.for_right))
     assert changed == 2
     assert policy is Commutation.UNION or out.stats.matches == 3
@@ -553,6 +608,45 @@ def test_a_trade_splices_and_hashes_each_changed_side_once(monkeypatch, policy):
         assert repo.digest() == compute_digest_from_scratch(repo.graph)
         assert not repo.graph._delta
     assert calls == {"digest_after": changed, "splice": changed}
+    assert passes == 1
+    assert sides[0].graph._sorted is sides[1].graph._sorted
+
+
+def test_a_trade_that_does_not_converge_hashes_each_side(monkeypatch):
+    """A scoped trade carries each side's product-0 nodes over and leaves
+    its product-1 node where it is: the two sides end apart, and each
+    side's buffer is hashed on its own."""
+    sides = _diverged_sides(products=(0, 1, 0))
+    out, passes = _buffer_passes(monkeypatch, lambda: execute_trade(
+        sides[0], sides[1], _policy(Commutation.UNION), products={0}))
+    assert not (out.pair.for_left.is_empty() or out.pair.for_right.is_empty())
+    assert sides[0].digest() != sides[1].digest()
+    for repo in sides:
+        assert repo.digest() == compute_digest_from_scratch(repo.graph)
+    assert passes == 2
+    assert sides[0].graph._sorted is not sides[1].graph._sorted
+
+
+def test_a_divergence_is_caught_when_the_second_side_cannot_reuse(monkeypatch):
+    """An outgoing diff that loses a node leaves the right side short: its
+    buffer differs from the left side's, so it is hashed, and the
+    convergence check still fails."""
+    sides = _diverged_sides()
+    real_diff = merging_module.diff
+
+    def lossy_diff(*args, **kwargs):
+        incoming, outgoing = real_diff(*args, **kwargs)
+        lost = next(iter(outgoing.insert_nodes))
+        return incoming, Inserts(
+            {nid: n for nid, n in outgoing.insert_nodes.items() if nid != lost},
+            frozenset(e for e in outgoing.insert_edges if lost not in (e.src, e.dst)))
+
+    monkeypatch.setattr(merging_module, "diff", lossy_diff)
+    with pytest.raises(IntegrityViolation, match="did not converge"):
+        execute_trade(sides[0], sides[1], _policy(Commutation.UNION), enforce=True)
+    right = sides[1]
+    assert right.digest() == compute_digest_from_scratch(right.graph)
+    assert right.digest() != sides[0].digest()
 
 
 def _two_inserts(g: Graph):
