@@ -44,7 +44,10 @@ def _out_dir(text: str) -> Path:
     """The ``--out`` directory, refused before any work is done when a
     non-directory stands at it or at the nearest of its parents that exists."""
     out = Path(text)
-    existing = next(p for p in (out, *out.parents) if p.exists())
+    try:
+        existing = next(p for p in (out, *out.parents) if p.exists())
+    except OSError as exc:  # e.g. a name too long for the file system
+        raise _usage_error(f"cannot write --out {out}: {exc.strerror}") from None
     if not existing.is_dir():
         raise _usage_error(f"cannot write --out {out}: {existing} is not a directory")
     return out
@@ -96,7 +99,10 @@ def cmd_verify_convergence(args) -> int:
                                      mu, sigma, policy, seed=args.seed,
                                      overlap=args.overlap)
     if out_dir is not None:
-        write_convergence_report(out_dir, report, args.seed)
+        try:
+            write_convergence_report(out_dir, report, args.seed)
+        except OSError as exc:
+            raise _cannot_write(out_dir, exc) from None
     print(f"R={report.R} K={report.K} M={report.M} policy={report.policy} "
           f"gamma={choice_kind.value} divergence_events={report.divergence_events}")
     return EXIT_OK if report.divergence_events == 0 else EXIT_VIOLATION
@@ -121,7 +127,11 @@ def cmd_run_scenario(args) -> int:
 def cmd_report(args) -> int:
     run_dirs = [Path(args.input)] + [Path(p) for p in args.compare]
     for d in run_dirs:
-        if not (d / "summary.json").exists():
+        try:
+            is_run = (d / "summary.json").exists()
+        except OSError as exc:
+            raise _usage_error(f"cannot read {d}: {exc.strerror}") from None
+        if not is_run:
             print(f"error: {d} is not a run directory (no summary.json)",
                   file=sys.stderr)
             return EXIT_USAGE

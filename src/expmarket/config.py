@@ -240,11 +240,11 @@ def parse_scenario_config(doc: dict, base_dir: Path | None = None) -> ScenarioCo
 
 def load_scenario_config(path: str | Path) -> ScenarioConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
+        if not path.exists():
+            raise ConfigError(f"config file not found: {path}")
         doc = json.loads(path.read_text())
-    except OSError as exc:  # a directory or an unreadable file
+    except OSError as exc:  # a directory, an unreadable file or an unusable name
         raise ConfigError(f"{path}: cannot read: {exc}") from None
     except (ValueError, RecursionError) as exc:  # undecodable, malformed or too deep
         raise ConfigError(f"{path}: not valid JSON: {exc}") from None

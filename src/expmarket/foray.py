@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 from .graph import Edge, Graph, Node, Observation
 from .ids import NodeId, NodeIdGenerator, RobotId
-from .localiser import LocaliserConfig, MatchCounter, localise
+from .localiser import LocaliserConfig, MatchCounter, localise_batch
 from .patches import Patch, build_patch
 from .pose import Pose
 
@@ -27,8 +27,9 @@ def _default_metadata(_: int) -> tuple[int, float]:
 def explain_observations(base: Graph, observations: Sequence[Observation],
                          cfg: LocaliserConfig,
                          counter: MatchCounter | None = None) -> list[NodeId | None]:
-    """Per-observation localisation outcome against a fixed base map."""
-    return [localise(base, obs, cfg, counter) for obs in observations]
+    """Per-observation localisation outcome against a fixed base map: the
+    matched node or None, all observations in one ``localise_batch``."""
+    return localise_batch(base, observations, cfg, counter)
 
 
 def record_foray_patch(base: Graph, observations: Sequence[Observation],

@@ -1,14 +1,22 @@
 """Synthetic localiser: appearance seeding, localisation, cross-patch matching.
 
 Stands in for the visual pipeline: a match is a descriptor within threshold,
-found by expanding graph neighbourhoods around appearance-space seeds. Every
-descriptor comparison is counted through the caller's MatchCounter, which is
-the deterministic stand-in for CPU time.
+found by expanding graph neighbourhoods around appearance-space seeds.
+A foray's observations are localised in one batch: one matrix product
+estimates every (observation, node) squared distance, and exact distances
+are computed only for the rows whose estimate is close enough to the
+k-th smallest to make them seeds. The estimate's error is bounded far
+below that margin, so the seeds and the matches are those an exact
+distance to every node gives. Every descriptor comparison the pipeline
+stands for is counted through the caller's MatchCounter, the
+deterministic stand-in for CPU time: each observation against every node,
+then against every candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -60,72 +68,105 @@ class MatchSet:
         return len(self.pairs)
 
 
-def descriptor_distances(matrix: np.ndarray, descriptor) -> np.ndarray:
-    """Euclidean distance from ``descriptor`` to every row of ``matrix``.
+def descriptor_distances(matrix: np.ndarray, descriptors) -> np.ndarray:
+    """Euclidean distance from each row of ``matrix`` to ``descriptors``:
+    one descriptor for every row, or one per row.
 
-    Each distance depends only on its own row, so it has the same bits
-    whether computed against the whole map or against a few of its nodes.
+    Each distance depends only on its own row and descriptor, so it has the
+    same bits whether computed against the whole map, against a few of its
+    nodes or among rows gathered for a batch of observations.
     """
     if not len(matrix):  # an empty map's matrix has no columns either
         return np.empty(0)
-    q = np.asarray(descriptor, dtype=np.float64)
+    q = np.asarray(descriptors, dtype=np.float64)
     return np.sqrt(np.sum((matrix - q) ** 2, axis=1))
 
 
-def _nearest(index: DescriptorIndex, dists: np.ndarray, k: int,
-             counter: MatchCounter | None) -> list[NodeId]:
-    """The k ids of ``index`` nearest by ``dists`` (one per row), ties by id.
+def _seed_batch(index: DescriptorIndex, queries: np.ndarray, k: int,
+                counter: MatchCounter | None) -> list[list[tuple[float, NodeId]]]:
+    """For each row of ``queries``, the k nodes of ``index`` nearest by
+    ``descriptor_distances`` as ranked (distance, id) pairs, ties by id.
 
-    ``np.partition`` finds the k-th smallest distance; only the rows no
-    farther than it are ranked by (distance, id).
+    One matrix product estimates every squared distance as
+    ``|m|² - 2·m·q + |q|²``. Only the rows whose estimate is within
+    ``margin`` of the query's k-th smallest estimate get an exact distance,
+    and the seeds are ranked among them.
+
+    Why this is exact: with u = 2⁻⁵³, d the dimension and S = |m|² + |q|²,
+    the estimate and the exact formula's sum of squares s each lie within
+    (2d + 6)·u·S of the true squared distance (a sum of d products in any
+    order errs by at most d·u·Σ|xᵢyᵢ|, and |m·q| ≤ S/2), so they differ by
+    at most δ = (4d + 12)·u·S. The k rows with the smallest estimates have
+    s within δ of them, so the k-th smallest s is at most the k-th estimate
+    plus δ. A row no farther than the k-th exact distance has s at most
+    that k-th s times (1 + 5u), the most ``sqrt`` can round two values to
+    one. Its estimate is therefore within 2δ + 10u·S = (8d + 34)·u·S of the
+    k-th estimate. ``margin`` is over 10⁵ times that bound at the largest
+    S, max|m|² + |q|² (the ``+ 1`` covers underflow), so every row that
+    can be a seed gets its exact distance, whose bits do not depend on
+    which other rows are computed.
+    This holds for descriptors whose squared norms do not overflow.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    ids = index.ids
+    ids, matrix = index.ids, index.matrix
     if not ids:
-        return []
+        return [[] for _ in queries]
     if counter is not None:
-        counter.add(len(ids))
-    if k < len(ids):
-        near = np.flatnonzero(dists <= np.partition(dists, k - 1)[k - 1])
-    else:
-        near = np.arange(len(ids))
-    ranked = sorted(zip(dists[near].tolist(), [ids[i] for i in near]))
-    return [nid for _, nid in ranked[:k]]
+        counter.add(len(ids) * len(queries))
+    kth = min(k, len(ids)) - 1
+    norms = np.einsum("ij,ij->i", matrix, matrix)
+    qnorms = np.einsum("ij,ij->i", queries, queries)
+    est = norms - 2.0 * (queries @ matrix.T) + qnorms[:, None]
+    margin = (matrix.shape[1] + 4) * 2.0 ** -32 * (norms.max() + qnorms + 1.0)
+    bound = np.partition(est, kth, axis=1)[:, kth] + margin
+    qi, rows = np.nonzero(est <= bound[:, None])  # grouped by query
+    dists = descriptor_distances(matrix[rows], queries[qi]).tolist()
+    near = [ids[r] for r in rows.tolist()]
+    cuts = np.searchsorted(qi, np.arange(len(queries) + 1)).tolist()
+    return [sorted(zip(dists[lo:hi], near[lo:hi]))[:k] for lo, hi in zip(cuts, cuts[1:])]
 
 
 def appearance_seed(graph: Graph, descriptor, k: int,
                     counter: MatchCounter | None = None) -> list[NodeId]:
     """The k nearest nodes by descriptor distance, ties by node id."""
+    queries = np.array([descriptor], dtype=np.float64)
+    return [nid for _, nid in _seed_batch(graph.descriptor_index(), queries, k, counter)[0]]
+
+
+def localise_batch(graph: Graph, observations: Sequence[Observation],
+                   cfg: LocaliserConfig,
+                   counter: MatchCounter | None = None) -> list[NodeId | None]:
+    """The map node explaining each observation, or None for it.
+
+    Seeds come from appearance space (``_seed_batch``); candidates are the
+    union of their graph neighbourhoods; the best candidate within tau_loc
+    wins, ties to the smallest id. The best candidate is always the first
+    seed: the seeds are the nearest nodes of the whole map, and each seed
+    lies in its own neighbourhood. So the neighbourhoods only size the
+    comparisons counted, and are expanded only when a counter is given.
+    Each observation counts one comparison per map node and one per
+    candidate. The caller is responsible for bumping the matched nodes'
+    path_memory.
+    """
     index = graph.descriptor_index()
-    return _nearest(index, descriptor_distances(index.matrix, descriptor), k, counter)
+    if not observations or not index.ids:
+        return [None] * len(observations)
+    queries = np.array([o.descriptor for o in observations], dtype=np.float64)
+    ranked = _seed_batch(index, queries, cfg.seed_k, counter)
+    if counter is not None:
+        for seeds in ranked:
+            candidates: set[NodeId] = set()
+            for _, s in seeds:
+                candidates |= neighbourhood(graph, s, cfg.depth)
+            counter.add(len(candidates))
+    return [best if dist <= cfg.tau_loc else None for (dist, best), *_ in ranked]
 
 
 def localise(graph: Graph, obs: Observation, cfg: LocaliserConfig,
-             counter: MatchCounter | None = None):
-    """Find a map node explaining the observation, or None.
-
-    Seeds come from appearance space; candidates are the union of their
-    graph neighbourhoods; the best candidate within tau_loc wins, ties to
-    the smallest id. Every distance, for seeds and candidates alike, is
-    read from one row computed against the graph's descriptor index. The
-    caller is responsible for bumping the matched node's path_memory.
-    """
-    index = graph.descriptor_index()
-    dists = descriptor_distances(index.matrix, obs.descriptor)
-    seeds = _nearest(index, dists, cfg.seed_k, counter)
-    if not seeds:
-        return None
-    candidates: set[NodeId] = set()
-    for s in seeds:
-        candidates |= neighbourhood(graph, s, cfg.depth)
-    if counter is not None:
-        counter.add(len(candidates))
-    rows = index.rows
-    best = min(candidates, key=lambda c: (dists[rows[c]], c))
-    if dists[rows[best]] <= cfg.tau_loc:
-        return best
-    return None
+             counter: MatchCounter | None = None) -> NodeId | None:
+    """``localise_batch`` of one observation."""
+    return localise_batch(graph, [obs], cfg, counter)[0]
 
 
 def match_patches(left: Patch | Inserts, right: Patch | Inserts, cfg: LocaliserConfig,

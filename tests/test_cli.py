@@ -323,3 +323,37 @@ def test_run_scenario_that_cannot_write_names_the_output(tmp_path, capsys):
     err = _usage_exit(["run-scenario", "--config", str(path),
                        "--out", str(tmp_path / "out")], capsys)
     assert err.startswith(f"error: cannot write {blocked}: ")
+
+
+def test_paths_the_os_refuses_are_usage_errors(tmp_path, capsys):
+    """A name longer than the file system allows (ENAMETOOLONG) at --out,
+    --config or --input exits 2 with one error line, not a traceback."""
+    long = "x" * 300
+    path = _write_scenario(tmp_path)
+    for argv in (["verify-convergence", "--trials", "1", "--forays", "1",
+                  "--out", str(tmp_path / long)],
+                 ["run-scenario", "--config", str(path), "--out", str(tmp_path / long)]):
+        err = _usage_exit(argv, capsys)
+        assert err.startswith(f"error: cannot write --out {tmp_path / long}: ")
+        assert err.count("\n") == 1
+    code = main(["run-scenario", "--config", str(tmp_path / f"{long}.json"),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {tmp_path / long}.json: cannot read")
+    assert err.count("\n") == 1
+    err = _usage_exit(["report", "--input", str(tmp_path / long),
+                       "--out", str(tmp_path / "rep")], capsys)
+    assert err.startswith(f"error: cannot read {tmp_path / long}: ")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
+def test_verify_convergence_that_cannot_write_names_the_output(tmp_path, capsys):
+    """A directory where the convergence report writes a CSV exits 2 and
+    names it, like run-scenario and report."""
+    blocked = tmp_path / "conv" / "convergence_points.csv"
+    blocked.mkdir(parents=True)
+    err = _usage_exit(["verify-convergence", "--forays", "1", "--trials", "1",
+                       "--out", str(tmp_path / "conv")], capsys)
+    assert err.startswith(f"error: cannot write {blocked}: ")

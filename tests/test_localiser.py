@@ -7,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expmarket.foray import explain_observations
-from expmarket.graph import Edge, Graph, Observation, neighbourhood
+from expmarket.graph import Edge, Graph, Node, Observation, neighbourhood
 from expmarket.ids import NodeIdGenerator, derive_seed
+import expmarket.localiser as localiser
 from expmarket.localiser import (
     LocaliserConfig,
     MatchCounter,
     appearance_seed,
     descriptor_distances,
     localise,
+    localise_batch,
     match_patches,
 )
 from expmarket.patches import build_patch
@@ -118,14 +120,19 @@ def _oracle_localise(graph, observation, cfg, counter):
 
 
 # few distinct values, so that descriptors and distances tie (9.0 lies
-# beyond every tau_loc drawn), mixed with arbitrary floats, whose distances
-# round, so that the seeds and the tau_loc decisions must agree to the bit
-_value = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 9.0]),
+# beyond every tau_loc drawn), large ones, against which the prefilter's
+# estimate of a small distance is mostly rounding, mixed with arbitrary
+# floats, whose distances round, so that the seeds and the tau_loc
+# decisions must agree to the bit
+_value = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 9.0, 1e6, -1e6]),
                    st.floats(-10, 10))
 
 
+# numpy sums fewer than 8 terms in order and 8 or more pairwise; the world's
+# descriptors have 16
 @settings(max_examples=200, deadline=None)
-@given(data=st.data(), seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1),
+       dim=st.sampled_from([1, 2, 3, 8, 16, 17]),
        size=st.integers(0, 12), cached=st.integers(0, 12),
        seed_k=st.integers(1, 5), depth=st.integers(0, 2),
        tau_loc=st.sampled_from([0.1, 0.3, 1.0]))
@@ -163,6 +170,135 @@ def test_batch_localisation_matches_one_by_one_and_the_oracle(
         assert [row[index.rows[i]].tobytes() for i in ids] == [d.tobytes() for d in dists]
         want = [ids[i] for i in np.argsort(dists, kind="stable")[:seed_k]]
         assert appearance_seed(g, o.descriptor, seed_k) == want
+
+
+def _graph_of(descriptors):
+    """A chain over nodes with the given descriptors, ids in ascending order."""
+    gen = NodeIdGenerator(5, 0)
+    ids = sorted(gen.next_id() for _ in descriptors)
+    g, nodes = Graph(), []
+    for nid, d in zip(ids, descriptors):
+        nodes.append(Node(id=nid, descriptor=tuple(d)))
+        g.insert_node(nodes[-1])
+    for a, b in zip(nodes, nodes[1:]):
+        g.insert_edge(Edge(a.id, b.id, Pose.from_translation(5.0)))
+    return g, ids
+
+
+def _axis(dim, *lead):
+    return list(lead) + [0.0] * (dim - len(lead))
+
+
+def test_equal_distances_rank_by_id():
+    gen = NodeIdGenerator(5, 0)
+    small, large = sorted(gen.next_id() for _ in range(2))
+    for dim in (1, 2, 16, 17):
+        # both nodes lie at exactly 1.0; the larger id is inserted first
+        g = Graph()
+        g.insert_node(Node(id=large, descriptor=tuple(_axis(dim, 1.0))))
+        g.insert_node(Node(id=small, descriptor=tuple(_axis(dim, -1.0))))
+        assert appearance_seed(g, _axis(dim), 1) == [small]
+        assert appearance_seed(g, _axis(dim), 2) == [small, large]
+        cfg = LocaliserConfig(tau_loc=1.0, seed_k=2, depth=0)
+        assert localise_batch(g, [obs(_axis(dim))] * 3, cfg) == [small] * 3
+
+
+def test_runner_up_one_ulp_farther_is_not_a_seed():
+    for dim in (1, 8, 16, 17):
+        for base in (0.0, 1e6):
+            q = _axis(dim, base)
+            # the runner-up lies one ulp farther out along the first axis:
+            # at 0 its distance is one ulp above 1.0, at 1e6 the estimate
+            # cannot tell the two apart. The smaller id is the farther node,
+            # so only the distance decides.
+            far_x = np.nextafter(base + 1.0, np.inf)
+            g, ids = _graph_of([_axis(dim, far_x), _axis(dim, base + 1.0)])
+            near, far = ids[1], ids[0]
+            d = descriptor_distances(g.descriptor_index().matrix, q).tolist()
+            assert d[1] == 1.0 < d[0]
+            if base == 0.0:
+                assert d[0] == np.nextafter(1.0, np.inf)
+            assert appearance_seed(g, q, 1) == [near]
+            assert appearance_seed(g, q, 2) == [near, far]
+            cfg = LocaliserConfig(tau_loc=1.0, seed_k=1, depth=1)
+            assert localise(g, obs(q), cfg) == near
+            alone, _ = _graph_of([_axis(dim, far_x)])
+            assert localise(alone, obs(q), cfg) is None  # one ulp beyond tau_loc
+
+
+def test_seeds_exact_where_the_estimate_misranks():
+    """Nodes within 0.05 of each query, all about 1e6 from the origin: the
+    estimate |m|² - 2·m·q + |q|² is off by far more than the gaps between
+    the nearest distances, so it misranks them; the seeds must not be."""
+    rng = np.random.default_rng(3)
+    base = rng.uniform(-1e6, 1e6, 16)
+    g, _ = _graph_of((base + rng.uniform(-0.05, 0.05, (300, 16))).tolist())
+    matrix = g.descriptor_index().matrix
+    queries = (base + rng.uniform(-0.05, 0.05, (12, 16))).tolist()
+    cfg = LocaliserConfig(tau_loc=0.1, seed_k=3, depth=1)
+    misranked = 0
+    for q in queries:
+        d = descriptor_distances(matrix, q)
+        est = np.sum(matrix * matrix, axis=1) - 2.0 * (matrix @ q) + np.dot(q, q)
+        top = set(np.argsort(d, kind="stable")[:3].tolist())
+        misranked += top != set(np.argsort(est, kind="stable")[:3].tolist())
+        assert appearance_seed(g, q, 3) == [g.descriptor_index().ids[i]
+                                           for i in np.argsort(d, kind="stable")[:3]]
+    assert misranked
+    counter, oracle = MatchCounter(), MatchCounter()
+    got = localise_batch(g, [obs(q) for q in queries], cfg, counter)
+    assert got == [_oracle_localise(g, obs(q), cfg, oracle) for q in queries]
+    assert counter.ops == oracle.ops
+
+
+def test_seed_k_at_least_the_map_ranks_every_node():
+    g, ids = _graph_of([[3.0], [1.0], [2.0]])
+    for k in (3, 4, 10):
+        assert appearance_seed(g, [0.0], k) == [ids[1], ids[2], ids[0]]
+        counter = MatchCounter()
+        cfg = LocaliserConfig(tau_loc=1.0, seed_k=k, depth=0)
+        assert localise_batch(g, [obs([0.0]), obs([5.0])], cfg, counter) == [ids[1], None]
+        assert counter.ops == 2 * (3 + 3)  # every node, then every seed's ball
+
+
+def test_empty_map_and_empty_batch():
+    counter = MatchCounter()
+    cfg = LocaliserConfig()
+    assert localise_batch(Graph(), [obs([1.0]), obs([2.0])], cfg, counter) == [None, None]
+    assert appearance_seed(Graph(), [1.0], 3, counter) == []
+    g, _ = _graph_of([[1.0], [2.0]])
+    assert localise_batch(g, [], cfg, counter) == []
+    assert explain_observations(g, [], cfg, counter) == []
+    assert counter.ops == 0
+
+
+def test_batch_computes_exact_distances_for_few_rows(monkeypatch):
+    """32 observations against a 2,000-node map: the exact-distance step sees
+    far fewer rows than one map's worth, not a map's worth per observation."""
+    rng = np.random.default_rng(11)
+    size, dim = 2000, 16
+    g, _ = _graph_of(rng.uniform(-1.0, 1.0, (size, dim)).tolist())
+    index = g.descriptor_index()
+    picked = rng.choice(size, 24, replace=False)
+    queries = np.concatenate((index.matrix[picked] + rng.normal(0.0, 0.01, (24, dim)),
+                              rng.uniform(-1.0, 1.0, (8, dim))))
+    observations = [obs(q) for q in queries.tolist()]
+    cfg = LocaliserConfig()
+    seen = []
+    real = localiser.descriptor_distances
+
+    def recording(matrix, descriptors):
+        seen.append(len(matrix))
+        return real(matrix, descriptors)
+
+    monkeypatch.setattr(localiser, "descriptor_distances", recording)
+    counter, oracle = MatchCounter(), MatchCounter()
+    got = localise_batch(g, observations, cfg, counter)
+    monkeypatch.undo()
+    assert got == [_oracle_localise(g, o, cfg, oracle) for o in observations]
+    assert counter.ops == oracle.ops
+    assert sum(got[i] is not None for i in range(24)) == 24
+    assert seen and sum(seen) < size
 
 
 def _patch_of(descs, seed):
