@@ -12,7 +12,6 @@ from expmarket import (
     Choice,
     ChoicePolicy,
     Graph,
-    Measurement,
     Node,
     NodeIdGenerator,
     SamplingBudget,
@@ -20,7 +19,7 @@ from expmarket import (
     TradingStrategy,
     adjudicate,
     build_patch,
-    price_patch,
+    price_nodes,
     sample_for_query,
     select_partners,
     update_belief,
@@ -38,12 +37,12 @@ def patch_of(qualities):
 
 print("== pricing is a per-packet mean of the value metric ==")
 patch = patch_of([4, 8, 12])
-print(f"gamma values [4, 8, 12] -> price {price_patch(patch, gamma)}")
+print(f"gamma values [4, 8, 12] -> price {price_nodes(patch.insert_nodes.values(), gamma)}")
 
 print("\n== beliefs are streaming mean/variance per seller ==")
 belief = Belief(seller=1)
-for k, value in enumerate([6.0, 9.0, 7.5, 8.0]):
-    belief = update_belief(belief, Measurement(seller=1, k=k, value=value))
+for value in [6.0, 9.0, 7.5, 8.0]:
+    belief = update_belief(belief, value)
     print(f"  after m={value:4}: mean {belief.mean:.3f}  variance {belief.variance:.3f}")
 
 print("\n== queries are down-sampled by value under a byte budget ==")
@@ -65,11 +64,10 @@ seller_quality = {1: 5.0, 2: 10.0}
 beliefs = {}
 strategy = TradingStrategy(Strategy.BANDIT_EXPLORE_EXPLOIT, exploit_fraction=0.7)
 picks = []
-for k in range(400):
+for _ in range(400):
     (seller,) = select_partners(strategy, beliefs, 0, {0, 1, 2}, rng)
     value = max(0.0, value_rng.gauss(seller_quality[seller], 1.0))
-    beliefs[seller] = update_belief(beliefs.get(seller, Belief(seller)),
-                                    Measurement(seller=seller, k=k, value=value))
+    beliefs[seller] = update_belief(beliefs.get(seller, Belief(seller)), value)
     picks.append(seller)
 share = sum(1 for p in picks[2:] if p == 2) / (len(picks) - 2)
 print(f"seller 2 (mean 10 vs 5) won {share:.0%} of trades at exploit fraction 0.7")

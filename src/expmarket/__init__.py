@@ -20,7 +20,7 @@ from .catalogue import (
     shopping_list,
 )
 from .config import ConfigError, ScenarioConfig, bundled_scenario, load_scenario_config, parse_scenario_config
-from .foray import explain_observations, record_foray_patch
+from .foray import record_foray_patch
 from .graph import (
     EMPTY_GRAPH_DIGEST,
     Edge,
@@ -46,14 +46,12 @@ from .integrity import (
 from .localiser import LocaliserConfig, MatchCounter, MatchPair, MatchSet, appearance_seed, localise, match_patches
 from .market import (
     Belief,
-    EmptyPatch,
-    Measurement,
     NoEligibleSellers,
     SamplingBudget,
     Strategy,
     TradingStrategy,
     adjudicate,
-    price_patch,
+    price_nodes,
     sample_for_query,
     select_partners,
     update_belief,

@@ -37,6 +37,12 @@ _MAX_ROBOTS = 1024
 # forays and 16 dimensions.
 _MAX_FORAYS = 10_000
 _MAX_DESCRIPTOR_DIM = 1024
+# A foray observes one stop every ``node_spacing_m`` along a route inside the
+# catalogue, and ``Route.positions`` lists a route's stops at once, so a tiny
+# spacing would exhaust memory before the first observation. The bound is
+# on the whole catalogue, which no route exceeds; the bundled worlds hold
+# 128 (parks) to 531 (table1) stops.
+_MAX_STOPS = 100_000
 
 
 def _finite(name: str, val) -> float:
@@ -136,6 +142,9 @@ def parse_scenario_config(doc: dict, base_dir: Path | None = None) -> ScenarioCo
         raise ConfigError(f"world.descriptor_dim: need 1 to {_MAX_DESCRIPTOR_DIM}")
     if world_cfg.node_spacing_m <= 0:
         raise ConfigError("world.node_spacing_m: must be positive")
+    for key in ("latent_scale", "drift_sigma", "noise_sigma"):
+        if getattr(world_cfg, key) < 0:
+            raise ConfigError(f"world.{key}: must be non-negative")
     try:
         if cat_name.endswith(".catalogue"):
             path = Path(cat_name)
@@ -152,6 +161,9 @@ def parse_scenario_config(doc: dict, base_dir: Path | None = None) -> ScenarioCo
                     f"world.catalogue: no bundled catalogue named '{cat_name}'") from None
     except (OSError, ValueError) as exc:  # unreadable path or malformed catalogue
         raise ConfigError(f"world.catalogue: {exc}") from None
+    if catalogue.total_metres / world_cfg.node_spacing_m > _MAX_STOPS:
+        raise ConfigError(f"world.node_spacing_m: the catalogue's {catalogue.total_metres:g} m "
+                          f"would hold over {_MAX_STOPS} stops")
 
     t = _SectionReader("team", doc["team"])
     robots = t.take("robots", int, required=True)

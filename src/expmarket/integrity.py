@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 
 from .graph import Edge, Graph, Node
 from .ids import NodeIdGenerator, derive_seed
-from .localiser import MatchCounter
 from .merging import (Commutation, CommutationPolicy, _neighbours, _stranded_neighbour,
                       execute_trade)
 from .patches import Patch, Repository, apply_patch, build_patch
@@ -117,9 +116,9 @@ class CoverageReport:
         return self.distinct == 2 ** self.battery_size
 
 
-def merge_coverage(trials: Sequence[MergeTrial],
-                   battery: Sequence[IntegrityTest] | None = None) -> CoverageReport:
-    battery = battery if battery is not None else builtin_tests()
+def merge_coverage(trials: Sequence[MergeTrial]) -> CoverageReport:
+    """The built-in battery's test vectors over every trial, as one multiset."""
+    battery = builtin_tests()
     total: dict[TestVector, int] = {}
     for trial in trials:
         for vec, count in evaluate_battery(battery, trial).items():
@@ -212,13 +211,12 @@ def generate_configurations(seed: int, count: int,
 
 
 def run_battery_trial(config: DivergentConfig, policy: CommutationPolicy,
-                      faults: frozenset[str] = frozenset(),
-                      counter: MatchCounter | None = None) -> MergeTrial:
+                      faults: frozenset[str] = frozenset()) -> MergeTrial:
     """Merge one configuration (optionally faulted) and package the outcome."""
     left_graph, right_graph = config.left_graph(), config.right_graph()
     # the repositories copy these, so they stay the pre-trade graphs
     out = execute_trade(Repository(0, left_graph), Repository(1, right_graph), policy,
-                        enforce=False, _faults=faults, counter=counter)
+                        enforce=False, _faults=faults)
     return MergeTrial(
         left_patch=config.left,
         right_patch=config.right,
@@ -232,6 +230,13 @@ def run_battery_trial(config: DivergentConfig, policy: CommutationPolicy,
 
 
 # -- Monte Carlo convergence ------------------------------------------------
+
+# Toy descriptors are drawn uniformly from [-_TOY_SPREAD, _TOY_SPREAD]^_TOY_DIM,
+# so distinct places lie far beyond any match threshold.
+_TOY_DIM = 8
+_TOY_SPREAD = 1000.0
+# Round-robin sweeps of all pairs before trading must have gone quiet.
+_MAX_SWEEPS = 16
 
 
 @dataclass
@@ -256,15 +261,15 @@ class ConvergenceReport:
 
 
 def _toy_patch(repo: Repository, size: int, rng: random.Random,
-               ids: NodeIdGenerator, foray: int, dim: int, spread: float,
-               dup_pool: list[Node], overlap: float, dup_scale: float) -> Patch:
+               ids: NodeIdGenerator, foray: int, dup_pool: list[Node],
+               overlap: float, dup_scale: float) -> Patch:
     nodes = []
     for _ in range(size):
         if dup_pool and rng.random() < overlap:
             src = rng.choice(dup_pool)
             desc = tuple(v + rng.uniform(-dup_scale, dup_scale) for v in src.descriptor)
         else:
-            desc = tuple(rng.uniform(-spread, spread) for _ in range(dim))
+            desc = tuple(rng.uniform(-_TOY_SPREAD, _TOY_SPREAD) for _ in range(_TOY_DIM))
         nodes.append(Node(id=ids.next_id(), descriptor=desc,
                           inlier_count=rng.randrange(0, 100),
                           fabmap_score=rng.random(),
@@ -272,16 +277,17 @@ def _toy_patch(repo: Repository, size: int, rng: random.Random,
     return build_patch(repo.graph, insert_nodes=nodes, insert_edges=_chain(nodes))
 
 
-def sweep_all_pairs(repos: list[Repository], policy: CommutationPolicy,
-                    counter: MatchCounter | None = None,
-                    enforce: bool = False, max_sweeps: int = 16) -> list[Repository]:
-    """Distributed-query-all: round-robin pairwise trades until quiescent."""
-    for _ in range(max_sweeps):
+def sweep_all_pairs(repos: list[Repository], policy: CommutationPolicy) -> list[Repository]:
+    """Distributed-query-all: round-robin pairwise trades until quiescent.
+
+    Trades do not enforce convergence: a divergence is what the caller counts.
+    """
+    for _ in range(_MAX_SWEEPS):
         changed = False
         for i in range(len(repos)):
             for j in range(i + 1, len(repos)):
                 before = (repos[i].digest(), repos[j].digest())
-                execute_trade(repos[i], repos[j], policy, counter=counter, enforce=enforce)
+                execute_trade(repos[i], repos[j], policy, enforce=False)
                 if (repos[i].digest(), repos[j].digest()) != before:
                     changed = True
         if not changed:
@@ -292,8 +298,7 @@ def sweep_all_pairs(repos: list[Repository], policy: CommutationPolicy,
 def monte_carlo_convergence(R: int, K: int, M: int,
                             mu, sigma,
                             policy: CommutationPolicy | None = None,
-                            seed: int = 0, overlap: float = 0.0,
-                            dim: int = 8, spread: float = 1000.0) -> ConvergenceReport:
+                            seed: int = 0, overlap: float = 0.0) -> ConvergenceReport:
     """Fleet-wide convergence check over M seeded trials.
 
     Per foray, robot i contributes a toy patch whose size is drawn from
@@ -321,8 +326,8 @@ def monte_carlo_convergence(R: int, K: int, M: int,
             pool: list[Node] = []
             for i in range(R):
                 size = max(0, round(rng.gauss(mus[i], sigmas[i])))
-                patch = _toy_patch(repos[i], size, rng, idgens[i], k, dim,
-                                   spread, pool, overlap if i > 0 else 0.0, dup_scale)
+                patch = _toy_patch(repos[i], size, rng, idgens[i], k, pool,
+                                   overlap if i > 0 else 0.0, dup_scale)
                 # duplicates are drawn in id order, whatever order the patch was built in
                 pool = sorted(patch.insert_nodes.values(), key=lambda n: n.id)
                 repos[i].commit(patch)

@@ -1,10 +1,13 @@
 """Pricing, beliefs, query sampling, tender adjudication, partner selection.
 
-A patch's price is the mean choice-policy value of its inserted nodes, so
-it reads as a per-packet figure regardless of patch size. Each agent keeps
-a streaming mean/variance belief per seller (Welford accumulation, exactly
-the recurrences the pricing model defines) and chooses partners with one of
-the team strategies.
+``price_nodes`` prices content as the mean choice-policy value of its
+nodes, so a price reads as a per-packet figure regardless of patch size.
+Each agent keeps a streaming mean/variance ``Belief`` per seller and folds
+each trade's price into it with ``update_belief`` (Welford accumulation,
+exactly the recurrences the pricing model defines). ``sample_for_query``
+and ``query_bytes`` make a market query, ``adjudicate`` picks among
+tenders, and ``select_partners`` chooses partners with one of the team
+strategies.
 
 Note the exploration convention: ``exploit_fraction`` is the fraction of
 trades spent exploiting the best seller, and the remainder explores. This
@@ -23,21 +26,8 @@ from .merging import ChoicePolicy, gamma_score
 from .patches import Inserts, Patch
 
 
-class EmptyPatch(Exception):
-    """A price needs at least one inserted node."""
-
-
 class NoEligibleSellers(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class Measurement:
-    """The realized value of one trade with one seller."""
-
-    seller: RobotId
-    k: int
-    value: float
 
 
 @dataclass(frozen=True)
@@ -65,30 +55,20 @@ class Belief:
         return self.m2 / (self.count - 1)
 
 
-def price_patch(patch: Patch, policy: ChoicePolicy) -> float:
-    """Mean node value of a patch: its per-packet price."""
-    nodes = patch.insert_nodes.values()
-    if not nodes:
-        raise EmptyPatch("cannot price a patch with no inserts")
-    return price_nodes(nodes, policy)
-
-
 def price_nodes(nodes, policy: ChoicePolicy) -> float:
-    """Mean value of a bare node collection (tender offers use this)."""
+    """Mean node value of a node collection, 0.0 for none: its per-packet price."""
     nodes = list(nodes)
     if not nodes:
         return 0.0
     return sum(gamma_score(n, policy) for n in nodes) / len(nodes)
 
 
-def update_belief(belief: Belief, m: Measurement) -> Belief:
-    """Fold one measurement into the streaming mean/variance."""
-    if m.seller != belief.seller:
-        raise ValueError("measurement is about a different seller")
+def update_belief(belief: Belief, value: float) -> Belief:
+    """Fold the realized value of one trade into the streaming mean/variance."""
     count = belief.count + 1
-    delta = m.value - belief.mean
+    delta = value - belief.mean
     mean = belief.mean + delta / count
-    m2 = belief.m2 + delta * (m.value - mean)
+    m2 = belief.m2 + delta * (value - mean)
     return Belief(seller=belief.seller, count=count, mean=mean, m2=m2)
 
 

@@ -27,5 +27,6 @@ class Pose:
         return Pose()
 
     @staticmethod
-    def from_translation(tx: float, ty: float = 0.0, tz: float = 0.0) -> "Pose":
-        return Pose(float(tx), float(ty), float(tz), 1.0, 0.0, 0.0, 0.0)
+    def from_translation(tx: float) -> "Pose":
+        """A pure translation of ``tx`` meters along x."""
+        return Pose(float(tx), 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)

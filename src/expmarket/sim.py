@@ -25,13 +25,12 @@ from .catalogue import (
     shopping_list,
 )
 from .config import ScenarioConfig
-from .foray import MetadataFn, _default_metadata, explain_observations, record_foray_patch
+from .foray import MetadataFn, _default_metadata, record_foray_patch
 from .graph import Graph
 from .ids import NodeIdGenerator, RobotId, derive_seed
-from .localiser import LocaliserConfig, MatchCounter
+from .localiser import LocaliserConfig, MatchCounter, localise_batch
 from .market import (
     Belief,
-    Measurement,
     NoEligibleSellers,
     Strategy,
     adjudicate,
@@ -159,7 +158,7 @@ def run_foray(repo: Repository, world: World, route: Route, epoch: int,
     spacing = world.config.node_spacing_m
     positions = route.positions(spacing)
     observations = [world.observe(repo.robot, epoch, p) for p in positions]
-    explained = explain_observations(repo.graph, observations, localiser, counter)
+    explained = localise_batch(repo.graph, observations, localiser, counter)
     dropouts: list[float] = []
     run = 0.0
     for m, hit in enumerate(explained):
@@ -173,9 +172,8 @@ def run_foray(repo: Repository, world: World, route: Route, epoch: int,
                 run = 0.0
     if run > 0:
         dropouts.append(run)
-    patch = record_foray_patch(repo.graph, observations, repo.robot, epoch,
-                               localiser, ids, metadata=metadata,
-                               _explained=explained)
+    patch = record_foray_patch(repo.graph, observations, explained, repo.robot,
+                               epoch, ids, metadata=metadata)
     return ForayResult(patch, dropouts, positions[-1])
 
 
@@ -243,19 +241,17 @@ class _Agent:
     def belief_about(self, seller: RobotId) -> Belief:
         return self.beliefs.get(seller, Belief(seller))
 
-    def observe_trade(self, seller: RobotId, k: int, patch: Patch,
-                      choice_policy) -> None:
+    def observe_trade(self, seller: RobotId, patch: Patch, choice_policy) -> None:
         nodes = patch.insert_nodes.values()
-        m = Measurement(seller=seller, k=k, value=price_nodes(nodes, choice_policy))
-        self.beliefs[seller] = update_belief(self.belief_about(seller), m)
+        self.beliefs[seller] = update_belief(self.belief_about(seller),
+                                             price_nodes(nodes, choice_policy))
         by_product: dict[int, list] = {}
         for n in nodes:
             by_product.setdefault(n.product, []).append(n)
         for product, pnodes in by_product.items():
             cell = self.product_beliefs.setdefault(product, {})
-            pm = Measurement(seller=seller, k=k,
-                             value=price_nodes(pnodes, choice_policy))
-            cell[seller] = update_belief(cell.get(seller, Belief(seller)), pm)
+            cell[seller] = update_belief(cell.get(seller, Belief(seller)),
+                                         price_nodes(pnodes, choice_policy))
 
 
 def _tender_offer(seller_graph: Graph, sample: Inserts | None, choice_policy) -> float:
@@ -398,7 +394,7 @@ def _merging(t: _Trial, k: int) -> None:
                 me.counter.add(merge_counter.ops)
                 arrivals.append(deliver(net, size, t.net_rng, src=other.robot,
                                         dst=me.robot, kind="patch"))
-                me.observe_trade(other.robot, k, received, config.commutation.choice)
+                me.observe_trade(other.robot, received, config.commutation.choice)
                 me.ledger.bought(received)
                 me.ledger.sold(delivered)
 

@@ -24,7 +24,6 @@ from expmarket.integrity import (
 )
 from expmarket.market import (
     Belief,
-    Measurement,
     Strategy,
     TradingStrategy,
     select_partners,
@@ -163,8 +162,8 @@ def test_criterion_5_welford_correctness():
     worst = 0.0
     for name, values in sequences.items():
         b = Belief(seller=0)
-        for i, v in enumerate(values):
-            b = update_belief(b, Measurement(seller=0, k=i, value=v))
+        for v in values:
+            b = update_belief(b, v)
         mean, var = batch(values)
         mean_err = abs(b.mean - mean) / max(abs(mean), 1e-300)
         var_err = 0.0 if var == b.variance else abs(b.variance - var) / max(abs(var), 1e-300)
@@ -185,11 +184,10 @@ def test_criterion_6_bandit_behavior():
     beliefs = {}
     picks = []
     strat = TradingStrategy(Strategy.BANDIT_EXPLOIT)
-    for k in range(500):
+    for _ in range(500):
         (seller,) = select_partners(strat, beliefs, 0, {0, 1, 2}, rng)
         value = max(0.0, value_rng.gauss({1: 5.0, 2: 10.0}[seller], 1.0))
-        beliefs[seller] = update_belief(beliefs.get(seller, Belief(seller)),
-                                        Measurement(seller=seller, k=k, value=value))
+        beliefs[seller] = update_belief(beliefs.get(seller, Belief(seller)), value)
         picks.append(seller)
     after_init = picks[2:]
     exploit_rate = sum(1 for p in after_init if p == 2) / len(after_init)

@@ -267,7 +267,11 @@ def test_run_scenario_rejects_out_of_range_config_values(tmp_path, capsys):
              {"network.latency_high_ms": float("inf")},
              {"sim.tau_loc": float("nan")},
              {"sim.forays": 10**9},
-             {"world.descriptor_dim": 10**6}]
+             {"world.descriptor_dim": 10**6},
+             {"world.noise_sigma": -0.01},
+             {"world.drift_sigma": -0.05},
+             {"world.latent_scale": -1.0},
+             {"world.node_spacing_m": 1e-9}]
     for overrides in cases:
         path = _write_scenario(tmp_path, **overrides)
         code = main(["run-scenario", "--config", str(path), "--out", str(tmp_path / "out")])

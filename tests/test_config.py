@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expmarket.config import (
+    _MAX_STOPS,
     ConfigError,
     ScenarioConfig,
     bundled_scenario,
@@ -123,6 +124,10 @@ def test_asymmetric_choice_rejected_for_scenarios():
     ("world", "descriptor_dim", 0),
     ("world", "descriptor_dim", 1025),
     ("world", "descriptor_dim", 10**12),
+    ("world", "drift_sigma", -0.05),
+    ("world", "noise_sigma", -0.01),
+    ("world", "latent_scale", -1.0),
+    ("world", "node_spacing_m", 1e-9),
 ])
 def test_out_of_range_values_are_config_errors(section, key, value):
     doc = bundled_scenario("robustness")  # WINDOW shopping, four robots
@@ -160,10 +165,12 @@ def _json_values():
 
 
 _SCENARIOS = ("robustness", "scaling", "shopping")
-# every section, and every key any bundled scenario sets
+# every section, every key any bundled scenario sets, and the keys none sets
 _FIELDS = sorted({(section, key) for name in _SCENARIOS
                   for section, body in bundled_scenario(name).items()
-                  for key in (None, *body)}, key=str)
+                  for key in (None, *body)}
+                 | {("world", "latent_scale"), ("team", "quality_fabmap_means"),
+                    ("strategies", "central_id")}, key=str)
 
 
 @settings(max_examples=600, deadline=None)
@@ -187,3 +194,5 @@ def test_any_value_of_one_field_parses_or_is_a_config_error(name, field, value):
                localiser.tau_loc, localiser.tau_m,
                *cfg.quality_inlier_means, *cfg.quality_fabmap_means]
     assert all(math.isfinite(v) for v in numbers)
+    assert min(world.latent_scale, world.drift_sigma, world.noise_sigma) >= 0
+    assert cfg.catalogue.total_metres / world.node_spacing_m <= _MAX_STOPS

@@ -6,7 +6,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expmarket.foray import explain_observations
 from expmarket.graph import Edge, Graph, Node, Observation, neighbourhood
 from expmarket.ids import NodeIdGenerator, derive_seed
 import expmarket.localiser as localiser
@@ -155,7 +154,7 @@ def test_batch_localisation_matches_one_by_one_and_the_oracle(
     cfg = LocaliserConfig(tau_loc=tau_loc, seed_k=seed_k, depth=depth)
 
     batch, single, oracle = MatchCounter(), MatchCounter(), MatchCounter()
-    got = explain_observations(g, observations, cfg, batch)
+    got = localise_batch(g, observations, cfg, batch)
     assert got == [localise(g, o, cfg, single) for o in observations]
     assert got == [_oracle_localise(g, o, cfg, oracle) for o in observations]
     assert batch.ops == single.ops == oracle.ops
@@ -268,7 +267,6 @@ def test_empty_map_and_empty_batch():
     assert appearance_seed(Graph(), [1.0], 3, counter) == []
     g, _ = _graph_of([[1.0], [2.0]])
     assert localise_batch(g, [], cfg, counter) == []
-    assert explain_observations(g, [], cfg, counter) == []
     assert counter.ops == 0
 
 

@@ -8,14 +8,12 @@ from expmarket.graph import Graph
 from expmarket.ids import NodeIdGenerator, derive_seed
 from expmarket.market import (
     Belief,
-    EmptyPatch,
-    Measurement,
     NoEligibleSellers,
     SamplingBudget,
     Strategy,
     TradingStrategy,
     adjudicate,
-    price_patch,
+    price_nodes,
     query_bytes,
     sample_for_query,
     select_partners,
@@ -29,6 +27,10 @@ from _builders import chain_edges, mknode
 INLIERS = ChoicePolicy(Choice.INLIERS)
 
 
+def price(patch):
+    return price_nodes(patch.insert_nodes.values(), INLIERS)
+
+
 def patch_with_gammas(gammas, seed=0):
     gen = NodeIdGenerator(seed, 0)
     nodes = [mknode(gen, [float(i)], inlier_count=g) for i, g in enumerate(gammas)]
@@ -40,18 +42,12 @@ def patch_with_gammas(gammas, seed=0):
 
 def test_price_is_arithmetic_mean():
     patch, _ = patch_with_gammas([1, 2, 3])
-    assert price_patch(patch, INLIERS) == 2.0
+    assert price(patch) == 2.0
 
 
 def test_price_single_node():
     patch, _ = patch_with_gammas([7])
-    assert price_patch(patch, INLIERS) == 7.0
-
-
-def test_price_empty_patch_rejected():
-    patch = build_patch(Graph())
-    with pytest.raises(EmptyPatch):
-        price_patch(patch, INLIERS)
+    assert price(patch) == 7.0
 
 
 def test_price_matches_naive_fold():
@@ -62,7 +58,7 @@ def test_price_matches_naive_fold():
         total = 0.0
         for n in nodes:
             total += n.inlier_count
-        assert price_patch(patch, INLIERS) == pytest.approx(total / len(nodes), rel=1e-15)
+        assert price(patch) == pytest.approx(total / len(nodes), rel=1e-15)
 
 
 def test_price_scale_consistent_under_duplication():
@@ -70,30 +66,25 @@ def test_price_scale_consistent_under_duplication():
     gen = NodeIdGenerator(99, 9)
     doubled_nodes = nodes + [mknode(gen, [9.0], inlier_count=g) for g in (4, 8, 12)]
     doubled = build_patch(Graph(), insert_nodes=doubled_nodes)
-    assert price_patch(doubled, INLIERS) == price_patch(patch, INLIERS)
+    assert price(doubled) == price(patch)
 
 
 # -- beliefs -------------------------------------------------------------------
 
 
 def test_belief_first_observation():
-    b = update_belief(Belief(seller=1), Measurement(seller=1, k=0, value=4.0))
+    b = update_belief(Belief(seller=1), 4.0)
     assert (b.count, b.mean, b.m2) == (1, 4.0, 0.0)
     assert b.initialized
 
 
 def test_belief_small_sequence_matches_batch():
     b = Belief(seller=1)
-    for i, v in enumerate([2.0, 4.0, 6.0]):
-        b = update_belief(b, Measurement(seller=1, k=i, value=v))
+    for v in [2.0, 4.0, 6.0]:
+        b = update_belief(b, v)
     assert b.mean == pytest.approx(4.0)
     assert b.m2 == pytest.approx(8.0)
     assert b.variance == pytest.approx(4.0)
-
-
-def test_belief_rejects_wrong_seller():
-    with pytest.raises(ValueError):
-        update_belief(Belief(seller=1), Measurement(seller=2, k=0, value=1.0))
 
 
 def _batch_mean_var(values):
@@ -108,8 +99,8 @@ def test_belief_streaming_matches_batch_oracle_one_million():
     rng = random.Random(derive_seed("welford", 0))
     values = [rng.gauss(50.0, 9.0) for _ in range(1_000_000)]
     b = Belief(seller=0)
-    for i, v in enumerate(values):
-        b = update_belief(b, Measurement(seller=0, k=i, value=v))
+    for v in values:
+        b = update_belief(b, v)
     mean, var = _batch_mean_var(values)
     assert abs(b.mean - mean) <= 1e-9 * abs(mean)
     assert abs(b.variance - var) <= 1e-9 * abs(var)
@@ -117,8 +108,8 @@ def test_belief_streaming_matches_batch_oracle_one_million():
 
 def test_belief_constant_sequence_zero_variance():
     b = Belief(seller=0)
-    for i in range(10_000):
-        b = update_belief(b, Measurement(seller=0, k=i, value=3.25))
+    for _ in range(10_000):
+        b = update_belief(b, 3.25)
     assert b.mean == 3.25
     assert b.variance == 0.0
 
@@ -137,8 +128,8 @@ def test_belief_adversarial_orderings():
     }
     for name, values in orders.items():
         b = Belief(seller=0)
-        for i, v in enumerate(values):
-            b = update_belief(b, Measurement(seller=0, k=i, value=v))
+        for v in values:
+            b = update_belief(b, v)
         mean, var = _batch_mean_var(values)
         assert abs(b.mean - mean) <= 1e-9 * abs(mean), name
         assert abs(b.variance - var) <= 1e-9 * abs(var), name
@@ -302,12 +293,11 @@ def test_exploit_prefers_dominant_seller_in_stationary_market():
     strat = TradingStrategy(Strategy.BANDIT_EXPLOIT)
     beliefs = {}
     picks = []
-    for k in range(200):
+    for _ in range(200):
         (seller,) = select_partners(strat, beliefs, 0, team(3), rng)
         mean = {1: 5.0, 2: 10.0}[seller]
         value = max(0.0, value_rng.gauss(mean, 1.0))
-        beliefs[seller] = update_belief(beliefs.get(seller, Belief(seller)),
-                                        Measurement(seller=seller, k=k, value=value))
+        beliefs[seller] = update_belief(beliefs.get(seller, Belief(seller)), value)
         picks.append(seller)
     after_init = picks[2:]
     assert sum(1 for p in after_init if p == 2) / len(after_init) >= 0.9
