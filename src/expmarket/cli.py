@@ -26,6 +26,10 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
+# Bound on --mu and --sigma: patch sizes are drawn from N(mu, sigma) and built
+# in memory, so --sigma 1e308 would loop until memory runs out; 1000 is 100x the default --mu.
+_MAX_RATE = 1000.0
+
 
 def _default_seed() -> int:
     env = os.environ.get("EXPMARKET_SEED")
@@ -65,6 +69,8 @@ def _parse_rates(text: str, robots: int, flag: str) -> list[float]:
         raise _usage_error(f"{flag}: expected a number or comma list") from None
     if not all(math.isfinite(v) for v in values):
         raise _usage_error(f"{flag}: values must be finite")
+    if any(v > _MAX_RATE for v in values):
+        raise _usage_error(f"{flag}: values must be at most {_MAX_RATE:g}")
     if len(values) == 1:
         return values * robots
     if len(values) != robots:

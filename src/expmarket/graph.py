@@ -19,22 +19,24 @@ then one SHA-256 over that buffer. ``Graph.digest_after`` gives the digest
 the graph would have after an item delta: it joins the spliced buffer once
 and hashes it once, changes no content, and keeps the buffer and digest,
 so that committing exactly that delta adopts them and splices and hashes
-nothing again. Given another graph (``like``) whose kept buffer is
-byte-equal to the spliced one, it takes that graph's buffer and digest and
-hashes nothing: the two sides of a trade that converges splice once each,
-run one SHA-256 pass between them, and end sharing one buffer.
+nothing again. ``_hashed`` keeps the last buffer hashed and its digest, and
+a byte-equal buffer takes both: the two sides of a converging trade run one
+SHA-256 pass between them and share one buffer. The digest bytes are the
+same as hashing every item afresh (``compute_digest_from_scratch``).
 ``Graph.items_missing_from`` finds the items one graph holds and another
 lacks by a C-level scan of the hashes; a trade between equal digests
 never asks (``merging.execute_trade``). ``Graph.listed_missing_from``
 tests only a given list instead: the items inserted since a state both
-graphs held, when neither deleted anything since (``patches.diff``). The digest bytes are the same as
-hashing every item afresh (``compute_digest_from_scratch``).
+graphs held, when neither deleted anything since (``patches.diff``).
 
 A graph belongs to one owner, a ``Repository`` or a caller that built it,
 which changes it in place. What a graph shares with its copies is never
 changed in place: each node's out-edge dict and in-neighbour ``frozenset``,
 the hash buffer and the descriptor index are replaced, not edited, so
-``Graph.copy`` copies only the dicts that map ids and hashes to them.
+``Graph.copy`` copies only the dicts that map ids and hashes to them. Its
+mutators refuse content that does not fit, by type: ``MissingTarget`` (a
+``KeyError``), ``DanglingEdge`` and ``DuplicateContent`` (both
+``ValueError``). The patch layer shares their base ``PatchError``.
 
 The digest of the empty graph is SHA-256 of the empty string:
 ``e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855``.
@@ -180,16 +182,33 @@ class Observation:
 
 class DescriptorIndex(NamedTuple):
     """A graph's node descriptors as one matrix: row ``i`` of ``matrix`` is
-    the descriptor of ``ids[i]``, ids in the graph's insertion order, and
-    ``rows`` maps each id to its row. Shared between graphs, so never
-    changed in place."""
+    the descriptor of ``ids[i]``, ids in the graph's insertion order.
+    Shared between graphs, so never changed in place."""
 
     ids: tuple[NodeId, ...]
     matrix: np.ndarray
-    rows: dict[NodeId, int]
 
 
-_NO_INDEX = DescriptorIndex((), np.empty((0, 0), dtype=np.float64), {})
+_NO_INDEX = DescriptorIndex((), np.empty((0, 0), dtype=np.float64))
+
+
+class PatchError(Exception):
+    """Base class for content a graph refuses and for patch failures."""
+
+
+class MissingTarget(PatchError, KeyError):
+    """A delete names a node or edge the graph does not hold."""
+
+    __str__ = PatchError.__str__  # the message as given, not quoted as a key
+
+
+class DanglingEdge(PatchError, ValueError):
+    """An edge insertion references an absent endpoint, or a node delete
+    would strand incident edges."""
+
+
+class DuplicateContent(PatchError, ValueError):
+    """An insertion collides with content already present."""
 
 
 _REC = 32  # bytes per record in the sorted hash buffer (one SHA-256)
@@ -202,7 +221,8 @@ class Graph:
     independent graph. The values its dicts hold are never changed once
     stored: ``_out[id]`` (a dict of out-edges by target) and ``_in[id]`` (a
     ``frozenset`` of sources) are replaced by an edge insert or removal, so
-    a copy may share them.
+    a copy may share them. A mutator refuses content that does not fit
+    before it changes anything.
 
     ``_items`` maps every item hash to its node or edge. ``_sorted`` is one
     ``bytes`` buffer of the hashes as sorted 32-byte records. ``_delta``
@@ -210,15 +230,15 @@ class Graph:
     last brought up to date, which ``_sorted_hashes`` does by one splice
     (``_spliced``) into a new buffer, whatever the delta's size. ``digest``
     hashes the buffer, and ``digest_after`` splices the buffer an item delta
-    leads to and hashes it, or takes the digest another graph kept for a
-    byte-equal buffer. ``_after`` keeps the last ``digest_after`` result
-    as (delta, digest, buffer) over the current buffer; every fold clears
-    it, as the buffer it was computed over is then gone. A fold while
-    ``_delta`` equals that delta installs the kept buffer and digest instead
-    of splicing; any other delta is spliced and hashed. Kept buffers are
-    immutable ``bytes``, so copies that share ``_after`` may each adopt the
-    same one. A node entry in ``_items`` may carry a stale ``path_memory``;
-    the current record is in ``_nodes``.
+    leads to and hashes it, both through the memo ``_hashed``, which takes
+    the last buffer hashed in place of a byte-equal one. ``_after`` keeps
+    the last ``digest_after`` result as (delta, digest, buffer) over the
+    current buffer; every fold clears it, as the buffer it was computed over
+    is then gone. A fold while ``_delta`` equals that delta installs the
+    kept buffer and digest instead of splicing; any other delta is spliced
+    and hashed. Kept buffers are immutable ``bytes``, so copies that share
+    ``_after`` may each adopt the same one. A node entry in ``_items`` may
+    carry a stale ``path_memory``; the current record is in ``_nodes``.
 
     ``_desc_index`` caches ``descriptor_index``: the first nodes of
     ``_nodes`` in insertion order, which ``descriptor_index`` extends by the
@@ -308,7 +328,7 @@ class Graph:
 
     def insert_node(self, node: Node) -> None:
         if node.id in self._nodes:
-            raise ValueError(f"duplicate node {id_text(node.id)}")
+            raise DuplicateContent(f"insert of existing node {id_text(node.id)}")
         self._nodes[node.id] = node
         self._out[node.id] = {}
         self._in[node.id] = frozenset()
@@ -317,8 +337,10 @@ class Graph:
 
     def remove_node(self, node_id: NodeId) -> Node:
         """Remove a node; its incident edges must already be gone."""
-        if self._out.get(node_id) or self._in.get(node_id):
-            raise ValueError(f"node {id_text(node_id)} still has incident edges")
+        if node_id not in self._nodes:
+            raise MissingTarget(f"delete of absent node {id_text(node_id)}")
+        if self._out[node_id] or self._in[node_id]:
+            raise DanglingEdge(f"node {id_text(node_id)} deleted while edges remain")
         node = self._nodes.pop(node_id)
         del self._out[node_id]
         del self._in[node_id]
@@ -328,19 +350,23 @@ class Graph:
         return node
 
     def insert_edge(self, edge: Edge) -> None:
+        if edge.src not in self._nodes or edge.dst not in self._nodes:
+            raise DanglingEdge(
+                f"edge {id_text(edge.src)}->{id_text(edge.dst)} has an absent endpoint")
         if edge.src == edge.dst:
             raise ValueError("self loop")
-        if edge.src not in self._nodes or edge.dst not in self._nodes:
-            raise ValueError(f"dangling edge {id_text(edge.src)}->{id_text(edge.dst)}")
         out = self._out[edge.src]
         if edge.dst in out:
-            raise ValueError(f"duplicate edge {id_text(edge.src)}->{id_text(edge.dst)}")
+            raise DuplicateContent(
+                f"edge {id_text(edge.src)}->{id_text(edge.dst)} already present")
         self._out[edge.src] = {**out, edge.dst: edge}
         self._in[edge.dst] |= {edge.src}
         self._items[edge.item_hash] = edge
         self._track(edge.item_hash, True)
 
     def remove_edge(self, src: NodeId, dst: NodeId) -> Edge:
+        if dst not in self._out.get(src, ()):
+            raise MissingTarget(f"edge {id_text(src)}->{id_text(dst)} absent")
         out = self._out[src].copy()
         edge = out.pop(dst)
         self._out[src] = out
@@ -398,21 +424,17 @@ class Graph:
         if self._digest is None:
             buf = self._sorted_hashes()  # may take the digest of an adopted buffer
             if self._digest is None:
-                self._digest = hashlib.sha256(buf).digest()
+                self._sorted, self._digest = _hashed(buf)
         return self._digest
 
-    def digest_after(self, dropped: Iterable[bytes], added: Iterable[bytes], *,
-                     like: "Graph | None" = None) -> StateDigest:
+    def digest_after(self, dropped: Iterable[bytes], added: Iterable[bytes]) -> StateDigest:
         """The digest this graph would have with ``dropped`` item hashes
         removed and ``added`` ones inserted; the graph is not changed.
 
-        The buffer is spliced and joined once. It is hashed by one SHA-256
-        call, unless it is byte-equal to the buffer ``like`` kept from its
-        own last ``digest_after``: then that buffer and its digest are taken
-        instead. A kept digest is always the SHA-256 of its kept buffer, so
-        the result is the same; the second side of a converging trade hashes
-        nothing, and both sides share one buffer. Raises ``KeyError`` for a
-        dropped hash the graph does not hold.
+        The buffer is spliced and joined once, and hashed by ``_hashed``,
+        which takes the last buffer hashed and its digest when they are
+        byte-equal, as on the second side of a converging trade. Raises
+        ``KeyError`` for a dropped hash the graph does not hold.
 
         The result is kept as (delta, digest, buffer), with the delta as
         ``_track`` would record it, when no hash repeats, until the next fold
@@ -422,12 +444,7 @@ class Graph:
         nothing again.
         """
         dropped, added = list(dropped), list(added)
-        buf = _spliced(self._sorted_hashes(), dropped, added)
-        kept = like._after if like is not None else None
-        if kept is not None and kept[2] == buf:  # unequal lengths compare in O(1)
-            _, digest, buf = kept
-        else:
-            digest = hashlib.sha256(buf).digest()
+        buf, digest = _hashed(_spliced(self._sorted_hashes(), dropped, added))
         delta = dict.fromkeys(dropped, False)
         delta.update(dict.fromkeys(added, True))
         if len(delta) == len(dropped) + len(added):
@@ -448,11 +465,19 @@ class Graph:
             block = np.array([n.descriptor for n in added], dtype=np.float64)
             ids = index.ids + tuple(n.id for n in added)
             index = self._desc_index = DescriptorIndex(
-                ids,
-                np.concatenate((index.matrix, block)) if start else block,
-                index.rows | dict(zip(ids[start:], range(start, len(ids)))),
-            )
+                ids, np.concatenate((index.matrix, block)) if start else block)
         return index
+
+
+_memo: tuple[bytes, StateDigest] = (b"", EMPTY_GRAPH_DIGEST)
+
+
+def _hashed(buf: bytes) -> tuple[bytes, StateDigest]:
+    """``buf`` and its SHA-256, or the last buffer hashed and its digest if byte-equal."""
+    global _memo
+    if (memo := _memo)[0] != buf:  # read once: no pair another thread stores is returned
+        memo = _memo = buf, hashlib.sha256(buf).digest()
+    return memo
 
 
 def _offsets(buf: bytes, hashes: list[bytes]) -> list[int]:
@@ -513,12 +538,15 @@ class UnknownNode(KeyError):
     pass
 
 
-def neighbourhood(graph: Graph, seed: NodeId, depth: int) -> set[NodeId]:
-    """Breadth-first ball of ``depth`` hops around ``seed``, both directions."""
-    if seed not in graph:
-        raise UnknownNode(seed)
-    seen = {seed}
-    frontier = [seed]
+def neighbourhood(graph: Graph, seeds: Iterable[NodeId], depth: int) -> set[NodeId]:
+    """Every node within ``depth`` hops of a seed, both directions: the union
+    of the seeds' balls, by one breadth-first search from all of them, which
+    visits each node once. Raises ``UnknownNode`` for a seed not in the graph."""
+    seen = set(seeds)
+    for seed in seen:
+        if seed not in graph:
+            raise UnknownNode(seed)
+    frontier = list(seen)
     for _ in range(depth):
         nxt = []
         for nid in frontier:

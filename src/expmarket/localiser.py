@@ -156,10 +156,7 @@ def localise_batch(graph: Graph, observations: Sequence[Observation],
     ranked = _seed_batch(index, queries, cfg.seed_k, counter)
     if counter is not None:
         for seeds in ranked:
-            candidates: set[NodeId] = set()
-            for _, s in seeds:
-                candidates |= neighbourhood(graph, s, cfg.depth)
-            counter.add(len(candidates))
+            counter.add(len(neighbourhood(graph, [s for _, s in seeds], cfg.depth)))
     return [best if dist <= cfg.tau_loc else None for (dist, best), *_ in ranked]
 
 

@@ -121,14 +121,13 @@ class ConvergentPatchPair:
 
 
 def _side_patch(side: Graph, carried: Inserts, drop_map: dict[NodeId, NodeId],
-                faults: frozenset[str], like: Graph | None = None) -> Patch:
+                faults: frozenset[str]) -> Patch:
     """One side's convergent patch from the symmetric merge description.
 
     ``carried`` is the diff content headed for this side; ``drop_map`` sends
     every dropped node id (either side) to its keeper. Matched drops held
     here are deleted with their neighbourhood rewired; matched drops on the
-    carried side are simply not inserted. ``like`` is the other side, whose
-    kept buffer ``build_patch`` may reuse. Fault flags exist solely for the
+    carried side are simply not inserted. Fault flags exist solely for the
     integrity battery.
     """
     no_delete = "no_delete" in faults
@@ -183,7 +182,7 @@ def _side_patch(side: Graph, carried: Inserts, drop_map: dict[NodeId, NodeId],
                                                       e.content_bytes())))
 
     return build_patch(side, insert_nodes=insert_nodes, insert_edges=edge_inserts,
-                       delete_ids=delete_ids, like=like)
+                       delete_ids=delete_ids)
 
 
 def commute(incoming: Inserts, outgoing: Inserts, policy: CommutationPolicy,
@@ -191,10 +190,10 @@ def commute(incoming: Inserts, outgoing: Inserts, policy: CommutationPolicy,
             _faults: frozenset[str] = frozenset()) -> ConvergentPatchPair:
     """Turn the divergent diff pair into per-side convergent patches, built
     against ``left`` and ``right``: the only patches of a trade, so each
-    side's item delta is spliced once (``build_patch``). The right side's
-    build is handed the left graph: when both reach one state, the right
-    side takes the digest and buffer the left side's build kept, so a
-    converging trade runs one SHA-256 pass.
+    side's item delta is spliced once (``build_patch``). The right side is
+    built second: when both reach one state, its spliced buffer is the last
+    one hashed, and it takes that buffer and digest (``graph._hashed``), so
+    a converging trade runs one SHA-256 pass.
 
     Under UNION each side's patch carries its diff content verbatim. Under
     MATCH, the localiser pairs up closely matching content across the two
@@ -206,7 +205,7 @@ def commute(incoming: Inserts, outgoing: Inserts, policy: CommutationPolicy,
             for_left=build_patch(left, insert_nodes=incoming.insert_nodes.values(),
                                  insert_edges=incoming.insert_edges),
             for_right=build_patch(right, insert_nodes=outgoing.insert_nodes.values(),
-                                  insert_edges=outgoing.insert_edges, like=left))
+                                  insert_edges=outgoing.insert_edges))
 
     matches = match_patches(outgoing, incoming, policy.localiser, counter)
     drops_left: dict[NodeId, NodeId] = {}
@@ -218,7 +217,7 @@ def commute(incoming: Inserts, outgoing: Inserts, policy: CommutationPolicy,
         keep, drop = choose(theirs, mine, policy.choice)
         drops_right[drop.id] = keep.id
     for_left = _side_patch(left, incoming, drops_left, _faults)
-    for_right = _side_patch(right, outgoing, drops_right, _faults, like=left)
+    for_right = _side_patch(right, outgoing, drops_right, _faults)
     return ConvergentPatchPair(for_left=for_left, for_right=for_right,
                                matches=matches, drops_left=drops_left,
                                drops_right=drops_right)

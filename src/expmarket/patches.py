@@ -8,7 +8,8 @@ wire, where ``serialize`` groups each edge under the node it starts at.
 
 Application is staged (edge deletes, node deletes, node inserts, edge
 inserts), so the order of each collection has no meaning: any enumeration
-yields the same resulting content.
+yields the same resulting content. The graph refuses content that does not
+fit it, with the typed errors of ``graph``; this layer adds no checks.
 """
 
 from __future__ import annotations
@@ -17,29 +18,13 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
-from .graph import EMPTY_GRAPH_DIGEST, Edge, Graph, Node, StateDigest
+from .graph import (EMPTY_GRAPH_DIGEST, Edge, Graph, MissingTarget, Node, PatchError,
+                    StateDigest)
 from .ids import NodeId, RobotId, id_text
-
-
-class PatchError(Exception):
-    """Base class for patch application and construction failures."""
 
 
 class StateMismatch(PatchError):
     """The graph is not in the state the patch expects."""
-
-
-class MissingTarget(PatchError):
-    """A delete names a node or edge the graph does not hold."""
-
-
-class DanglingEdge(PatchError):
-    """An edge insertion references an absent endpoint, or a node delete
-    would strand incident edges."""
-
-
-class DuplicateContent(PatchError):
-    """An insertion collides with content already present."""
 
 
 class CompositionError(PatchError):
@@ -91,31 +76,15 @@ class Inserts(NamedTuple):
 _NOTHING = Inserts({}, frozenset())  # shared: its dict is never changed
 
 
-def _remove_edges(graph: Graph, edges: Iterable[Edge]) -> None:
-    for e in edges:
-        if not graph.has_edge(e.src, e.dst):
-            raise MissingTarget(f"edge {id_text(e.src)}->{id_text(e.dst)} absent")
-        graph.remove_edge(e.src, e.dst)
-
-
 def _apply_content(graph: Graph, patch: Patch) -> None:
-    """Apply a patch's content changes in the canonical stage order."""
-    _remove_edges(graph, patch.delete_edges)
+    """Apply a patch's content in stage order; the graph refuses what does not fit."""
+    for e in patch.delete_edges:
+        graph.remove_edge(e.src, e.dst)
     for nid in patch.delete_nodes:
-        if nid not in graph:
-            raise MissingTarget(f"delete of absent node {id_text(nid)}")
-        if graph.out_edges(nid) or graph.in_edges(nid):
-            raise DanglingEdge(f"node {id_text(nid)} deleted while edges remain")
         graph.remove_node(nid)
-    for nid, node in patch.insert_nodes.items():
-        if nid in graph:
-            raise DuplicateContent(f"insert of existing node {id_text(nid)}")
+    for node in patch.insert_nodes.values():
         graph.insert_node(node)
     for e in patch.insert_edges:
-        if e.src not in graph or e.dst not in graph:
-            raise DanglingEdge(f"edge {id_text(e.src)}->{id_text(e.dst)} has an absent endpoint")
-        if graph.has_edge(e.src, e.dst):
-            raise DuplicateContent(f"edge {id_text(e.src)}->{id_text(e.dst)} already present")
         graph.insert_edge(e)
 
 
@@ -142,8 +111,8 @@ def apply_patch(graph: Graph, patch: Patch) -> Graph:
     result's item hashes unless the patch's item delta is the one
     ``build_patch`` last spliced against this graph (``Graph.digest_after``),
     whose buffer and digest the result then adopts as they are. The output
-    state is checked against the result's digest either way. A repository
-    commits in place instead (``Repository.commit``).
+    state is checked against the result's digest either way; content the
+    graph refuses raises its error. ``Repository.commit`` commits in place.
     """
     result = graph.copy()
     _apply_in_place(result, patch)
@@ -202,7 +171,6 @@ def build_patch(
     insert_edges: Iterable[Edge] = (),
     delete_ids: Iterable[NodeId] = (),
     delete_edges: Iterable[Edge] = (),
-    like: Graph | None = None,
 ) -> Patch:
     """Construct a digest-correct patch against ``base``.
 
@@ -213,12 +181,13 @@ def build_patch(
     The output state is the base digest with the patch's item delta spliced
     in (``Graph.digest_after``); nothing is applied here, and the base keeps
     the spliced buffer for the commit of this patch. When that buffer equals
-    the one ``like`` kept from its own build, its digest is taken rather than
-    hashed again (the other side of a converging trade). A deleted node or
-    edge the base lacks raises ``MissingTarget``. Other malformed content (a
-    dangling or duplicate insertion) is refused at commit, with the same
-    ``PatchError``.
+    the last one hashed, as on the second side of a converging trade, its
+    digest is taken rather than hashed again. A deleted node or edge the
+    base lacks raises ``MissingTarget``. Other malformed content (a dangling
+    or duplicate insertion) is refused by the graph at commit, with its
+    ``DanglingEdge`` or ``DuplicateContent``.
     """
+    input_state = base.digest()  # first, so that the memo keeps the built buffer
     try:
         node_deletes = {nid: base.node(nid) for nid in delete_ids}
     except KeyError as err:
@@ -230,16 +199,16 @@ def build_patch(
     node_inserts = {n.id: n for n in insert_nodes}
     edge_inserts = frozenset(insert_edges)
     if not (node_inserts or node_deletes or edge_inserts or edge_deletes):  # the state stays put
-        return Patch(base.digest(), base.digest(), node_inserts, node_deletes)
+        return Patch(input_state, input_state, node_inserts, node_deletes)
     dropped = [n.item_hash for n in node_deletes.values()]
     dropped += [e.item_hash for e in edge_deletes]
     added = [n.item_hash for n in node_inserts.values()]
     added += [e.item_hash for e in edge_inserts]
     try:
-        output = base.digest_after(dropped, added, like=like)
+        output = base.digest_after(dropped, added)
     except KeyError:
         raise MissingTarget("a deleted edge is absent from the base graph") from None
-    return Patch(base.digest(), output, node_inserts, node_deletes,
+    return Patch(input_state, output, node_inserts, node_deletes,
                  edge_inserts, frozenset(edge_deletes))
 
 

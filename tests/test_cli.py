@@ -223,14 +223,25 @@ def test_run_scenario_rejects_non_positive_trials_and_jobs(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_verify_convergence_rejects_bad_overlap_and_sigma(capsys):
+def test_verify_convergence_rejects_bad_overlap_and_sigma(monkeypatch, capsys):
+    """Each bad value is one usage-error line, and no trial runs: a --mu or
+    --sigma above the bound would draw a patch too large for memory."""
+    import expmarket.cli as cli
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran a trial")
+
+    monkeypatch.setattr(cli, "monte_carlo_convergence", no_run)
     base = ["verify-convergence", "--robots", "2", "--forays", "2", "--trials", "2"]
     for flags in (["--overlap", "2"], ["--overlap", "-0.1"], ["--overlap", "nan"],
                   ["--sigma", "-1"], ["--sigma", "2,-1"], ["--mu", "inf"],
                   ["--tau-m", "0"], ["--tau-m", "-1"], ["--tau-m", "nan"],
-                  ["--tau-m", "inf"], ["--robots", "1025"], ["--robots", str(10**12)]):
+                  ["--tau-m", "inf"], ["--robots", "1025"], ["--robots", str(10**12)],
+                  ["--sigma", "1e308"], ["--mu", "1e308"], ["--sigma", "10,1e6"],
+                  ["--mu", "1000.5"]):
         err = _usage_exit(base + flags, capsys)
-        assert flags[0] in err
+        assert flags[0] in err and err.count("\n") == 1
+    assert cli._parse_rates("1000", 2, "--mu") == [1000.0, 1000.0]
 
 
 def test_malformed_env_seed_is_a_usage_error(monkeypatch, capsys):

@@ -5,9 +5,13 @@ import random
 import pytest
 
 from expmarket.graph import (
+    DanglingEdge,
+    DuplicateContent,
     Edge,
     Graph,
+    MissingTarget,
     UnknownNode,
+    compute_digest_from_scratch,
     connected_components,
     export_text,
     neighbourhood,
@@ -20,19 +24,21 @@ from _builders import chain_graph, mknode, random_graph
 
 def test_neighbourhood_chain_one_hop():
     g, nodes = chain_graph(NodeIdGenerator(0, 0), [[0.0], [1.0], [2.0]])
-    assert neighbourhood(g, nodes[0].id, 1) == {nodes[0].id, nodes[1].id}
+    assert neighbourhood(g, [nodes[0].id], 1) == {nodes[0].id, nodes[1].id}
 
 
 def test_neighbourhood_zero_depth():
     g, nodes = chain_graph(NodeIdGenerator(0, 0), [[0.0], [1.0]])
-    assert neighbourhood(g, nodes[1].id, 0) == {nodes[1].id}
+    assert neighbourhood(g, [nodes[1].id], 0) == {nodes[1].id}
 
 
 def test_neighbourhood_unknown_seed():
     g, _ = chain_graph(NodeIdGenerator(0, 0), [[0.0]])
     stranger = NodeIdGenerator(9, 9).next_id()
     with pytest.raises(UnknownNode):
-        neighbourhood(g, stranger, 1)
+        neighbourhood(g, [stranger], 1)
+    with pytest.raises(UnknownNode):  # among seeds the graph holds
+        neighbourhood(g, [next(iter(g.node_ids())), stranger], 1)
 
 
 def _bfs_hops(graph: Graph, seed):
@@ -53,14 +59,18 @@ def _bfs_hops(graph: Graph, seed):
 
 
 def test_neighbourhood_matches_bfs_oracle():
+    """One seed, or several (repeats allowed): the union of the seeds' balls."""
     for case in range(30):
         g = random_graph(case, 14, edge_prob=0.15)
         rng = random.Random(derive_seed("nbhd", case))
-        seed = rng.choice(sorted(g.node_ids()))
         depth = rng.randrange(0, 4)
-        dist = _bfs_hops(g, seed)
-        expected = {nid for nid, d in dist.items() if d <= depth}
-        assert neighbourhood(g, seed, depth) == expected
+        for count in (1, 2, 3, 5):
+            seeds = rng.choices(sorted(g.node_ids()), k=count)
+            expected = set()
+            for seed in seeds:
+                expected |= {nid for nid, d in _bfs_hops(g, seed).items() if d <= depth}
+            assert neighbourhood(g, seeds, depth) == expected
+    assert neighbourhood(g, [], 2) == set()
 
 
 def test_components_simple():
@@ -117,9 +127,38 @@ def test_referential_integrity_enforced():
     g.insert_edge(Edge(a.id, b.id, Pose.identity()))
     with pytest.raises(ValueError):
         g.remove_node(a.id)  # edges still attached
+    # each refusal has its type (a ``KeyError`` for an absent target, a
+    # ``ValueError`` for dangling or duplicate content) and changes nothing
+    stranger = mknode(gen, [2.0])
+    refusals = [
+        (DanglingEdge, ValueError, lambda: g.insert_edge(Edge(a.id, stranger.id, Pose.identity()))),
+        (DanglingEdge, ValueError, lambda: g.insert_edge(Edge(stranger.id, a.id, Pose.identity()))),
+        (DanglingEdge, ValueError, lambda: g.remove_node(a.id)),  # edges still attached
+        (DanglingEdge, ValueError, lambda: g.remove_node(b.id)),
+        (DuplicateContent, ValueError, lambda: g.insert_node(a)),
+        (DuplicateContent, ValueError,
+         lambda: g.insert_edge(Edge(a.id, b.id, Pose.from_translation(1.0)))),
+        (MissingTarget, KeyError, lambda: g.remove_edge(b.id, a.id)),
+        (MissingTarget, KeyError, lambda: g.remove_edge(stranger.id, a.id)),
+        (MissingTarget, KeyError, lambda: g.remove_node(stranger.id)),
+    ]
+    digest, text = g.digest(), export_text(g)
+    for typed, base, call in refusals:
+        with pytest.raises(typed) as caught:
+            call()
+        assert isinstance(caught.value, base)
+        assert g.digest() == digest == compute_digest_from_scratch(g)
+        assert export_text(g) == text
+    # the absent-target message is shown as given, not quoted as a dict key
+    with pytest.raises(MissingTarget, match="^delete of absent node "):
+        g.remove_node(stranger.id)
     g.remove_edge(a.id, b.id)
+    with pytest.raises(MissingTarget):  # gone now
+        g.remove_edge(a.id, b.id)
     g.remove_node(a.id)
     assert a.id not in g
+    with pytest.raises(MissingTarget):
+        g.remove_node(a.id)
 
 
 def test_export_text_lists_every_item():

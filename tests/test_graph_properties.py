@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 
 from expmarket import graph as graph_module
 from expmarket import merging as merging_module
-from expmarket.graph import Edge, Graph, compute_digest_from_scratch, export_text
+from expmarket.graph import (DanglingEdge, DuplicateContent, Edge, Graph, MissingTarget,
+                             compute_digest_from_scratch, export_text)
 from expmarket.ids import NodeIdGenerator
 from expmarket.merging import Commutation, CommutationPolicy, IntegrityViolation, execute_trade
 from expmarket.localiser import LocaliserConfig
-from expmarket.patches import (DanglingEdge, DuplicateContent, Inserts, MissingTarget,
-                               Repository, StateMismatch, _apply_in_place, apply_patch,
+from expmarket.patches import (Inserts, Repository, StateMismatch, _apply_in_place, apply_patch,
                                build_patch, diff, patches_equal, patches_since_common)
 from expmarket.pose import Pose
 from expmarket.serialize import patch_to_bytes
@@ -119,7 +119,6 @@ def _assert_fresh_index(g: Graph) -> None:
     nodes = list(g.nodes())
     index = g.descriptor_index()
     assert index.ids == tuple(n.id for n in nodes)
-    assert index.rows == {n.id: row for row, n in enumerate(nodes)}
     if nodes:
         want = np.array([n.descriptor for n in nodes], dtype=np.float64)
         assert index.matrix.shape == want.shape
@@ -142,13 +141,13 @@ def test_descriptor_index_matches_a_fresh_build(seed, ops, dim):
             # reading one graph's index leaves every other copy's cached
             # index as it was, shared objects included
             others = [(g, g._desc_index) for j, g in enumerate(graphs) if j != i]
-            saved = [(index.ids, index.matrix.copy(), dict(index.rows))
+            saved = [(index.ids, index.matrix.copy())
                      for _, index in others if index is not None]
             _assert_fresh_index(graphs[i])
             assert all(g._desc_index is index for g, index in others)
             now = [index for _, index in others if index is not None]
-            for index, (ids, matrix, rows) in zip(now, saved):
-                assert index.ids == ids and index.rows == rows
+            for index, (ids, matrix) in zip(now, saved):
+                assert index.ids == ids
                 assert index.matrix.tobytes() == matrix.tobytes()
         elif op >= 6:
             graphs.append(graphs[i].copy())
@@ -363,30 +362,24 @@ def test_digest_after_matches_an_applied_copy(seed, size):
             h.insert_edge(e)
         return h
 
-    # graphs for ``like``: one that kept a byte-equal buffer, one that kept
-    # an unequal buffer of the same length, one that kept nothing, and one
-    # whose kept build was never committed and whose content has moved on
-    equal = g.copy()
-    equal.digest_after(dropped, added)
-    records = len(_item_hashes(g)) - len(dropped) + len(added)
-    unequal = Graph()
-    unequal.digest_after([], [rng.randbytes(32) for _ in range(records)])
-    stale = g.copy()
-    stale.digest_after(dropped, added)
-    stale.insert_node(mknode(gen, [99.0]))
-    likes = [None, equal, unequal, Graph(), stale]
+    # states of the memo of the last buffer hashed: a byte-equal buffer, an
+    # unequal one of the same length, the empty one, and a stale one (the
+    # buffer of the state before the delta)
+    want_buf = _sorted_scratch_hashes(applied(g.copy()))
+    memos = [bytes(want_buf), rng.randbytes(len(want_buf)), b"", g._sorted_hashes()]
 
     want = compute_digest_from_scratch(applied(g.copy()))
-    for like in likes:
+    for memo in memos:
+        kept = graph_module._hashed(memo)[0]
         h = g.copy()
-        assert h.digest_after(dropped, added, like=like) == want
+        assert h.digest_after(dropped, added) == want
+        if kept == want_buf:  # taken: the graph holds the memo's buffer object
+            assert h._after[2] is kept
         # a commit of that delta adopts the buffer, taken or spliced
         assert applied(h).digest() == want
         assert h._sorted_hashes() == _sorted_scratch_hashes(h)
-    # the graph asked, and each graph named as ``like``, is unchanged
+    # the graph asked is unchanged
     assert g.digest() == before == compute_digest_from_scratch(g)
-    for like in likes[1:]:
-        assert like.digest() == compute_digest_from_scratch(like)
 
 
 @pytest.mark.parametrize("extra", [0, 2, 256])

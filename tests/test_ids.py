@@ -8,9 +8,9 @@ from uuid import UUID
 
 import pytest
 
-from expmarket.graph import Edge, Graph, Node, export_text
+from expmarket.graph import Edge, Graph, Node, PatchError, export_text
 from expmarket.ids import NodeIdGenerator, id_text
-from expmarket.patches import PatchError, apply_patch, build_patch
+from expmarket.patches import apply_patch, build_patch
 from expmarket.pose import Pose
 from expmarket.serialize import (graph_from_bytes, graph_to_bytes, patch_from_bytes,
                                  patch_to_bytes)

@@ -109,7 +109,7 @@ def _oracle_localise(graph, observation, cfg, counter):
     seeds = [ids[i] for i in np.argsort(dists, kind="stable")[:cfg.seed_k]]
     candidates = set()
     for s in seeds:
-        candidates |= neighbourhood(graph, s, cfg.depth)
+        candidates |= neighbourhood(graph, [s], cfg.depth)
     cand = sorted(candidates)
     mat = np.array([graph.node(c).descriptor for c in cand], dtype=np.float64)
     dists = np.sqrt(np.sum((mat - q) ** 2, axis=1))
@@ -159,6 +159,7 @@ def test_batch_localisation_matches_one_by_one_and_the_oracle(
     assert got == [_oracle_localise(g, o, cfg, oracle) for o in observations]
     assert batch.ops == single.ops == oracle.ops
     index = g.descriptor_index()
+    rows = {nid: row for row, nid in enumerate(index.ids)}
     ids = sorted(g.node_ids())
     for o in observations:
         # each node's distance as the oracle computes it, over a one-row
@@ -166,7 +167,7 @@ def test_batch_localisation_matches_one_by_one_and_the_oracle(
         row = descriptor_distances(index.matrix, o.descriptor)
         dists = [np.sqrt(np.sum((np.array([g.node(i).descriptor]) - o.descriptor) ** 2, axis=1))[0]
                  for i in ids]
-        assert [row[index.rows[i]].tobytes() for i in ids] == [d.tobytes() for d in dists]
+        assert [row[rows[i]].tobytes() for i in ids] == [d.tobytes() for d in dists]
         want = [ids[i] for i in np.argsort(dists, kind="stable")[:seed_k]]
         assert appearance_seed(g, o.descriptor, seed_k) == want
 

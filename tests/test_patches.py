@@ -6,8 +6,11 @@ import pytest
 
 from expmarket.graph import (
     EMPTY_GRAPH_DIGEST,
+    DanglingEdge,
+    DuplicateContent,
     Edge,
     Graph,
+    MissingTarget,
     Node,
     compute_digest_from_scratch,
 )
@@ -15,10 +18,7 @@ from expmarket.ids import NodeIdGenerator, derive_seed
 from expmarket.merging import Commutation, CommutationPolicy, execute_trade
 from expmarket.patches import (
     CompositionError,
-    DanglingEdge,
-    DuplicateContent,
     History,
-    MissingTarget,
     Patch,
     Repository,
     StateMismatch,
