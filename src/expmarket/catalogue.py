@@ -12,6 +12,7 @@ advisories; both feed the RECOMMEND shopping strategy.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -63,15 +64,20 @@ class Catalogue:
 
 def product_of(position: float, catalogue: Catalogue) -> ProductIndex:
     """Ground-truth lookup from route position to section index."""
+    return section_at(position, catalogue.boundaries())
+
+
+def section_at(position: float, bounds: list[float]) -> ProductIndex:
+    """The first ``i`` with ``position < bounds[i + 1]`` in a catalogue's
+    ``boundaries()``, by bisection. Raises ``OutOfWorld`` below 0, at or past
+    the end, and for NaN, which would otherwise bisect to the end."""
     if position < 0:
         raise OutOfWorld(f"position {position} is negative")
-    bounds = catalogue.boundaries()
     if position >= bounds[-1]:
         raise OutOfWorld(f"position {position} beyond world end {bounds[-1]}")
-    for i in range(len(catalogue)):
-        if position < bounds[i + 1]:
-            return i
-    raise OutOfWorld(position)  # unreachable
+    if position != position:
+        raise OutOfWorld(position)
+    return bisect_right(bounds, position) - 1
 
 
 class ShoppingKind(enum.Enum):

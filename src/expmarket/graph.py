@@ -35,8 +35,8 @@ changed in place: each node's out-edge dict and in-neighbour ``frozenset``,
 the hash buffer and the descriptor index are replaced, not edited, so
 ``Graph.copy`` copies only the dicts that map ids and hashes to them. Its
 mutators refuse content that does not fit, by type: ``MissingTarget`` (a
-``KeyError``), ``DanglingEdge`` and ``DuplicateContent`` (both
-``ValueError``). The patch layer shares their base ``PatchError``.
+``KeyError``), ``DanglingEdge``, ``DuplicateContent`` and ``SelfLoop``
+(each a ``ValueError``). The patch layer shares their base ``PatchError``.
 
 The digest of the empty graph is SHA-256 of the empty string:
 ``e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855``.
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, filterfalse, islice, repeat
 from typing import Iterable, Iterator, NamedTuple
 
@@ -104,7 +104,7 @@ class Node:
     not part of the content digest.
 
     ``item_hash`` is computed once and kept on the instance; it is not a
-    field, so eq, hash and repr ignore it, and a ``replace``d node computes
+    field, so eq, hash and repr ignore it, and a rebuilt node computes
     its own.
     """
 
@@ -209,6 +209,10 @@ class DanglingEdge(PatchError, ValueError):
 
 class DuplicateContent(PatchError, ValueError):
     """An insertion collides with content already present."""
+
+
+class SelfLoop(PatchError, ValueError):
+    """An edge insertion joins a node to itself."""
 
 
 _REC = 32  # bytes per record in the sorted hash buffer (one SHA-256)
@@ -354,7 +358,7 @@ class Graph:
             raise DanglingEdge(
                 f"edge {id_text(edge.src)}->{id_text(edge.dst)} has an absent endpoint")
         if edge.src == edge.dst:
-            raise ValueError("self loop")
+            raise SelfLoop(f"edge {id_text(edge.src)} is a self-loop")
         out = self._out[edge.src]
         if edge.dst in out:
             raise DuplicateContent(
@@ -377,8 +381,9 @@ class Graph:
 
     def bump_path_memory(self, node_id: NodeId) -> None:
         """Record a successful localisation against this node (local state)."""
-        node = self._nodes[node_id]
-        self._nodes[node_id] = replace(node, path_memory=node.path_memory + 1)
+        n = self._nodes[node_id]
+        self._nodes[node_id] = Node(n.id, n.descriptor, n.inlier_count, n.fabmap_score,
+                                    n.path_memory + 1, n.product, n.creator, n.foray)
         # digest unaffected: path_memory is not versioned content
 
     def copy(self) -> "Graph":
@@ -540,23 +545,23 @@ class UnknownNode(KeyError):
 
 def neighbourhood(graph: Graph, seeds: Iterable[NodeId], depth: int) -> set[NodeId]:
     """Every node within ``depth`` hops of a seed, both directions: the union
-    of the seeds' balls, by one breadth-first search from all of them, which
-    visits each node once. Raises ``UnknownNode`` for a seed not in the graph."""
+    of the seeds' balls, by one breadth-first search from all of them whose
+    hops gather neighbours by C-level set updates. Raises ``UnknownNode``
+    for a seed not in the graph."""
     seen = set(seeds)
     for seed in seen:
         if seed not in graph:
             raise UnknownNode(seed)
-    frontier = list(seen)
+    out, into = graph._out, graph._in
+    frontier = seen
     for _ in range(depth):
-        nxt = []
+        reached: set[NodeId] = set()
         for nid in frontier:
-            for other in chain(graph._out.get(nid, ()), graph._in.get(nid, ())):
-                if other not in seen:
-                    seen.add(other)
-                    nxt.append(other)
-        if not nxt:
+            reached.update(out[nid], into[nid])
+        frontier = reached - seen
+        if not frontier:
             break
-        frontier = nxt
+        seen |= frontier
     return seen
 
 

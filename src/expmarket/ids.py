@@ -29,6 +29,18 @@ def derive_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:16], "little")
 
 
+def seed_stream(*parts):
+    """``last -> derive_seed(*parts, last)``, with the prefix hashed once:
+    each call copies the prefix's SHA-256 state and hashes only ``last``."""
+    head = hashlib.sha256("".join(f"{p}/" for p in parts).encode())
+
+    def seed(last) -> int:
+        h = head.copy()
+        h.update(str(last).encode())
+        return int.from_bytes(h.digest()[:16], "little")
+    return seed
+
+
 def id_text(node_id: NodeId) -> str:
     """A node id as UUID text, e.g. ``12345678-1234-4678-9234-567812345678``."""
     return str(uuid.UUID(int=node_id))

@@ -263,13 +263,16 @@ class ConvergenceReport:
 def _toy_patch(repo: Repository, size: int, rng: random.Random,
                ids: NodeIdGenerator, foray: int, dup_pool: list[Node],
                overlap: float, dup_scale: float) -> Patch:
+    # rng.uniform(a, b) inlined as the a + (b - a) * rng.random() it evaluates
+    random, dup_lo, lo = rng.random, -dup_scale, -_TOY_SPREAD
+    dup_width, width = dup_scale - dup_lo, _TOY_SPREAD - lo
     nodes = []
     for _ in range(size):
-        if dup_pool and rng.random() < overlap:
+        if dup_pool and random() < overlap:
             src = rng.choice(dup_pool)
-            desc = tuple(v + rng.uniform(-dup_scale, dup_scale) for v in src.descriptor)
+            desc = tuple(v + (dup_lo + dup_width * random()) for v in src.descriptor)
         else:
-            desc = tuple(rng.uniform(-_TOY_SPREAD, _TOY_SPREAD) for _ in range(_TOY_DIM))
+            desc = tuple(lo + width * random() for _ in range(_TOY_DIM))
         nodes.append(Node(id=ids.next_id(), descriptor=desc,
                           inlier_count=rng.randrange(0, 100),
                           fabmap_score=rng.random(),

@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ids import RobotId
 from .merging import ChoicePolicy, gamma_score
@@ -30,8 +31,7 @@ class NoEligibleSellers(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Belief:
+class Belief(NamedTuple):
     """Running mean/variance of trade value for one seller.
 
     ``m2`` is the running sum of squared deviations; sample variance is
@@ -69,7 +69,7 @@ def update_belief(belief: Belief, value: float) -> Belief:
     delta = value - belief.mean
     mean = belief.mean + delta / count
     m2 = belief.m2 + delta * (value - mean)
-    return Belief(seller=belief.seller, count=count, mean=mean, m2=m2)
+    return Belief(belief.seller, count, mean, m2)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ wire, where ``serialize`` groups each edge under the node it starts at.
 Application is staged (edge deletes, node deletes, node inserts, edge
 inserts), so the order of each collection has no meaning: any enumeration
 yields the same resulting content. The graph refuses content that does not
-fit it, with the typed errors of ``graph``; this layer adds no checks.
+fit it, with the typed errors of ``graph``; this layer adds one check of its
+own: ``build_patch`` refuses a self-loop before it hashes anything.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from .graph import (EMPTY_GRAPH_DIGEST, Edge, Graph, MissingTarget, Node, PatchError,
-                    StateDigest)
+                    SelfLoop, StateDigest)
 from .ids import NodeId, RobotId, id_text
 
 
@@ -92,9 +93,10 @@ def _apply_in_place(graph: Graph, patch: Patch) -> None:
     """Apply ``patch`` to ``graph`` itself, checking the states on both sides.
 
     A wrong input state is refused before anything changes. Content the
-    graph cannot take (a missing target, a dangling or duplicate insertion)
-    or a wrong output state is found only after the first changes, and
-    leaves the graph changed. No caller in the package commits such a patch.
+    graph cannot take (a missing target, a dangling or duplicate insertion,
+    a self-loop) or a wrong output state is found only after the first
+    changes, and leaves the graph changed. No caller in the package commits
+    such a patch.
     """
     if graph.digest() != patch.input_state:
         raise StateMismatch("graph digest does not match patch input state")
@@ -182,12 +184,17 @@ def build_patch(
     in (``Graph.digest_after``); nothing is applied here, and the base keeps
     the spliced buffer for the commit of this patch. When that buffer equals
     the last one hashed, as on the second side of a converging trade, its
-    digest is taken rather than hashed again. A deleted node or edge the
+    digest is taken rather than hashed again. An inserted self-loop raises
+    ``SelfLoop`` before anything is hashed, and a deleted node or edge the
     base lacks raises ``MissingTarget``. Other malformed content (a dangling
     or duplicate insertion) is refused by the graph at commit, with its
     ``DanglingEdge`` or ``DuplicateContent``.
     """
-    input_state = base.digest()  # first, so that the memo keeps the built buffer
+    edge_inserts = frozenset(insert_edges)
+    for e in edge_inserts:
+        if e.src == e.dst:
+            raise SelfLoop(f"edge {id_text(e.src)} is a self-loop")
+    input_state = base.digest()  # first hash, so that the memo keeps the built buffer
     try:
         node_deletes = {nid: base.node(nid) for nid in delete_ids}
     except KeyError as err:
@@ -197,7 +204,6 @@ def build_patch(
         edge_deletes.update(base.out_edges(nid))
         edge_deletes.update(base.in_edges(nid))
     node_inserts = {n.id: n for n in insert_nodes}
-    edge_inserts = frozenset(insert_edges)
     if not (node_inserts or node_deletes or edge_inserts or edge_deletes):  # the state stays put
         return Patch(input_state, input_state, node_inserts, node_deletes)
     dropped = [n.item_hash for n in node_deletes.values()]

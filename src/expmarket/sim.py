@@ -16,6 +16,7 @@ import os
 import random
 from dataclasses import dataclass, field
 from functools import partial
+from typing import Callable
 
 from .catalogue import (
     Advisory,
@@ -27,7 +28,7 @@ from .catalogue import (
 from .config import ScenarioConfig
 from .foray import MetadataFn, _default_metadata, record_foray_patch
 from .graph import Graph
-from .ids import NodeIdGenerator, RobotId, derive_seed
+from .ids import NodeIdGenerator, RobotId, derive_seed, seed_stream
 from .localiser import LocaliserConfig, MatchCounter, localise_batch
 from .market import (
     Belief,
@@ -149,7 +150,8 @@ def run_foray(repo: Repository, world: World, route: Route, epoch: int,
               localiser: LocaliserConfig, ids: NodeIdGenerator,
               metadata: MetadataFn = _default_metadata,
               counter: MatchCounter | None = None) -> ForayResult:
-    """Walk a route: localise every stop, record the unexplained as a patch.
+    """Walk a route: observe every stop in one ``World.observe`` and localise
+    them in one ``localise_batch``, then record the unexplained as a patch.
 
     Blind travel accumulates while localisation fails and flushes into the
     drop-out list at the next success or the route's end; the first stop
@@ -157,7 +159,7 @@ def run_foray(repo: Repository, world: World, route: Route, epoch: int,
     """
     spacing = world.config.node_spacing_m
     positions = route.positions(spacing)
-    observations = [world.observe(repo.robot, epoch, p) for p in positions]
+    observations = world.observe(repo.robot, epoch, positions)
     explained = localise_batch(repo.graph, observations, localiser, counter)
     dropouts: list[float] = []
     run = 0.0
@@ -294,12 +296,12 @@ def _advance_all(agents: list[_Agent], expected: Phase) -> None:
         raise DesyncDetected(f"expected {expected}, at {agents[0].fsm.theta}")
 
 
-def _quality(config: ScenarioConfig, trial_seed: int, robot: RobotId, epoch: int,
+def _quality(config: ScenarioConfig, robot: RobotId, seeds: Callable[[int], int],
              m: int) -> tuple[int, float]:
-    """Seeded (inliers, FAB-MAP score) of the m-th node a robot records."""
+    """Seeded (inliers, FAB-MAP score) of a robot's m-th node, from its foray's ``seeds``."""
     inlier_mu = config.quality_inlier_means[robot]
     fabmap_mu = config.quality_fabmap_means[robot]
-    rng = random.Random(derive_seed(trial_seed, "quality", robot, epoch, m))
+    rng = random.Random(seeds(m))
     inliers = max(0, round(rng.gauss(inlier_mu, max(inlier_mu / 10.0, 0.5))))
     fabmap = min(1.0, max(0.0, rng.gauss(fabmap_mu, 0.1)))
     return inliers, fabmap
@@ -310,8 +312,9 @@ def _mapping(t: _Trial, k: int) -> None:
     _advance_all(t.agents, Phase.MAPPING)
     for a in t.agents:
         route = t.config.routes.route_for(a.robot, k)
+        quality_seeds = seed_stream(t.trial_seed, "quality", a.robot, k)
         result = run_foray(a.repo, t.world, route, k, t.config.commutation.localiser,
-                           a.ids, metadata=partial(_quality, t.config, t.trial_seed, a.robot, k),
+                           a.ids, metadata=partial(_quality, t.config, a.robot, quality_seeds),
                            counter=a.counter)
         if not result.patch.is_empty():
             a.repo.commit(result.patch)

@@ -6,18 +6,21 @@ map content decays in usefulness as the world's appearance moves on. Every
 stream is derived from the world seed by stable labels, which makes
 observations a pure function of (seed, robot, epoch, position): two
 scenario runs that differ only in trading strategy see byte-identical
-worlds.
+worlds. ``World.observe`` takes a route's stops at once: it bisects
+boundaries computed once per world, hashes the noise seeds' common prefix
+once (``ids.seed_stream``) and sums the descriptors as one array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .catalogue import Catalogue, OutOfWorld, product_of
+from .catalogue import Catalogue, OutOfWorld, section_at
 from .graph import Observation
-from .ids import RobotId, derive_seed
+from .ids import RobotId, derive_seed, seed_stream
 
 
 @dataclass
@@ -44,13 +47,7 @@ class World:
         self.config = config
         self._latent: dict[int, np.ndarray] = {}
         self._drift: dict[int, list[np.ndarray]] = {}
-
-    @property
-    def extent(self) -> float:
-        return self.catalogue.total_metres
-
-    def bucket(self, position: float) -> int:
-        return int(position // self.config.node_spacing_m)
+        self._bounds = catalogue.boundaries()
 
     def latent(self, bucket: int) -> np.ndarray:
         vec = self._latent.get(bucket)
@@ -69,20 +66,27 @@ class World:
             walk.append(walk[-1] + step)
         return walk[epoch]
 
-    def observe(self, robot: RobotId, epoch: int, position: float) -> Observation:
-        """What a robot sees at a position during an epoch."""
-        if position < 0 or position >= self.extent:
-            raise OutOfWorld(f"position {position} outside [0, {self.extent})")
-        section = product_of(position, self.catalogue)
-        bucket = self.bucket(position)
-        noise = _normal(derive_seed(self.seed, "noise", robot, epoch, bucket),
-                        self.config.descriptor_dim, self.config.noise_sigma)
-        desc = self.latent(bucket) + self.drift(section, epoch) + noise
-        return Observation(
-            descriptor=tuple(float(v) for v in desc),
-            true_position=position,
-            product=section,
-        )
+    def observe(self, robot: RobotId, epoch: int,
+                positions: Sequence[float]) -> list[Observation]:
+        """What a robot sees at each of a route's positions during an epoch:
+        ``(latent(bucket) + drift(section, epoch)) + noise`` per stop, summed
+        as one ``(n, dim)`` array, the same whatever batch a stop comes in. A
+        position below 0, at or past the end, or NaN raises ``OutOfWorld``."""
+        extent, bounds = self.catalogue.total_metres, self._bounds
+        sections = []
+        for p in positions:
+            if p < 0 or p >= extent:
+                raise OutOfWorld(f"position {p} outside [0, {extent})")
+            sections.append(section_at(p, bounds))
+        buckets = [int(p // self.config.node_spacing_m) for p in positions]
+        drift = {s: self.drift(s, epoch) for s in set(sections)}
+        noise_seed = seed_stream(self.seed, "noise", robot, epoch)
+        dim, sigma = self.config.descriptor_dim, self.config.noise_sigma
+        desc = (np.array([self.latent(b) for b in buckets])
+                + np.array([drift[s] for s in sections])
+                + np.array([_normal(noise_seed(b), dim, sigma) for b in buckets]))
+        return [Observation(descriptor=tuple(row), true_position=p, product=s)
+                for row, p, s in zip(desc.tolist(), positions, sections)]
 
 
 @dataclass(frozen=True)

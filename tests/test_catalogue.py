@@ -1,5 +1,6 @@
 """Catalogue: products, shopping lists, ledgers, advisories, file format."""
 
+import math
 import time
 
 import pytest
@@ -60,6 +61,49 @@ def test_product_out_of_world():
         product_of(200.0, cat)
     with pytest.raises(OutOfWorld):
         product_of(-1.0, cat)
+
+
+def _linear_product_of(position, catalogue):
+    """The section lookup as a walk over the boundaries, with its refusals."""
+    if position < 0:
+        raise OutOfWorld(f"position {position} is negative")
+    bounds = catalogue.boundaries()
+    if position >= bounds[-1]:
+        raise OutOfWorld(f"position {position} beyond world end {bounds[-1]}")
+    for i in range(len(catalogue)):
+        if position < bounds[i + 1]:
+            return i
+    raise OutOfWorld(position)
+
+
+def _outcome(lookup, position, catalogue):
+    try:
+        return lookup(position, catalogue)
+    except OutOfWorld as err:
+        return f"OutOfWorld: {err}"
+
+
+@pytest.mark.parametrize("cat", [
+    toy_catalogue(),
+    Catalogue(tuple(Section(f"S{i}", "street", 1, m)
+                    for i, m in enumerate([0.1, 0.2, 0.7, 143.3, 1e-9, 33.3, 5.0]))),
+    bundled_catalogue("table1"),
+    bundled_catalogue("parks"),
+], ids=["toy", "inexact-sums", "table1", "parks"])
+def test_product_bisect_matches_the_linear_walk_at_every_boundary(cat):
+    """At each boundary, its neighbouring floats, the end and beyond, and
+    for NaN and the infinities: the same section or the same refusal."""
+    probes = [math.nan, math.inf, -math.inf, -0.0, -1.0, -5e-324]
+    for b in cat.boundaries():
+        probes += [b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf),
+                   math.nextafter(math.nextafter(b, math.inf), math.inf)]
+    for pos in probes:
+        want = _outcome(_linear_product_of, pos, cat)
+        assert _outcome(product_of, pos, cat) == want, pos
+    end = cat.boundaries()[-1]
+    for bad in (math.nan, -1.0, end, math.nextafter(end, math.inf)):
+        with pytest.raises(OutOfWorld):
+            product_of(bad, cat)
 
 
 # -- shopping lists -------------------------------------------------------------

@@ -7,9 +7,11 @@ from dataclasses import replace
 from uuid import UUID
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expmarket.graph import Edge, Graph, Node, PatchError, export_text
-from expmarket.ids import NodeIdGenerator, id_text
+from expmarket.ids import NodeIdGenerator, derive_seed, id_text, seed_stream
 from expmarket.patches import apply_patch, build_patch
 from expmarket.pose import Pose
 from expmarket.serialize import (graph_from_bytes, graph_to_bytes, patch_from_bytes,
@@ -100,3 +102,16 @@ def test_text_names_ids_as_uuids():
     patch = build_patch(Graph(), insert_nodes=[_NODE])
     with pytest.raises(PatchError, match=re.escape(f"insert of existing node {_UUID_TEXT}")):
         apply_patch(g, replace(patch, input_state=g.digest()))
+
+
+_PART = st.one_of(st.integers(-2**64, 2**64), st.text(max_size=12),
+                  st.integers(0, 2**128 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=st.lists(_PART, max_size=5), lasts=st.lists(_PART, min_size=1, max_size=4))
+def test_seed_stream_derives_the_same_seeds(parts, lasts):
+    """A stream hashes the same bytes as ``derive_seed``, call after call."""
+    stream = seed_stream(*parts)
+    for last in lasts:
+        assert stream(last) == derive_seed(*parts, last)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from expmarket import graph as graph_module
 from expmarket.graph import (
     EMPTY_GRAPH_DIGEST,
     DanglingEdge,
@@ -12,6 +13,8 @@ from expmarket.graph import (
     Graph,
     MissingTarget,
     Node,
+    PatchError,
+    SelfLoop,
     compute_digest_from_scratch,
 )
 from expmarket.ids import NodeIdGenerator, derive_seed
@@ -474,3 +477,38 @@ def test_commit_refused_for_a_wrong_input_state_changes_nothing():
     assert (graph_to_bytes(repo.graph), repo.digest(), repo.history.patches) == before
     repo.commit(_edit(repo.graph, 3))  # still usable
     assert repo.digest() == compute_digest_from_scratch(repo.graph)
+
+
+def test_a_self_loop_is_a_patch_error_that_changes_nothing(monkeypatch):
+    """``build_patch`` refuses an inserted self-loop before it hashes
+    anything; a hand-built patch carrying one is refused at commit by the
+    graph. Both raise ``SelfLoop``, a ``PatchError`` and a ``ValueError``,
+    and leave the graph, its digest and the history as they were."""
+    pending = random_graph(4, 10)
+    pending.insert_node(mknode(gen(7), [3.0, 1.0, 4.0, 1.0]))  # digest not yet taken
+    a = next(iter(pending.node_ids()))
+    loop = Edge(a, a, Pose.from_translation(1.0))
+    fresh = mknode(gen(8), [0.0] * 4)
+
+    def no_hashing(*args, **kwargs):
+        raise AssertionError("hashed before the self-loop was refused")
+
+    with monkeypatch.context() as m:
+        m.setattr(graph_module.hashlib, "sha256", no_hashing)
+        with pytest.raises(SelfLoop) as caught:
+            build_patch(pending, insert_nodes=[fresh], insert_edges=iter([loop]))
+    assert isinstance(caught.value, PatchError) and isinstance(caught.value, ValueError)
+    assert pending.digest() == compute_digest_from_scratch(pending)
+
+    repo = Repository(0, random_graph(4, 10))
+    repo.commit(_edit(repo.graph, 1))
+    b = next(iter(repo.graph.node_ids()))
+    bad = Patch(repo.digest(), b"\x00" * 32, {}, {},
+                frozenset({Edge(b, b, Pose.from_translation(1.0))}))
+    before = graph_to_bytes(repo.graph), repo.digest(), list(repo.history.patches)
+    with pytest.raises(SelfLoop) as caught:
+        repo.commit(bad)
+    assert isinstance(caught.value, PatchError) and isinstance(caught.value, ValueError)
+    assert (graph_to_bytes(repo.graph), repo.digest(), repo.history.patches) == before
+    assert repo.digest() == compute_digest_from_scratch(repo.graph)
+    repo.commit(_edit(repo.graph, 3))  # still usable

@@ -1,15 +1,17 @@
 """World, forays, FSM, network, and the scenario engine."""
 
+import math
 import random
 import statistics
 
+import numpy as np
 import pytest
 
 from expmarket import sim
-from expmarket.catalogue import bundled_catalogue
+from expmarket.catalogue import OutOfWorld, bundled_catalogue, product_of
 from expmarket.config import bundled_scenario, parse_scenario_config
-from expmarket.graph import connected_components
-from expmarket.ids import NodeIdGenerator
+from expmarket.graph import Observation, connected_components
+from expmarket.ids import NodeIdGenerator, derive_seed
 from expmarket.localiser import LocaliserConfig
 from expmarket.merging import IntegrityViolation
 from expmarket.patches import Repository
@@ -36,11 +38,65 @@ def test_world_observation_is_seed_deterministic():
     cat = bundled_catalogue("parks")
     w1 = World(cat, seed=5)
     w2 = World(cat, seed=5)
-    o1 = w1.observe(2, 3, 125.0)
-    o2 = w2.observe(2, 3, 125.0)
+    o1 = w1.observe(2, 3, [125.0])[0]
+    o2 = w2.observe(2, 3, [125.0])[0]
     assert o1 == o2
     w3 = World(cat, seed=6)
-    assert w3.observe(2, 3, 125.0) != o1
+    assert w3.observe(2, 3, [125.0])[0] != o1
+
+
+def _observe_one(world, robot, epoch, position):
+    """One stop observed by the one-position formula, step by step."""
+    extent = world.catalogue.total_metres
+    if position < 0 or position >= extent:
+        raise OutOfWorld(f"position {position} outside [0, {extent})")
+    section = product_of(position, world.catalogue)
+    bucket = int(position // world.config.node_spacing_m)
+    rng = np.random.Generator(np.random.PCG64(
+        derive_seed(world.seed, "noise", robot, epoch, bucket)))
+    noise = rng.normal(0.0, world.config.noise_sigma, world.config.descriptor_dim)
+    desc = world.latent(bucket) + world.drift(section, epoch) + noise
+    return Observation(tuple(float(v) for v in desc), position, section)
+
+
+def _bits(observations):
+    return [(np.array(o.descriptor).tobytes(), o.true_position, o.product)
+            for o in observations]
+
+
+@pytest.mark.parametrize("name", ["parks", "table1"])
+def test_world_observe_batch_matches_the_one_position_formula(name):
+    """A batch gives, bit for bit, what the formula gives stop by stop: random
+    stops, stops sharing a bucket, and stops on and beside every boundary."""
+    cat = bundled_catalogue(name)
+    rng = random.Random(derive_seed("observe-batch", name))
+    bounds = cat.boundaries()
+    edges = [p for b in bounds for p in (b, math.nextafter(b, -1.0), math.nextafter(b, math.inf))
+             if 0 <= p < bounds[-1]]
+    for case in range(12):
+        world_seed = rng.getrandbits(128)
+        batch, oracle = World(cat, seed=world_seed), World(cat, seed=world_seed)
+        robot, epoch = rng.randrange(8), rng.randrange(1, 9)
+        positions = [rng.uniform(0.0, bounds[-1]) for _ in range(rng.randrange(1, 40))]
+        base = rng.uniform(0.0, bounds[-1] - 5.0)
+        positions += [base, base + 0.5, math.floor(base / 5.0) * 5.0]  # shared buckets
+        positions += rng.sample(edges, min(len(edges), 6))
+        rng.shuffle(positions)
+        got = batch.observe(robot, epoch, positions)
+        want = [_observe_one(oracle, robot, epoch, p) for p in positions]
+        assert _bits(got) == _bits(want), case
+    assert World(cat, seed=1).observe(0, 1, []) == []
+
+
+def test_world_observe_refuses_what_the_formula_refuses():
+    cat = bundled_catalogue("parks")
+    w = World(cat, seed=3)
+    for bad in (-1.0, -5e-324, cat.total_metres, math.inf, math.nan):
+        with pytest.raises(OutOfWorld) as one:
+            _observe_one(World(cat, seed=3), 0, 1, bad)
+        with pytest.raises(OutOfWorld) as batch:
+            w.observe(0, 1, [10.0, bad, 20.0])
+        assert str(batch.value) == str(one.value)
 
 
 def test_world_drift_accumulates():
@@ -54,11 +110,11 @@ def test_world_drift_accumulates():
 def test_world_same_place_same_epoch_looks_alike_across_robots():
     cat = bundled_catalogue("parks")
     w = World(cat, seed=9)
-    a = w.observe(0, 2, 42.0)
-    b = w.observe(1, 2, 42.0)
+    a = w.observe(0, 2, [42.0])[0]
+    b = w.observe(1, 2, [42.0])[0]
     dist = sum((x - y) ** 2 for x, y in zip(a.descriptor, b.descriptor)) ** 0.5
     assert dist < 0.12  # within merge-match threshold
-    far = w.observe(0, 2, 442.0)
+    far = w.observe(0, 2, [442.0])[0]
     dist_far = sum((x - y) ** 2 for x, y in zip(a.descriptor, far.descriptor)) ** 0.5
     assert dist_far > 1.0
 
