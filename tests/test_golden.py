@@ -38,6 +38,12 @@ SCENARIOS = {
         "robustness", {"strategies.trading": "BANDIT_EXPLORE_EXPLOIT",
                        "strategies.shopping": "RECOMMEND"},
         "8070fa514e49ac22b076d0f95b369fbe911d504021e77bb6169584ebc0769c8b"),
+    "robustness-bandit-exploit": (
+        "robustness", {"strategies.trading": "BANDIT_EXPLOIT"},
+        "5318b6d4cbec6891b2398a3984e0da9a685b53ac0ec61c56170ff4b31a436dfa"),
+    "robustness-bandit-explore": (
+        "robustness", {"strategies.trading": "BANDIT_EXPLORE"},
+        "d9a7712041d93db5617d16518552b0dcda6b306b6a742eb2baec6d5e4e69ec7e"),
     "robustness-central": (
         "robustness", {"strategies.trading": "CENTRAL"},
         "7957122b5a9bf5d7f3aac7d41a03945761f053aa77e539ce01c2ae2591cd60ce"),
