@@ -43,7 +43,7 @@ from .integrity import (
     monte_carlo_convergence,
     run_battery_trial,
 )
-from .localiser import LocaliserConfig, MatchCounter, MatchPair, MatchSet, appearance_seed, localise, match_patches
+from .localiser import LocaliserConfig, MatchCounter, MatchPair, MatchSet, localise, match_patches
 from .market import (
     Belief,
     NoEligibleSellers,

@@ -18,7 +18,7 @@ from pathlib import Path
 from .config import _MAX_ROBOTS, ConfigError, load_scenario_config
 from .integrity import monte_carlo_convergence
 from .localiser import LocaliserConfig
-from .merging import Choice, ChoicePolicy, Commutation, CommutationPolicy
+from .merging import PURE_CHOICES, Choice, ChoicePolicy, Commutation, CommutationPolicy
 from .reporting import read_report, write_convergence_report, write_report, write_run
 from .sim import run_scenario
 
@@ -99,7 +99,7 @@ def cmd_verify_convergence(args) -> int:
                           rng=_random.Random(args.seed) if choice_kind is Choice.COIN else None)
     policy = CommutationPolicy(
         Commutation(args.policy), choice, LocaliserConfig(tau_m=args.tau_m),
-        allow_asymmetric=choice_kind in (Choice.LHS, Choice.COIN),
+        allow_asymmetric=choice_kind not in PURE_CHOICES,
     )
     report = monte_carlo_convergence(args.robots, args.forays, args.trials,
                                      mu, sigma, policy, seed=args.seed,

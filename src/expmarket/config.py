@@ -19,7 +19,7 @@ from .catalogue import Catalogue, bundled_catalogue, load_catalogue
 from .localiser import LocaliserConfig
 from .market import Strategy, TradingStrategy, SamplingBudget
 from .catalogue import ShoppingKind, ShoppingStrategy
-from .merging import Choice, ChoicePolicy, Commutation, CommutationPolicy
+from .merging import PURE_CHOICES, Choice, ChoicePolicy, Commutation, CommutationPolicy
 from .world import RoutePlan, WorldConfig
 
 
@@ -36,6 +36,10 @@ _MAX_ROBOTS = 1024
 # last or allocate as much as it asks. The bundled scenarios use 6 to 8
 # forays and 16 dimensions.
 _MAX_FORAYS = 10_000
+# The simulated clock adds up to ``latency_high_ms`` in each of an epoch's
+# two network phases, so a huge latency would overflow it to infinity, which
+# ``summary.json`` cannot hold as standard JSON. A day keeps it finite.
+_MAX_LATENCY_MS = 8.64e7
 _MAX_DESCRIPTOR_DIM = 1024
 # A foray observes one stop every ``node_spacing_m`` along a route inside the
 # catalogue, and ``Route.positions`` lists a route's stops at once, so a tiny
@@ -199,7 +203,7 @@ def parse_scenario_config(doc: dict, base_dir: Path | None = None) -> ScenarioCo
         raise ConfigError("strategies.exploit_fraction: must be in [0, 1]")
     if not 0 <= central_id < robots:
         raise ConfigError("strategies.central_id: must name a team member")
-    if choice_kind not in (Choice.INLIERS, Choice.FABMAP, Choice.PATH_MEMORY):
+    if choice_kind not in PURE_CHOICES:
         raise ConfigError("strategies.choice: scenario runs need a pure policy "
                           "(inliers, fabmap, path_memory)")
     if sample_max_nodes < 1:
@@ -212,6 +216,8 @@ def parse_scenario_config(doc: dict, base_dir: Path | None = None) -> ScenarioCo
     latency_high = n.take("latency_high_ms", float, 500.0)
     bytes_per_node = n.take("bytes_per_node_packet", int, 256)
     n.finish()
+    if latency_high > _MAX_LATENCY_MS:
+        raise ConfigError(f"network.latency_high_ms: need at most {_MAX_LATENCY_MS:g}")
     if latency_low < 0 or latency_high < latency_low:
         raise ConfigError("network: need 0 <= latency_low_ms <= latency_high_ms")
     if bytes_per_node < 1:

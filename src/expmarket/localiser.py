@@ -127,13 +127,6 @@ def _seed_batch(index: DescriptorIndex, queries: np.ndarray, k: int,
     return [sorted(zip(dists[lo:hi], near[lo:hi]))[:k] for lo, hi in zip(cuts, cuts[1:])]
 
 
-def appearance_seed(graph: Graph, descriptor, k: int,
-                    counter: MatchCounter | None = None) -> list[NodeId]:
-    """The k nearest nodes by descriptor distance, ties by node id."""
-    queries = np.array([descriptor], dtype=np.float64)
-    return [nid for _, nid in _seed_batch(graph.descriptor_index(), queries, k, counter)[0]]
-
-
 def localise_batch(graph: Graph, observations: Sequence[Observation],
                    cfg: LocaliserConfig,
                    counter: MatchCounter | None = None) -> list[NodeId | None]:

@@ -317,14 +317,13 @@ def execute_trade(left: Repository, right: Repository, policy: CommutationPolicy
         incoming, outgoing = diff(left.graph, right.graph, products=products, since=since)
         pair = commute(incoming, outgoing, policy, left.graph, right.graph,
                        counter=counter, _faults=_faults)
-    check = enforce and not _faults
-    if check:  # the neighbourhoods before the commits change them
+    if enforce:  # the neighbourhoods before the commits change them
         pre_left = {d: _neighbours(left.graph, d) for d in pair.drops_left if d in left.graph}
         pre_right = {d: _neighbours(right.graph, d) for d in pair.drops_right if d in right.graph}
     for repo, patch in ((left, pair.for_left), (right, pair.for_right)):
         if not patch.is_empty():
             repo.commit(patch)
-    if check:
+    if enforce:
         where = f"trade k={k} buyer {left.robot} seller {right.robot}"
         if products is None and left.digest() != right.digest():
             raise IntegrityViolation(f"{where}: trade did not converge to a common state")

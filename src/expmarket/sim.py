@@ -2,11 +2,13 @@
 
 Each epoch every robot maps its route, then the team walks the trade
 pipeline through the shared finite-state machine: sample new content,
-tender it to candidate sellers, purchase through the chosen partner(s), and
-merge the exchanged patches. Barriers demand identical (state, semaphore)
-across the team before anyone advances. Everything is driven by streams
-derived from (seed, trial), so a scenario run is a pure function of its
-config and seed.
+tender it to the sellers the trading strategy selects, settle a shopping
+list, and merge the exchanged patches. Every strategy but ALL selects at
+most one seller, and ALL buys from every seller it tendered to, so a
+tender's reply carries no offer, only its bytes. Barriers demand identical
+(state, semaphore) across the team before anyone advances. Everything is
+driven by streams derived from (seed, trial), so a scenario run is a pure
+function of its config and seed.
 """
 
 from __future__ import annotations
@@ -27,14 +29,11 @@ from .catalogue import (
 )
 from .config import ScenarioConfig
 from .foray import MetadataFn, _default_metadata, record_foray_patch
-from .graph import Graph
 from .ids import NodeIdGenerator, RobotId, derive_seed, seed_stream
 from .localiser import LocaliserConfig, MatchCounter, localise_batch
 from .market import (
     Belief,
-    NoEligibleSellers,
     Strategy,
-    adjudicate,
     price_nodes,
     query_bytes,
     sample_for_query,
@@ -222,6 +221,8 @@ class TrialMetrics:
 
 
 class _Agent:
+    """One robot: its repository, ledgers, beliefs and this epoch's work."""
+
     def __init__(self, robot: RobotId, trial_seed: int):
         self.robot = robot
         self.repo = Repository(robot)
@@ -236,8 +237,7 @@ class _Agent:
         self.foray: Patch | None = None  # MAPPING: what the foray recorded
         self.position = 0.0  # MAPPING: where the route ended
         self.sample: Inserts | None = None  # SAMPLING: the market query
-        self.offers: dict[RobotId, float] = {}  # TENDERING: candidate seller -> offer
-        self.sellers: list[RobotId] = []  # PURCHASING: who to buy from
+        self.sellers: list[RobotId] = []  # TENDERING: who to buy from, by id
         self.wanted: set[int] = set()  # PURCHASING: the shopping list
 
     def belief_about(self, seller: RobotId) -> Belief:
@@ -254,17 +254,6 @@ class _Agent:
             cell = self.product_beliefs.setdefault(product, {})
             cell[seller] = update_belief(cell.get(seller, Belief(seller)),
                                          price_nodes(pnodes, choice_policy))
-
-
-def _tender_offer(seller_graph: Graph, sample: Inserts | None, choice_policy) -> float:
-    """What the seller measures on the buyer's sample: the mean value of the
-    content it could supply for the sampled products."""
-    if sample is None:
-        return 0.0
-    products = {n.product for n in sample.insert_nodes.values()}
-    supply = [n for n in seller_graph.nodes()
-              if n.product in products and n.id not in sample.insert_nodes]
-    return price_nodes(supply, choice_policy)
 
 
 class _Trial:
@@ -334,40 +323,28 @@ def _sampling(t: _Trial) -> None:
 
 
 def _tendering(t: _Trial) -> None:
-    """TENDERING: each buyer queries its candidate sellers, who reply with offers."""
+    """TENDERING: each buyer selects its sellers and sends each its query;
+    each seller's fixed-size reply is charged to the network."""
     _advance_all(t.agents, Phase.TENDERING)
     config, net = t.config, t.net
     arrivals = [net.clock_ms]
     for a in t.agents:
-        chosen = select_partners(config.trading, a.beliefs, a.robot,
-                                 t.team, a.partner_rng)
-        a.offers = {}
+        a.sellers = sorted(select_partners(config.trading, a.beliefs, a.robot,
+                                           t.team, a.partner_rng))
         qb = query_bytes(a.sample, config.budget) if a.sample is not None else 0
-        for j in sorted(chosen):
+        for j in a.sellers:
             arrivals.append(deliver(net, qb, t.net_rng, src=a.robot, dst=j,
                                     kind="query"))
-            offer = _tender_offer(t.agents[j].repo.graph, a.sample, config.commutation.choice)
             arrivals.append(deliver(net, TENDER_REPLY_BYTES, t.net_rng,
                                     src=j, dst=a.robot, kind="query"))
-            a.offers[j] = offer
     net.clock_ms = max(arrivals)
 
 
 def _purchasing(t: _Trial) -> None:
-    """PURCHASING: each buyer settles on its seller(s) and its shopping list."""
+    """PURCHASING: each buyer with a seller settles its shopping list."""
     _advance_all(t.agents, Phase.PURCHASING)
     config = t.config
     for a in t.agents:
-        cands = list(a.offers)  # sorted by seller id
-        if len(cands) <= 1 or config.trading.kind is Strategy.ALL:
-            a.sellers = cands
-        else:
-            initialized = {j: offer for j, offer in a.offers.items()
-                           if a.belief_about(j).initialized}
-            try:
-                a.sellers = [adjudicate(initialized, a.beliefs)]
-            except NoEligibleSellers:
-                a.sellers = [cands[0]]
         if a.sellers:
             current = product_of(a.position, config.catalogue)
             a.wanted = shopping_list(config.shopping, current, config.catalogue,

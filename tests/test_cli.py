@@ -282,7 +282,8 @@ def test_run_scenario_rejects_out_of_range_config_values(tmp_path, capsys):
              {"world.noise_sigma": -0.01},
              {"world.drift_sigma": -0.05},
              {"world.latent_scale": -1.0},
-             {"world.node_spacing_m": 1e-9}]
+             {"world.node_spacing_m": 1e-9},
+             {"network.latency_low_ms": 1e308, "network.latency_high_ms": 1.7e308}]
     for overrides in cases:
         path = _write_scenario(tmp_path, **overrides)
         code = main(["run-scenario", "--config", str(path), "--out", str(tmp_path / "out")])

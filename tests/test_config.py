@@ -128,6 +128,7 @@ def test_asymmetric_choice_rejected_for_scenarios():
     ("world", "noise_sigma", -0.01),
     ("world", "latent_scale", -1.0),
     ("world", "node_spacing_m", 1e-9),
+    ("network", "latency_high_ms", 1.7e308),
 ])
 def test_out_of_range_values_are_config_errors(section, key, value):
     doc = bundled_scenario("robustness")  # WINDOW shopping, four robots

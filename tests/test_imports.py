@@ -1,16 +1,18 @@
-"""Every name a package module imports is used in it: a deletion that leaves
-an import behind fails here. ``__init__.py`` is skipped, as its imports are
-the package's exports."""
+"""Every name a package module imports is used in it, and every private
+module-level function or class is used somewhere in the package: a deletion
+that leaves an import or a helper behind fails here. ``__init__.py`` is
+skipped, as its imports are the package's exports."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import expmarket
 
-MODULES = sorted(p for p in Path(expmarket.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+SOURCES = sorted(Path(expmarket.__file__).parent.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -32,3 +34,29 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each name appears as a name, an attribute or an imported name."""
+    refs = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs[node.name] += 1
+    return refs
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_helper_is_used(path):
+    package = sum((_references(ast.parse(p.read_text())) for p in SOURCES), Counter())
+    tree = ast.parse(path.read_text(), filename=str(path))
+    helpers = [node for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")]
+    # a helper's references inside its own body (recursion) do not count
+    stranded = [node.name for node in helpers
+                if package[node.name] == _references(node)[node.name]]
+    assert not stranded, f"{path.name}: private helpers nothing uses {stranded}"

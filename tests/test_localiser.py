@@ -12,7 +12,6 @@ import expmarket.localiser as localiser
 from expmarket.localiser import (
     LocaliserConfig,
     MatchCounter,
-    appearance_seed,
     descriptor_distances,
     localise,
     localise_batch,
@@ -26,6 +25,12 @@ from _builders import chain_graph, mknode, random_graph
 
 def obs(desc, pos=0.0):
     return Observation(descriptor=tuple(desc), true_position=pos, product=0)
+
+
+def appearance_seed(g, descriptor, k, counter=None):
+    """``_seed_batch`` of one query: the ids of the k nearest nodes, ties by id."""
+    queries = np.array([descriptor], dtype=np.float64)
+    return [nid for _, nid in localiser._seed_batch(g.descriptor_index(), queries, k, counter)[0]]
 
 
 def test_seed_single_node_graph():

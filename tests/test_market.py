@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expmarket.graph import Graph
 from expmarket.ids import NodeIdGenerator, derive_seed
@@ -254,6 +256,28 @@ def test_select_uninitialized_visited_round_robin_first():
         seen.append(pick)
         beliefs[pick] = Belief(pick, count=1, mean=1.0)
     assert seen == [1, 2, 3]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_select_partners_names_one_seller_at_most_unless_all(data):
+    """The simulator buys from every seller it tenders to and never
+    adjudicates, which is sound because only ALL selects more than one."""
+    size = data.draw(st.integers(2, 12), label="team")
+    members = team(size)
+    self_id = data.draw(st.integers(0, size - 1), label="self_id")
+    strategy = TradingStrategy(data.draw(st.sampled_from(Strategy), label="kind"),
+                               exploit_fraction=data.draw(st.floats(0.0, 1.0)),
+                               central_id=data.draw(st.integers(0, size - 1)))
+    beliefs = {r: Belief(r, count=data.draw(st.integers(0, 3)),
+                         mean=data.draw(st.floats(-1e6, 1e6)))
+               for r in sorted(members) if data.draw(st.booleans())}
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    got = select_partners(strategy, beliefs, self_id, members, rng)
+    if strategy.kind is Strategy.ALL:
+        assert got == members - {self_id}
+    else:
+        assert len(got) <= 1 and self_id not in got
 
 
 def test_select_never_self_never_empty_for_bandits():
