@@ -9,6 +9,14 @@ scenario runs that differ only in trading strategy see byte-identical
 worlds. ``World.observe`` takes a route's stops at once: it bisects
 boundaries computed once per world, hashes the noise seeds' common prefix
 once (``ids.seed_stream``) and sums the descriptors as one array.
+
+Each latent descriptor, drift step and observation noise is the draw
+``Generator(PCG64(seed)).normal(0, scale, dim)`` of its own seed, bit for
+bit, but a batch of them is drawn at once: ``_seed_states`` runs numpy's
+``SeedSequence`` mixing for every seed of the batch as uint32 column
+arithmetic, and one ``PCG64`` owned by the world is set to each seed's
+state in turn, as ``PCG64(seed)`` would seed itself. So what a draw gives
+does not depend on its batch or on what was drawn before it.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from .graph import Observation
 from .ids import RobotId, derive_seed, seed_stream
 
 
-@dataclass
+@dataclass(frozen=True)
 class WorldConfig:
     descriptor_dim: int = 16
     node_spacing_m: float = 5.0
@@ -32,9 +40,50 @@ class WorldConfig:
     noise_sigma: float = 0.01  # per-observation descriptor noise
 
 
-def _normal(seed: int, n: int, scale: float) -> np.ndarray:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.normal(0.0, scale, n)
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiplier constants of a SeedSequence hash's first calls:
+    call i xors with h_i and multiplies by h_{i+1}, where h_{i+1} = h_i * mult
+    mod 2**32, whatever the data."""
+    h = [init]
+    for _ in range(calls):
+        h.append(h[-1] * mult & 0xFFFFFFFF)
+    return np.array(h[:-1], np.uint32), np.array(h[1:], np.uint32)
+
+
+# numpy's SeedSequence with its default pool of four uint32 words: mixing the
+# entropy into the pool takes 4 + 12 hash calls, and 4 uint64 of output 8 more
+_POOL_XOR, _POOL_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_OUT_XOR, _OUT_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+_OTHER_WORDS = [[d for d in range(4) if d != s] for s in range(4)]
+_OUT_WORDS = [0, 1, 2, 3, 0, 1, 2, 3]
+
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG's default 128-bit multiplier
+_MASK128 = (1 << 128) - 1
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    words = (words ^ xor) * mul
+    return words ^ (words >> _SHIFT)
+
+
+def _seed_states(seeds: Sequence[int]) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for each seed, as the
+    rows of one ``(n, 4)`` uint64 array. A seed outside [0, 2**128) raises
+    ``OverflowError``; inside it, the zero words that pad a seed to four are
+    exactly the zero hashes numpy fills a short entropy pool with."""
+    packed = b"".join(s.to_bytes(16, "little") for s in seeds)
+    words = np.frombuffer(packed, "<u4").reshape(-1, 4)
+    pool = _hashmix(words, _POOL_XOR[:4], _POOL_MUL[:4])
+    # each word in turn, hashed once per other word, mixes into the other three
+    for src, dst in enumerate(_OTHER_WORDS):
+        k = 4 + 3 * src
+        hashed = _hashmix(pool[:, src:src + 1], _POOL_XOR[k:k + 3], _POOL_MUL[k:k + 3])
+        mixed = _MIX_L * pool[:, dst] - _MIX_R * hashed
+        pool[:, dst] = mixed ^ (mixed >> _SHIFT)
+    state = _hashmix(pool[:, _OUT_WORDS], _OUT_XOR, _OUT_MUL)
+    return state.astype("<u4", order="C").view("<u8")
 
 
 class World:
@@ -48,43 +97,82 @@ class World:
         self._latent: dict[int, np.ndarray] = {}
         self._drift: dict[int, list[np.ndarray]] = {}
         self._bounds = catalogue.boundaries()
+        self._bits = np.random.PCG64(0)
+        self._gen = np.random.Generator(self._bits)
+
+    def _draw(self, seeds: Sequence[int], scale: float) -> np.ndarray:
+        """Row i is ``Generator(PCG64(seeds[i])).normal(0, scale, dim)``, bit
+        for bit: the world's one ``PCG64`` takes each seed's full state, as
+        ``pcg64_set_seed`` derives it from the seed's four SeedSequence words,
+        and fills the row with standard normals. ``normal`` returns
+        ``0 + scale * z``, which is scaled here once for the whole batch."""
+        if scale < 0:
+            raise ValueError(f"scale {scale} is negative")
+        out = np.empty((len(seeds), self.config.descriptor_dim))
+        pcg = {"state": 0, "inc": 0}
+        full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+        bits, fill = self._bits, self._gen.standard_normal
+        for row, (s0, s1, q0, q1) in zip(out, _seed_states(seeds).tolist()):
+            inc = (q0 << 65 | q1 << 1 | 1) & _MASK128
+            pcg["state"] = (((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128
+            pcg["inc"] = inc
+            bits.state = full
+            fill(out=row)
+        out *= scale
+        out += 0.0  # as in 0 + scale * z: a -0.0 product becomes 0.0
+        return out
+
+    def _latents(self, buckets: Sequence[int]) -> list[np.ndarray]:
+        """Each bucket's latent descriptor; the uncached ones in one draw."""
+        cache = self._latent
+        missing = [b for b in dict.fromkeys(buckets) if b not in cache]
+        if missing:
+            rows = self._draw([derive_seed(self.seed, "latent", b) for b in missing],
+                              self.config.latent_scale)
+            cache.update(zip(missing, rows))
+        return [cache[b] for b in buckets]
 
     def latent(self, bucket: int) -> np.ndarray:
-        vec = self._latent.get(bucket)
-        if vec is None:
-            vec = _normal(derive_seed(self.seed, "latent", bucket),
-                          self.config.descriptor_dim, self.config.latent_scale)
-            self._latent[bucket] = vec
-        return vec
+        return self._latents([bucket])[0]
 
     def drift(self, section: int, epoch: int) -> np.ndarray:
-        """Cumulative appearance offset of a section at a given epoch."""
+        """Cumulative appearance offset of a section at a given epoch; the
+        steps not yet taken are drawn in one batch. A negative epoch raises
+        ``ValueError``."""
+        if epoch < 0:
+            raise ValueError(f"epoch {epoch} is negative")
         walk = self._drift.setdefault(section, [np.zeros(self.config.descriptor_dim)])
-        while len(walk) <= epoch:
-            step = _normal(derive_seed(self.seed, "drift", section, len(walk)),
-                           self.config.descriptor_dim, self.config.drift_sigma)
-            walk.append(walk[-1] + step)
+        if len(walk) <= epoch:
+            steps = self._draw([derive_seed(self.seed, "drift", section, j)
+                                for j in range(len(walk), epoch + 1)],
+                               self.config.drift_sigma)
+            for step in steps:
+                walk.append(walk[-1] + step)
         return walk[epoch]
 
     def observe(self, robot: RobotId, epoch: int,
                 positions: Sequence[float]) -> list[Observation]:
         """What a robot sees at each of a route's positions during an epoch:
         ``(latent(bucket) + drift(section, epoch)) + noise`` per stop, summed
-        as one ``(n, dim)`` array, the same whatever batch a stop comes in. A
-        position below 0, at or past the end, or NaN raises ``OutOfWorld``."""
+        as one ``(n, dim)`` array, the same whatever batch a stop comes in.
+        Every stop's noise is one draw. A position below 0, at or past the
+        end, or NaN raises ``OutOfWorld``; a negative epoch ``ValueError``."""
+        if epoch < 0:
+            raise ValueError(f"epoch {epoch} is negative")
         extent, bounds = self.catalogue.total_metres, self._bounds
         sections = []
         for p in positions:
             if p < 0 or p >= extent:
                 raise OutOfWorld(f"position {p} outside [0, {extent})")
             sections.append(section_at(p, bounds))
+        if not sections:
+            return []
         buckets = [int(p // self.config.node_spacing_m) for p in positions]
         drift = {s: self.drift(s, epoch) for s in set(sections)}
         noise_seed = seed_stream(self.seed, "noise", robot, epoch)
-        dim, sigma = self.config.descriptor_dim, self.config.noise_sigma
-        desc = (np.array([self.latent(b) for b in buckets])
+        desc = (np.array(self._latents(buckets))
                 + np.array([drift[s] for s in sections])
-                + np.array([_normal(noise_seed(b), dim, sigma) for b in buckets]))
+                + self._draw([noise_seed(b) for b in buckets], self.config.noise_sigma))
         return [Observation(descriptor=tuple(row), true_position=p, product=s)
                 for row, p, s in zip(desc.tolist(), positions, sections)]
 
