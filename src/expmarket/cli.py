@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import _MAX_ROBOTS, ConfigError, load_scenario_config
+from .config import _MAX_FORAYS, _MAX_ROBOTS, ConfigError, load_scenario_config
 from .integrity import monte_carlo_convergence
 from .localiser import LocaliserConfig
 from .merging import PURE_CHOICES, Choice, ChoicePolicy, Commutation, CommutationPolicy
@@ -81,8 +81,10 @@ def _parse_rates(text: str, robots: int, flag: str) -> list[float]:
 def cmd_verify_convergence(args) -> int:
     if not 2 <= args.robots <= _MAX_ROBOTS:
         raise _usage_error(f"--robots: need 2 to {_MAX_ROBOTS}")
-    if args.forays < 1 or args.trials < 1:
-        raise _usage_error("--forays and --trials must be >= 1")
+    if not 1 <= args.forays <= _MAX_FORAYS:
+        raise _usage_error(f"--forays: need 1 to {_MAX_FORAYS}")
+    if args.trials < 1:
+        raise _usage_error("--trials: must be >= 1")
     if not 0.0 <= args.overlap <= 1.0:
         raise _usage_error("--overlap: must lie in [0, 1]")
     if not (math.isfinite(args.tau_m) and args.tau_m > 0):

@@ -3,8 +3,8 @@
 The battery turns a merge outcome into one binary test vector per node of
 the divergent configuration; a corpus of configurations has sufficiently
 exercised a battery of J tests once all 2^J vectors have been observed.
-Fault-injection knobs (reconnection off, deletes off) exist to produce the
-failing vectors on purpose.
+Fault-injection knobs of ``merging.commute`` (reconnection off, deletes
+off) produce the failing vectors on purpose.
 
 The Monte Carlo harness replays the wholesale-trading fleet: every foray
 each robot emits a toy patch of normally distributed size, all pairs trade
@@ -20,9 +20,9 @@ from typing import Callable, Sequence
 
 from .graph import Edge, Graph, Node
 from .ids import NodeIdGenerator, derive_seed
-from .merging import (Commutation, CommutationPolicy, _neighbours, _stranded_neighbour,
+from .merging import (Commutation, CommutationPolicy, _neighbours, _stranded_neighbour, commute,
                       execute_trade)
-from .patches import Patch, Repository, apply_patch, build_patch
+from .patches import Patch, Repository, apply_patch, build_patch, diff
 from .pose import Pose
 
 TestVector = tuple[int, ...]
@@ -212,20 +212,21 @@ def generate_configurations(seed: int, count: int,
 
 def run_battery_trial(config: DivergentConfig, policy: CommutationPolicy,
                       faults: frozenset[str] = frozenset()) -> MergeTrial:
-    """Merge one configuration (optionally faulted) and package the outcome."""
+    """Merge one configuration through ``commute`` (optionally faulted) and
+    package the outcome; the post graphs are the two sides' patched copies."""
+    policy.require_symmetric()
     left_graph, right_graph = config.left_graph(), config.right_graph()
-    # the repositories copy these, so they stay the pre-trade graphs
-    out = execute_trade(Repository(0, left_graph), Repository(1, right_graph), policy,
-                        enforce=False, _faults=faults)
+    pair = commute(*diff(left_graph, right_graph), policy, left_graph, right_graph,
+                   _faults=faults)
     return MergeTrial(
         left_patch=config.left,
         right_patch=config.right,
         left_graph=left_graph,
         right_graph=right_graph,
-        post_left=out.left.graph,
-        post_right=out.right.graph,
-        drops_left=out.pair.drops_left,
-        drops_right=out.pair.drops_right,
+        post_left=apply_patch(left_graph, pair.for_left),
+        post_right=apply_patch(right_graph, pair.for_right),
+        drops_left=pair.drops_left,
+        drops_right=pair.drops_right,
     )
 
 

@@ -15,6 +15,7 @@ then against every candidate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,6 +34,8 @@ class LocaliserConfig:
     depth: int = 2
 
     def __post_init__(self):
+        if not (math.isfinite(self.tau_loc) and math.isfinite(self.tau_m)):
+            raise ValueError("thresholds must be finite")
         if self.tau_loc <= 0 or self.tau_m <= 0:
             raise ValueError("thresholds must be positive")
         if self.seed_k < 1:

@@ -5,9 +5,9 @@ nodes, so a price reads as a per-packet figure regardless of patch size.
 Each agent keeps a streaming mean/variance ``Belief`` per seller and folds
 each trade's price into it with ``update_belief`` (Welford accumulation,
 exactly the recurrences the pricing model defines). ``sample_for_query``
-and ``query_bytes`` make a market query, ``adjudicate`` picks among
-tenders, and ``select_partners`` chooses partners with one of the team
-strategies.
+down-samples new content into a market query and ``query_bytes`` sizes
+that query without building it, ``adjudicate`` picks among tenders, and
+``select_partners`` chooses partners with one of the team strategies.
 
 Note the exploration convention: ``exploit_fraction`` is the fraction of
 trades spent exploiting the best seller, and the remainder explores. This
@@ -98,9 +98,10 @@ def sample_for_query(new_content: Patch, budget: SamplingBudget,
     return Inserts(chosen, edges)
 
 
-def query_bytes(sample: Inserts, budget: SamplingBudget) -> int:
-    """Network charge for sending a query sample."""
-    return len(sample.insert_nodes) * budget.bytes_per_node
+def query_bytes(new_content: Patch, budget: SamplingBudget) -> int:
+    """Network charge for sending the query ``sample_for_query`` would draw
+    from ``new_content``: the budget's bytes for each node it keeps."""
+    return min(len(new_content.insert_nodes), budget.max_nodes) * budget.bytes_per_node
 
 
 def adjudicate(offers: dict[RobotId, float], beliefs: dict[RobotId, Belief]) -> RobotId:

@@ -9,7 +9,7 @@ description of the outcome, so applying them yields equal content digests.
 
 Choice policies must be symmetric functions of the two node payloads; LHS
 and COIN exist as counterexamples for the test battery and are refused by
-execute_trade unless explicitly allowed.
+``CommutationPolicy.require_symmetric`` unless explicitly allowed.
 """
 
 from __future__ import annotations
@@ -70,6 +70,12 @@ class CommutationPolicy:
     choice: ChoicePolicy = field(default_factory=lambda: ChoicePolicy(Choice.INLIERS))
     localiser: LocaliserConfig = field(default_factory=LocaliserConfig)
     allow_asymmetric: bool = False
+
+    def require_symmetric(self) -> None:
+        """Refuse a MATCH merge by an asymmetric choice policy unless allowed."""
+        if self.kind is Commutation.MATCH and not self.choice.is_pure() \
+                and not self.allow_asymmetric:
+            raise NonSymmetricPolicy(f"{self.choice.kind.value} is not team-symmetric")
 
 
 def gamma_score(node: Node, policy: ChoicePolicy) -> float:
@@ -282,8 +288,7 @@ class TradeOutcome:
 
 def execute_trade(left: Repository, right: Repository, policy: CommutationPolicy,
                   *, products: set[int] | None = None, k: int = 0,
-                  counter: MatchCounter | None = None, enforce: bool = True,
-                  _faults: frozenset[str] = frozenset()) -> TradeOutcome:
+                  counter: MatchCounter | None = None, enforce: bool = True) -> TradeOutcome:
     """A pairwise exchange: diff, commute, and commit each side's patch to
     ``left`` and ``right`` in place; the outcome holds those same two
     repositories. Empty patches are not recorded. Each patch is built
@@ -302,21 +307,18 @@ def execute_trade(left: Repository, right: Repository, policy: CommutationPolicy
     either side deleted anything since it. A product scope restricts the
     exchange to catalogue sections on the buyer's shopping list, converging
     those sections only, and keeps the scan.
-    ``enforce=False`` skips the convergence and reconnection checks so
-    verification harnesses can observe misbehaving policies instead of
-    crashing on them. A failed check raises ``IntegrityViolation`` naming
+    ``enforce=False`` skips the convergence and reconnection checks so the
+    Monte Carlo sweep can count a misbehaving policy's divergences instead
+    of crashing on them. A failed check raises ``IntegrityViolation`` naming
     ``k``, the buyer and the seller.
     """
-    if policy.kind is Commutation.MATCH and not policy.choice.is_pure() \
-            and not policy.allow_asymmetric:
-        raise NonSymmetricPolicy(f"{policy.choice.kind.value} is not team-symmetric")
+    policy.require_symmetric()
     if left.digest() == right.digest():
         pair = ConvergentPatchPair(build_patch(left.graph), build_patch(right.graph))
     else:
         since = patches_since_common(left, right) if products is None else None
         incoming, outgoing = diff(left.graph, right.graph, products=products, since=since)
-        pair = commute(incoming, outgoing, policy, left.graph, right.graph,
-                       counter=counter, _faults=_faults)
+        pair = commute(incoming, outgoing, policy, left.graph, right.graph, counter=counter)
     if enforce:  # the neighbourhoods before the commits change them
         pre_left = {d: _neighbours(left.graph, d) for d in pair.drops_left if d in left.graph}
         pre_right = {d: _neighbours(right.graph, d) for d in pair.drops_right if d in right.graph}

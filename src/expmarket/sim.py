@@ -1,7 +1,7 @@
 """The deterministic fleet simulator.
 
 Each epoch every robot maps its route, then the team walks the trade
-pipeline through the shared finite-state machine: sample new content,
+pipeline through the shared finite-state machine: size its market query,
 tender it to the sellers the trading strategy selects, settle a shopping
 list, and merge the exchanged patches. Every strategy but ALL selects at
 most one seller, and ALL buys from every seller it tendered to, so a
@@ -36,12 +36,11 @@ from .market import (
     Strategy,
     price_nodes,
     query_bytes,
-    sample_for_query,
     select_partners,
     update_belief,
 )
 from .merging import IntegrityViolation, TradeStats, execute_trade
-from .patches import Inserts, Patch, Repository
+from .patches import Patch, Repository
 from .world import Route, World
 
 TENDER_REPLY_BYTES = 16
@@ -236,7 +235,7 @@ class _Agent:
         # this epoch's work, published phase by phase
         self.foray: Patch | None = None  # MAPPING: what the foray recorded
         self.position = 0.0  # MAPPING: where the route ended
-        self.sample: Inserts | None = None  # SAMPLING: the market query
+        self.sample = 0  # SAMPLING: the bytes of the market query
         self.sellers: list[RobotId] = []  # TENDERING: who to buy from, by id
         self.wanted: set[int] = set()  # PURCHASING: the shopping list
 
@@ -313,13 +312,10 @@ def _mapping(t: _Trial, k: int) -> None:
 
 
 def _sampling(t: _Trial) -> None:
-    """SAMPLING: each robot down-samples its new content into a market query."""
+    """SAMPLING: each robot sizes the market query its new content makes."""
     _advance_all(t.agents, Phase.SAMPLING)
     for a in t.agents:
-        a.sample = (
-            sample_for_query(a.foray, t.config.budget, t.config.commutation.choice)
-            if a.foray.insert_nodes else None
-        )
+        a.sample = query_bytes(a.foray, t.config.budget)
 
 
 def _tendering(t: _Trial) -> None:
@@ -331,9 +327,8 @@ def _tendering(t: _Trial) -> None:
     for a in t.agents:
         a.sellers = sorted(select_partners(config.trading, a.beliefs, a.robot,
                                            t.team, a.partner_rng))
-        qb = query_bytes(a.sample, config.budget) if a.sample is not None else 0
         for j in a.sellers:
-            arrivals.append(deliver(net, qb, t.net_rng, src=a.robot, dst=j,
+            arrivals.append(deliver(net, a.sample, t.net_rng, src=a.robot, dst=j,
                                     kind="query"))
             arrivals.append(deliver(net, TENDER_REPLY_BYTES, t.net_rng,
                                     src=j, dst=a.robot, kind="query"))

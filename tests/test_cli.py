@@ -238,7 +238,7 @@ def test_verify_convergence_rejects_bad_overlap_and_sigma(monkeypatch, capsys):
                   ["--tau-m", "0"], ["--tau-m", "-1"], ["--tau-m", "nan"],
                   ["--tau-m", "inf"], ["--robots", "1025"], ["--robots", str(10**12)],
                   ["--sigma", "1e308"], ["--mu", "1e308"], ["--sigma", "10,1e6"],
-                  ["--mu", "1000.5"]):
+                  ["--mu", "1000.5"], ["--forays", "10001"]):
         err = _usage_exit(base + flags, capsys)
         assert flags[0] in err and err.count("\n") == 1
     assert cli._parse_rates("1000", 2, "--mu") == [1000.0, 1000.0]

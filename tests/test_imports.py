@@ -1,7 +1,8 @@
-"""Every name a package module imports is used in it, and every private
-module-level function or class is used somewhere in the package: a deletion
-that leaves an import or a helper behind fails here. ``__init__.py`` is
-skipped, as its imports are the package's exports."""
+"""Every name a package module imports is used in it, every private
+module-level function or class is used somewhere in the package, and every
+public one somewhere in the package, its tests, demos or benchmark: a
+deletion that leaves an import or a helper behind fails here.
+``__init__.py`` is skipped, as its imports are the package's exports."""
 
 import ast
 from collections import Counter
@@ -13,6 +14,10 @@ import expmarket
 
 SOURCES = sorted(Path(expmarket.__file__).parent.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+ROOT = Path(__file__).resolve().parents[1]
+# everywhere a public name may be used from, the package's exports aside
+USERS = MODULES + sorted(p for d in ("tests", "demos", "perfbench")
+                         for p in (ROOT / d).rglob("*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -49,14 +54,28 @@ def _references(tree: ast.AST) -> Counter:
     return refs
 
 
+def _definitions(tree: ast.Module, private: bool) -> list[ast.AST]:
+    """The module-level functions and classes whose names are (not) private."""
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") == private and not node.name.startswith("__")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_private_helper_is_used(path):
     package = sum((_references(ast.parse(p.read_text())) for p in SOURCES), Counter())
     tree = ast.parse(path.read_text(), filename=str(path))
-    helpers = [node for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and node.name.startswith("_") and not node.name.startswith("__")]
     # a helper's references inside its own body (recursion) do not count
-    stranded = [node.name for node in helpers
+    stranded = [node.name for node in _definitions(tree, private=True)
                 if package[node.name] == _references(node)[node.name]]
     assert not stranded, f"{path.name}: private helpers nothing uses {stranded}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_name_is_referenced(path):
+    """A public name that only ``__init__.py`` re-exports is dead code."""
+    users = sum((_references(ast.parse(p.read_text())) for p in USERS), Counter())
+    tree = ast.parse(path.read_text(), filename=str(path))
+    stranded = [node.name for node in _definitions(tree, private=False)
+                if users[node.name] == _references(node)[node.name]]
+    assert not stranded, f"{path.name}: public names nothing uses {stranded}"

@@ -12,13 +12,18 @@ from expmarket.integrity import (
     monte_carlo_convergence,
     run_battery_trial,
 )
+from expmarket.graph import compute_digest_from_scratch
 from expmarket.localiser import LocaliserConfig, match_patches
 from expmarket.merging import (
     Choice,
     ChoicePolicy,
     Commutation,
     CommutationPolicy,
+    NonSymmetricPolicy,
 )
+
+FAULT_SETS = [frozenset(), frozenset({"no_reconnect"}), frozenset({"no_delete"}),
+              frozenset({"no_reconnect", "no_delete"})]
 
 
 def match_policy(choice=Choice.INLIERS):
@@ -40,14 +45,33 @@ def test_vector_length_equals_battery_size():
 
 
 def test_battery_trial_keeps_the_pre_trade_graphs():
-    """The trade advances its repositories in place; the trial still holds
-    the graphs from before it, which the battery's tests compare against."""
+    """The post graphs are copies; the trial still holds the graphs from
+    before the merge, which the battery's tests compare against."""
     for config in generate_configurations(3, 5):
         trial = run_battery_trial(config, match_policy())
         assert trial.left_graph.digest() == config.left_graph().digest()
         assert trial.right_graph.digest() == config.right_graph().digest()
         assert trial.post_left.digest() == trial.post_right.digest()
         assert trial.post_left.digest() != trial.left_graph.digest()
+
+
+@pytest.mark.parametrize("faults", FAULT_SETS, ids=lambda f: "+".join(sorted(f)) or "none")
+def test_battery_trial_post_graphs_hold_their_digests(faults):
+    """Faulted or not, a trial leaves its pre-merge graphs at the states the
+    configuration's patches reach, and each post graph's digest is the one
+    its content hashes to."""
+    for config in generate_configurations(17, 6):
+        trial = run_battery_trial(config, match_policy(), faults)
+        assert trial.left_graph.digest() == config.left.output_state
+        assert trial.right_graph.digest() == config.right.output_state
+        for post in (trial.post_left, trial.post_right):
+            assert post.digest() == compute_digest_from_scratch(post)
+
+
+def test_battery_refuses_an_asymmetric_match_policy_unless_allowed():
+    config = generate_configurations(1, 1)[0]
+    with pytest.raises(NonSymmetricPolicy):
+        run_battery_trial(config, match_policy(Choice.LHS))
 
 
 def test_coverage_sufficiency_rule():

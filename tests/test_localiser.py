@@ -3,6 +3,7 @@
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -65,6 +66,15 @@ def test_seed_tie_break_by_node_id():
         g.insert_node(n)
     ranked = appearance_seed(g, [2.0, 2.0], 3)
     assert ranked == [n.id for n in twins]
+
+
+@pytest.mark.parametrize("threshold", ["tau_loc", "tau_m"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0, -1.0])
+def test_config_refuses_threshold_not_finite_and_positive(threshold, value):
+    """tau_m=inf would pair every cross pair for merging, and tau_loc=nan
+    would make every localisation fail without a word."""
+    with pytest.raises(ValueError, match="thresholds must be"):
+        LocaliserConfig(**{threshold: value})
 
 
 def test_localise_exact_match_succeeds():

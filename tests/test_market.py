@@ -171,8 +171,24 @@ def test_sample_edges_restricted_to_survivors():
 def test_query_bytes_charged_per_node():
     patch, _ = patch_with_gammas([5, 9, 7])
     budget = SamplingBudget(max_nodes=2, bytes_per_node=256)
-    sample = sample_for_query(patch, budget, INLIERS)
-    assert query_bytes(sample, budget) == 512
+    assert query_bytes(patch, budget) == 512
+
+
+@given(size=st.integers(0, 40), seed=st.integers(0, 2**32 - 1),
+       max_nodes=st.integers(1, 50), bytes_per_node=st.integers(1, 1024),
+       kind=st.sampled_from([Choice.INLIERS, Choice.FABMAP, Choice.PATH_MEMORY]))
+@settings(max_examples=60, deadline=None)
+def test_query_bytes_is_the_size_of_the_sample(size, seed, max_nodes, bytes_per_node, kind):
+    """The charge is what sending ``sample_for_query``'s sample would cost."""
+    rng = random.Random(seed)
+    gen = NodeIdGenerator(seed, 0)
+    nodes = [mknode(gen, [float(i)], inlier_count=rng.randrange(10),
+                    fabmap_score=rng.random(), path_memory=rng.randrange(10))
+             for i in range(size)]
+    patch = build_patch(Graph(), insert_nodes=nodes, insert_edges=chain_edges(nodes))
+    budget = SamplingBudget(max_nodes=max_nodes, bytes_per_node=bytes_per_node)
+    sample = sample_for_query(patch, budget, ChoicePolicy(kind))
+    assert query_bytes(patch, budget) == len(sample.insert_nodes) * bytes_per_node
 
 
 # -- adjudication --------------------------------------------------------------
