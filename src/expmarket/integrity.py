@@ -3,8 +3,9 @@
 The battery turns a merge outcome into one binary test vector per node of
 the divergent configuration; a corpus of configurations has sufficiently
 exercised a battery of J tests once all 2^J vectors have been observed.
-Fault-injection knobs of ``merging.commute`` (reconnection off, deletes
-off) produce the failing vectors on purpose.
+Faulted merges (reconnection off, deletes off) produce the failing vectors
+on purpose; a battery trial derives their patches from the clean merge of
+``merging.commute``, which has no fault mode.
 
 The Monte Carlo harness replays the wholesale-trading fleet: every foray
 each robot emits a toy patch of normally distributed size, all pairs trade
@@ -16,13 +17,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .graph import Edge, Graph, Node
 from .ids import NodeIdGenerator, derive_seed
 from .merging import (Commutation, CommutationPolicy, _neighbours, _stranded_neighbour, commute,
                       execute_trade)
-from .patches import Patch, Repository, apply_patch, build_patch, diff
+from .patches import Inserts, Patch, Repository, apply_patch, build_patch, diff
 from .pose import Pose
 
 TestVector = tuple[int, ...]
@@ -44,13 +45,6 @@ class MergeTrial:
     def configuration_nodes(self) -> list[Node]:
         nodes = [*self.left_patch.insert_nodes.values(), *self.right_patch.insert_nodes.values()]
         return sorted(nodes, key=lambda n: n.id)
-
-
-@dataclass(frozen=True)
-class IntegrityTest:
-    id: int
-    name: str
-    predicate: Callable[[Node, MergeTrial], bool]
 
 
 def _test_connectivity(node: Node, trial: MergeTrial) -> bool:
@@ -83,23 +77,9 @@ def _test_no_coexistence(node: Node, trial: MergeTrial) -> bool:
     return True
 
 
-def builtin_tests() -> list[IntegrityTest]:
-    return [
-        IntegrityTest(0, "reconnected", _test_connectivity),
-        IntegrityTest(1, "no_coexistence", _test_no_coexistence),
-    ]
-
-
-def evaluate_battery(battery: Sequence[IntegrityTest],
-                     trial: MergeTrial) -> dict[TestVector, int]:
-    """One test vector per configuration node, as a multiset."""
-    if not battery:
-        raise ValueError("battery is empty")
-    out: dict[TestVector, int] = {}
-    for node in trial.configuration_nodes():
-        vec = tuple(1 if t.predicate(node, trial) else 0 for t in battery)
-        out[vec] = out.get(vec, 0) + 1
-    return out
+# The battery, in test-vector order: a node's vector holds 1 at position j
+# when test j passes for it.
+_BATTERY = (_test_connectivity, _test_no_coexistence)
 
 
 @dataclass
@@ -117,13 +97,14 @@ class CoverageReport:
 
 
 def merge_coverage(trials: Sequence[MergeTrial]) -> CoverageReport:
-    """The built-in battery's test vectors over every trial, as one multiset."""
-    battery = builtin_tests()
+    """The battery's test vectors, one per configuration node of every
+    trial, as one multiset."""
     total: dict[TestVector, int] = {}
     for trial in trials:
-        for vec, count in evaluate_battery(battery, trial).items():
-            total[vec] = total.get(vec, 0) + count
-    return CoverageReport(total, len(battery))
+        for node in trial.configuration_nodes():
+            vec = tuple(1 if test(node, trial) else 0 for test in _BATTERY)
+            total[vec] = total.get(vec, 0) + 1
+    return CoverageReport(total, len(_BATTERY))
 
 
 # -- configuration generation ---------------------------------------------
@@ -210,24 +191,44 @@ def generate_configurations(seed: int, count: int,
     return configs
 
 
+FAULTS = frozenset({"no_delete", "no_reconnect"})
+
+
+def _faulted_patch(side: Graph, clean: Patch, carried: Inserts, faults: frozenset[str]) -> Patch:
+    """``side``'s clean merge patch with ``faults`` applied, given the diff
+    content ``carried`` to it: ``no_reconnect`` drops its rewired edges and
+    keeps the carried ones, and ``no_delete`` deletes nothing and also
+    inserts every carried node and edge."""
+    edges = clean.insert_edges & carried.insert_edges if "no_reconnect" in faults \
+        else clean.insert_edges
+    if "no_delete" in faults:
+        return build_patch(side, insert_nodes=carried.insert_nodes.values(),
+                           insert_edges=edges | carried.insert_edges)
+    return build_patch(side, insert_nodes=clean.insert_nodes.values(), insert_edges=edges,
+                       delete_ids=clean.delete_nodes)
+
+
 def run_battery_trial(config: DivergentConfig, policy: CommutationPolicy,
                       faults: frozenset[str] = frozenset()) -> MergeTrial:
-    """Merge one configuration through ``commute`` (optionally faulted) and
-    package the outcome; the post graphs are the two sides' patched copies."""
+    """Merge one configuration through ``commute``, apply ``faults`` (of
+    ``FAULTS``) to both sides' patches, and package the outcome; the post
+    graphs are the two sides' patched copies. An unknown fault name raises
+    ``ValueError`` before anything is merged."""
+    if unknown := set(faults) - FAULTS:
+        raise ValueError(f"unknown faults {sorted(unknown)}; known: {sorted(FAULTS)}")
     policy.require_symmetric()
     left_graph, right_graph = config.left_graph(), config.right_graph()
-    pair = commute(*diff(left_graph, right_graph), policy, left_graph, right_graph,
-                   _faults=faults)
-    return MergeTrial(
-        left_patch=config.left,
-        right_patch=config.right,
-        left_graph=left_graph,
-        right_graph=right_graph,
-        post_left=apply_patch(left_graph, pair.for_left),
-        post_right=apply_patch(right_graph, pair.for_right),
-        drops_left=pair.drops_left,
-        drops_right=pair.drops_right,
-    )
+    incoming, outgoing = diff(left_graph, right_graph)
+    pair = commute(incoming, outgoing, policy, left_graph, right_graph)
+    for_left, for_right = pair.for_left, pair.for_right
+    if faults:
+        for_left = _faulted_patch(left_graph, for_left, incoming, faults)
+        for_right = _faulted_patch(right_graph, for_right, outgoing, faults)
+    return MergeTrial(left_patch=config.left, right_patch=config.right,
+                      left_graph=left_graph, right_graph=right_graph,
+                      post_left=apply_patch(left_graph, for_left),
+                      post_right=apply_patch(right_graph, for_right),
+                      drops_left=pair.drops_left, drops_right=pair.drops_right)
 
 
 # -- Monte Carlo convergence ------------------------------------------------

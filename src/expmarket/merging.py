@@ -126,22 +126,17 @@ class ConvergentPatchPair:
     drops_right: dict = field(default_factory=dict, hash=False, compare=False)
 
 
-def _side_patch(side: Graph, carried: Inserts, drop_map: dict[NodeId, NodeId],
-                faults: frozenset[str]) -> Patch:
+def _side_patch(side: Graph, carried: Inserts, drop_map: dict[NodeId, NodeId]) -> Patch:
     """One side's convergent patch from the symmetric merge description.
 
     ``carried`` is the diff content headed for this side; ``drop_map`` sends
     every dropped node id (either side) to its keeper. Matched drops held
     here are deleted with their neighbourhood rewired; matched drops on the
-    carried side are simply not inserted. Fault flags exist solely for the
-    integrity battery.
+    carried side are simply not inserted. The integrity battery derives its
+    faulted patches from this one (``integrity.run_battery_trial``).
     """
-    no_delete = "no_delete" in faults
-    no_reconnect = "no_reconnect" in faults
-    insert_nodes = [node for nid, node in carried.insert_nodes.items()
-                    if no_delete or nid not in drop_map]
-    own_drops = {nid for nid in drop_map if nid in side}
-    delete_ids = set() if no_delete else own_drops
+    insert_nodes = [node for nid, node in carried.insert_nodes.items() if nid not in drop_map]
+    delete_ids = {nid for nid in drop_map if nid in side}
     inserted = {n.id for n in insert_nodes}
 
     def present_after(nid: NodeId) -> bool:
@@ -158,8 +153,6 @@ def _side_patch(side: Graph, carried: Inserts, drop_map: dict[NodeId, NodeId],
     def remap(e: Edge) -> Edge | None:
         src = drop_map.get(e.src, e.src)
         dst = drop_map.get(e.dst, e.dst)
-        if no_reconnect and (src != e.src or dst != e.dst):
-            return None
         if src == dst or not present_after(src) or not present_after(dst):
             return None
         # matched nodes represent the same place: the drop-to-keep transform
@@ -167,10 +160,8 @@ def _side_patch(side: Graph, carried: Inserts, drop_map: dict[NodeId, NodeId],
         return e if (src == e.src and dst == e.dst) else Edge(src, dst, e.pose)
 
     for e in carried.insert_edges:
-        if no_delete and present_after(e.src) and present_after(e.dst) and e.src != e.dst:
-            offer(e)
         offer(remap(e))
-    for nid in own_drops:
+    for nid in delete_ids:
         for e in side.in_edges(nid):
             offer(remap(e))
         for e in side.out_edges(nid):
@@ -178,8 +169,8 @@ def _side_patch(side: Graph, carried: Inserts, drop_map: dict[NodeId, NodeId],
 
     edge_inserts = []
     for (src, dst), cands in candidates.items():
-        if src in side and dst in side and src not in delete_ids and dst not in delete_ids \
-                and side.has_edge(src, dst):
+        # remap yields only endpoints that are present after, none deleted
+        if side.has_edge(src, dst):
             continue  # survives as-is
         # the other side holds a carried edge as it is, so it beats rewired
         # ones; ties go to the smallest record
@@ -192,8 +183,7 @@ def _side_patch(side: Graph, carried: Inserts, drop_map: dict[NodeId, NodeId],
 
 
 def commute(incoming: Inserts, outgoing: Inserts, policy: CommutationPolicy,
-            left: Graph, right: Graph, counter: MatchCounter | None = None,
-            _faults: frozenset[str] = frozenset()) -> ConvergentPatchPair:
+            left: Graph, right: Graph, counter: MatchCounter | None = None) -> ConvergentPatchPair:
     """Turn the divergent diff pair into per-side convergent patches, built
     against ``left`` and ``right``: the only patches of a trade, so each
     side's item delta is spliced once (``build_patch``). The right side is
@@ -222,8 +212,8 @@ def commute(incoming: Inserts, outgoing: Inserts, policy: CommutationPolicy,
         drops_left[drop.id] = keep.id
         keep, drop = choose(theirs, mine, policy.choice)
         drops_right[drop.id] = keep.id
-    for_left = _side_patch(left, incoming, drops_left, _faults)
-    for_right = _side_patch(right, outgoing, drops_right, _faults)
+    for_left = _side_patch(left, incoming, drops_left)
+    for_right = _side_patch(right, outgoing, drops_right)
     return ConvergentPatchPair(for_left=for_left, for_right=for_right,
                                matches=matches, drops_left=drops_left,
                                drops_right=drops_right)

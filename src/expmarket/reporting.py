@@ -28,7 +28,8 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+def read_csv(path: Path, width: int = 0) -> tuple[list[str], list[list[str]]]:
+    """A table's header and rows; one with rows but under ``width`` columns is refused."""
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
         return [], []
@@ -36,6 +37,8 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     rows = [line.split(",") for line in lines[1:] if line]
     if any(len(row) != len(header) for row in rows):
         raise ValueError(f"{path}: a row's field count differs from the header's")
+    if rows and len(header) < width:
+        raise ValueError(f"{path}: {len(header)} columns, {width} needed")
     return header, rows
 
 
@@ -156,10 +159,13 @@ def _load_run(run_dir: Path) -> tuple[dict, list[list[str]]]:
     summary_path = run_dir / "summary.json"
     if not summary_path.exists():
         raise FileNotFoundError(f"{run_dir}: no summary.json (not a run directory)")
-    summary = json.loads(summary_path.read_text())
+    try:
+        summary = json.loads(summary_path.read_text())
+    except RecursionError:
+        raise ValueError(f"{summary_path}: JSON nested too deeply") from None
     if not isinstance(summary, dict):
         raise ValueError(f"{summary_path}: not a JSON object")
-    _, rows = read_csv(run_dir / "aggregate" / "dropouts.csv")
+    _, rows = read_csv(run_dir / "aggregate" / "dropouts.csv", width=4)
     return summary, rows
 
 
@@ -177,7 +183,7 @@ def read_report(run_dirs: list[Path]) -> dict[str, tuple[list[str], list]]:
         values = [float(r[3]) for r in dropout_rows]
         for x, p in failure_distribution(values):
             ccdf_rows.append((strategy, x, p))
-        _, brows = read_csv(Path(run_dir) / "aggregate" / "bytes_summary.csv")
+        _, brows = read_csv(Path(run_dir) / "aggregate" / "bytes_summary.csv", width=6)
         sent_means = [float(r[1]) for r in brows]
         query_means = [float(r[5]) for r in brows]
         if sent_means:

@@ -184,16 +184,23 @@ def test_report_handles_empty_dropouts(tmp_path):
 
 
 def test_report_rejects_malformed_run_data(tmp_path, capsys):
-    """A dropout row with too few fields and a summary that is not a JSON
-    object are usage errors (exit 2), not tracebacks."""
-    cases = {"short_row": ({"strategy": "ALL", "robots": 2, "forays": 1},
-                           "trial,k,robot,meters\n0,1,0\n"),
-             "list_summary": ([{"strategy": "ALL"}], "trial,k,robot,meters\n")}
-    for name, (summary, dropouts) in cases.items():
+    """A dropout row with too few fields, a table narrower than the columns
+    the report reads, and a summary that is not a JSON object or nests too
+    deeply to parse are usage errors (exit 2), not tracebacks."""
+    run_doc = json.dumps({"strategy": "ALL", "robots": 2, "forays": 1})
+    no_drops = "trial,k,robot,meters\n"
+    cases = {"short_row": (run_doc, no_drops + "0,1,0\n"),
+             "list_summary": (json.dumps([{"strategy": "ALL"}]), no_drops),
+             "narrow_dropouts": (run_doc, "a,b\n1,2\n"),
+             "narrow_bytes_summary": (run_doc, no_drops, "robot,sent_mean\n0,1.0\n"),
+             "deep_summary": ("[" * 200000, no_drops)}
+    for name, (summary, dropouts, *bytes_summary) in cases.items():
         run = tmp_path / name
         (run / "aggregate").mkdir(parents=True)
-        (run / "summary.json").write_text(json.dumps(summary))
+        (run / "summary.json").write_text(summary)
         (run / "aggregate" / "dropouts.csv").write_text(dropouts)
+        for text in bytes_summary:
+            (run / "aggregate" / "bytes_summary.csv").write_text(text)
         code = main(["report", "--input", str(run), "--out", str(tmp_path / "rep")])
         assert code == 2
         err = capsys.readouterr().err

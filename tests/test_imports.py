@@ -2,7 +2,8 @@
 module-level function or class is used somewhere in the package, and every
 public one somewhere in the package, its tests, demos or benchmark: a
 deletion that leaves an import or a helper behind fails here.
-``__init__.py`` is skipped, as its imports are the package's exports."""
+``__init__.py`` is skipped, as its imports are the package's exports. No
+package function or lambda takes a parameter whose name starts with ``_``."""
 
 import ast
 from collections import Counter
@@ -79,3 +80,17 @@ def test_every_public_name_is_referenced(path):
     stranded = [node.name for node in _definitions(tree, private=False)
                 if users[node.name] == _references(node)[node.name]]
     assert not stranded, f"{path.name}: public names nothing uses {stranded}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_parameter_is_private(path):
+    """A parameter named ``_x`` is a knob hidden from the documented API;
+    ``_`` alone, an ignored argument, is allowed."""
+    hidden = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            hidden += [f"{getattr(node, 'name', 'lambda')}({p.arg})" for p in params
+                       if p is not None and p.arg.startswith("_") and p.arg != "_"]
+    assert not hidden, f"{path.name}: private parameters {hidden}"

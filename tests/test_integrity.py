@@ -5,8 +5,6 @@ import pytest
 from expmarket.integrity import (
     CoverageReport,
     GeneratorParams,
-    builtin_tests,
-    evaluate_battery,
     generate_configurations,
     merge_coverage,
     monte_carlo_convergence,
@@ -35,10 +33,9 @@ def match_policy(choice=Choice.INLIERS):
 
 
 def test_vector_length_equals_battery_size():
-    battery = builtin_tests()
     config = generate_configurations(1, 1)[0]
     trial = run_battery_trial(config, match_policy())
-    multiset = evaluate_battery(battery, trial)
+    multiset = merge_coverage([trial]).multiset
     assert all(len(vec) == 2 for vec in multiset)
     total = sum(multiset.values())
     assert total == len(config.left.insert_nodes) + len(config.right.insert_nodes)
@@ -103,6 +100,33 @@ def test_fault_injection_produces_failing_vectors():
                                              frozenset({"no_reconnect", "no_delete"}))
                            for c in configs])
     assert (0, 0) in both.multiset
+
+
+def test_battery_refuses_an_unknown_fault_before_merging(monkeypatch):
+    """A misspelt fault would otherwise run a clean merge unnoticed."""
+    import expmarket.integrity as integrity
+
+    def no_merge(*args, **kwargs):
+        raise AssertionError("merged before checking the faults")
+
+    monkeypatch.setattr(integrity, "commute", no_merge)
+    config = generate_configurations(5, 1)[0]
+    for faults in ({"no_delet"}, {"no_delete", "no_reconect"}):
+        with pytest.raises(ValueError, match="no_delet'|no_reconect"):
+            run_battery_trial(config, match_policy(), frozenset(faults))
+
+
+def test_both_faults_merge_as_union():
+    """Deleting nothing and rewiring nothing, a MATCH merge inserts exactly
+    what each side lacks: both sides reach the states a UNION merge reaches."""
+    union = CommutationPolicy(Commutation.UNION)
+    both = frozenset({"no_reconnect", "no_delete"})
+    for seed in (5, 11, 13):
+        for config in generate_configurations(seed, 60):
+            faulted = run_battery_trial(config, match_policy(), both)
+            clean = run_battery_trial(config, union)
+            assert faulted.post_left.digest() == clean.post_left.digest()
+            assert faulted.post_right.digest() == clean.post_right.digest()
 
 
 def test_corpus_with_faults_reaches_full_coverage():
