@@ -105,6 +105,24 @@ def test_match_convergence_tree_is_pinned(tmp_path):
     assert _tree_hash(out) == "0498a8b01b8ee6e723ffa0472e33a21b83b8fe04ba1e263a53acf75b02222e5f"
 
 
+TEAM_MATCH = {
+    "inliers": "64d85172bd7ac00505157addeef34bb9d0e7dc3e9efe901a517b980cc32e0187",
+    "fabmap": "aae4c309789c3db12924339f4a9141be61d1e416a72a3d54622c7d4cade72cde",
+    "path_memory": "d56fb6cd70c0821ef1a40694ef195d629decd5c39d6c0a2644e8b1a8bdb94086",
+}
+
+
+@pytest.mark.parametrize("gamma", sorted(TEAM_MATCH))
+def test_team_match_convergence_tree_is_pinned(tmp_path, gamma):
+    """A team of eight merges under MATCH: drops on both sides of a trade,
+    carried edges into dropped nodes, rewired edges that meet carried ones."""
+    out = tmp_path / "conv"
+    assert main(["verify-convergence", "--robots", "8", "--forays", "4",
+                 "--trials", "2", "--policy", "match", "--overlap", "0.3",
+                 "--gamma", gamma, "--seed", "0", "--out", str(out)]) == 0
+    assert _tree_hash(out) == TEAM_MATCH[gamma]
+
+
 BATTERY = {
     (): {(1, 1): 596},
     ("no_reconnect",): {(0, 1): 112, (1, 1): 484},
