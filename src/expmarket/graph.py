@@ -14,7 +14,9 @@ item hashes up to date as it changes: each insert or remove reads that one
 item's hash, updates a hash-to-item dict and notes the hash as pending for
 one sorted ``bytes`` buffer of 32-byte hash records. The next read of the
 buffer folds the pending hashes in by one splice, which joins a new buffer
-once from the old one's unchanged runs and the added hashes. A digest is
+once from the old one's unchanged runs and the added hashes. The splice
+places every hash by one binary search in C, its keys joined as one ``S32``
+buffer, and sorts its cuts only when the delta drops records. A digest is
 then one SHA-256 over that buffer. ``Graph.digest_after`` gives the digest
 the graph would have after an item delta: it joins the spliced buffer once
 and hashes it once, changes no content, and keeps the buffer and digest,
@@ -44,6 +46,7 @@ The digest of the empty graph is SHA-256 of the empty string:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -95,6 +98,12 @@ def node_format(dim: int, tail: str) -> str:
     return f"{NODE_HEAD}{dim}d{tail}"
 
 
+@functools.cache
+def _node_struct(dim: int, tail: str) -> struct.Struct:
+    """``node_format``'s compiled struct, kept per descriptor length."""
+    return struct.Struct(node_format(dim, tail))
+
+
 @dataclass(frozen=True)
 class Node:
     """A place node: appearance descriptor plus quality metadata.
@@ -120,9 +129,9 @@ class Node:
     def content_bytes(self) -> bytes:
         """Digest-relevant payload: the wire record without ``path_memory``."""
         d = self.descriptor
-        return struct.pack(node_format(len(d), NODE_DIGEST_TAIL), self.id.to_bytes(16, "big"),
-                           len(d), *d, self.inlier_count, self.fabmap_score, self.product,
-                           self.creator, self.foray)
+        return _node_struct(len(d), NODE_DIGEST_TAIL).pack(
+            self.id.to_bytes(16, "big"), len(d), *d, self.inlier_count, self.fabmap_score,
+            self.product, self.creator, self.foray)
 
     @_cached
     def item_hash(self) -> bytes:
@@ -133,9 +142,9 @@ class Node:
 def node_record(node: Node) -> bytes:
     """A node's wire record: ``content_bytes`` with ``path_memory`` in place."""
     d = node.descriptor
-    return struct.pack(node_format(len(d), NODE_WIRE_TAIL), node.id.to_bytes(16, "big"),
-                       len(d), *d, node.inlier_count, node.fabmap_score, node.path_memory,
-                       node.product, node.creator, node.foray)
+    return _node_struct(len(d), NODE_WIRE_TAIL).pack(
+        node.id.to_bytes(16, "big"), len(d), *d, node.inlier_count, node.fabmap_score,
+        node.path_memory, node.product, node.creator, node.foray)
 
 
 @dataclass(frozen=True)
@@ -161,9 +170,8 @@ class Edge:
 
     def content_bytes(self) -> bytes:
         """The edge's record, the same in item hashes and on the wire."""
-        p = self.pose
         return EDGE_RECORD.pack(self.src.to_bytes(16, "big"), self.dst.to_bytes(16, "big"),
-                                p.tx, p.ty, p.tz, p.qw, p.qx, p.qy, p.qz)
+                                *self.pose)
 
     @_cached
     def item_hash(self) -> bytes:
@@ -487,10 +495,10 @@ def _hashed(buf: bytes) -> tuple[bytes, StateDigest]:
 
 def _offsets(buf: bytes, hashes: list[bytes]) -> list[int]:
     """Byte offset of the first record in the sorted buffer not below each
-    hash, by one binary search in C: numpy orders ``S32`` records as
-    ``bytes`` orders them."""
-    found = np.searchsorted(np.frombuffer(buf, "S32"), np.array(hashes, dtype="S32"))
-    return (found * _REC).tolist()
+    hash, by one binary search in C over the hashes joined as one ``S32``
+    buffer: numpy orders ``S32`` records as ``bytes`` orders them."""
+    keys = np.frombuffer(b"".join(hashes), "S32")
+    return (np.searchsorted(np.frombuffer(buf, "S32"), keys) * _REC).tolist()
 
 
 def _spliced(buf: bytes, dropped: Iterable[bytes], added: Iterable[bytes]) -> bytes:
@@ -498,16 +506,19 @@ def _spliced(buf: bytes, dropped: Iterable[bytes], added: Iterable[bytes]) -> by
     ``dropped`` records skipped, joined once from views of ``buf``'s
     unchanged runs and the added hashes. Raises ``KeyError`` for a dropped
     hash the buffer lacks."""
-    added, dropped = sorted(added), list(dropped)  # sorted: the cuts come in order
+    added, dropped = sorted(added), list(dropped)
     offsets = _offsets(buf, added + dropped)
     # (offset, 0, hash) splices the hash in before the record at offset;
-    # (offset, _REC, hash) skips that record, after any splice at the offset
-    cuts = list(zip(offsets, repeat(0), added))
-    for at, h in zip(offsets[len(added):], dropped):
-        if buf[at:at + _REC] != h:
-            raise KeyError(h)
-        cuts.append((at, _REC, h))
-    cuts.sort()
+    # (offset, _REC, hash) skips that record, after any splice at the offset.
+    # Sorted added hashes come at ascending offsets: only drops need a sort.
+    cuts = zip(offsets, repeat(0), added)
+    if dropped:
+        cuts = list(cuts)
+        for at, h in zip(offsets[len(added):], dropped):
+            if buf[at:at + _REC] != h:
+                raise KeyError(h)
+            cuts.append((at, _REC, h))
+        cuts.sort()
     view = memoryview(buf)
     parts = []
     start = 0
@@ -597,7 +608,6 @@ def export_text(graph: Graph) -> str:
     for src in sorted(graph._out):
         for dst in sorted(graph._out[src]):
             e = graph._out[src][dst]
-            pose = ",".join(repr(v) for v in (e.pose.tx, e.pose.ty, e.pose.tz,
-                                              e.pose.qw, e.pose.qx, e.pose.qy, e.pose.qz))
+            pose = ",".join(repr(v) for v in e.pose)
             lines.append(f"edge\t{id_text(src)}\t{id_text(dst)}\t{pose}")
     return "\n".join(lines) + ("\n" if lines else "")

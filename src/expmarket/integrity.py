@@ -272,9 +272,9 @@ def _toy_patch(repo: Repository, size: int, rng: random.Random,
     for _ in range(size):
         if dup_pool and random() < overlap:
             src = rng.choice(dup_pool)
-            desc = tuple(v + (dup_lo + dup_width * random()) for v in src.descriptor)
+            desc = tuple([v + (dup_lo + dup_width * random()) for v in src.descriptor])
         else:
-            desc = tuple(lo + width * random() for _ in range(_TOY_DIM))
+            desc = tuple([lo + width * random() for _ in range(_TOY_DIM)])
         nodes.append(Node(id=ids.next_id(), descriptor=desc,
                           inlier_count=rng.randrange(0, 100),
                           fabmap_score=rng.random(),

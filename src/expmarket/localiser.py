@@ -170,7 +170,8 @@ def match_patches(left: Patch | Inserts, right: Patch | Inserts, cfg: LocaliserC
     All cross pairs are ranked by ascending descriptor distance and accepted
     while within tau_m and both endpoints are unmatched. Ties are broken by
     the unordered id pair, which makes the result independent of which side
-    calls itself "left".
+    calls itself "left". The pairs within tau_m are read out of numpy at
+    once (``np.nonzero``), as plain floats and indices.
     """
     lnodes = sorted(left.insert_nodes.values(), key=lambda n: n.id)
     rnodes = sorted(right.insert_nodes.values(), key=lambda n: n.id)
@@ -182,11 +183,11 @@ def match_patches(left: Patch | Inserts, right: Patch | Inserts, cfg: LocaliserC
     dists = np.sqrt(np.maximum(d2, 0.0))
     if counter is not None:
         counter.add(dists.size)
-    within = np.argwhere(dists <= cfg.tau_m)
-    ranked = sorted(
-        ((float(dists[i, j]), *sorted((lnodes[i].id, rnodes[j].id)), i, j) for i, j in within),
-        key=lambda t: t[:3],
-    )
+    li, ri = np.nonzero(dists <= cfg.tau_m)
+    lids, rids = [n.id for n in lnodes], [n.id for n in rnodes]
+    # ranked by (distance, lower id, higher id), then in numpy's row-major order
+    ranked = sorted((d, *sorted((lids[i], rids[j])), i, j)
+                    for d, i, j in zip(dists[li, ri].tolist(), li.tolist(), ri.tolist()))
     used_l: set[int] = set()
     used_r: set[int] = set()
     pairs = []
@@ -195,5 +196,5 @@ def match_patches(left: Patch | Inserts, right: Patch | Inserts, cfg: LocaliserC
             continue
         used_l.add(i)
         used_r.add(j)
-        pairs.append(MatchPair(lnodes[i].id, rnodes[j].id, dist))
+        pairs.append(MatchPair(lids[i], rids[j], dist))
     return MatchSet(frozenset(pairs))

@@ -132,54 +132,45 @@ def _side_patch(side: Graph, carried: Inserts, drop_map: dict[NodeId, NodeId]) -
     ``carried`` is the diff content headed for this side; ``drop_map`` sends
     every dropped node id (either side) to its keeper. Matched drops held
     here are deleted with their neighbourhood rewired; matched drops on the
-    carried side are simply not inserted. The integrity battery derives its
-    faulted patches from this one (``integrity.run_battery_trial``).
+    carried side are simply not inserted. A carried edge that touches no
+    dropped node is inserted as it is: the diff carries only edges this side
+    lacks, between nodes present after the merge. Only the edges that touch
+    a drop are remapped onto keepers, and where several land on one node
+    pair, one is chosen. The integrity battery derives its faulted patches
+    from this one (``integrity.run_battery_trial``).
     """
     insert_nodes = [node for nid, node in carried.insert_nodes.items() if nid not in drop_map]
     delete_ids = {nid for nid in drop_map if nid in side}
     inserted = {n.id for n in insert_nodes}
+    kept: list[Edge] = []
+    touching: list[Edge] = []
+    for e in carried.insert_edges:
+        (touching if e.src in drop_map or e.dst in drop_map else kept).append(e)
+    for nid in delete_ids:
+        touching += side.in_edges(nid)
+        touching += side.out_edges(nid)
 
     def present_after(nid: NodeId) -> bool:
         return (nid in side and nid not in delete_ids) or nid in inserted
 
-    candidates: dict[tuple[NodeId, NodeId], list[Edge]] = {}
-
-    def offer(e: Edge | None) -> None:
-        if e is not None:
-            cands = candidates.setdefault((e.src, e.dst), [])
-            if e not in cands:  # an edge between two own drops is rewired twice
-                cands.append(e)
-
-    def remap(e: Edge) -> Edge | None:
-        src = drop_map.get(e.src, e.src)
-        dst = drop_map.get(e.dst, e.dst)
-        if src == dst or not present_after(src) or not present_after(dst):
-            return None
+    # the other side holds a carried edge as it is, so it beats rewired ones
+    # on its node pair; rewired ones that meet go to the smallest record (an
+    # edge between two own drops comes twice, as one record)
+    taken = {(e.src, e.dst) for e in kept}
+    rewired: dict[tuple[NodeId, NodeId], Edge] = {}
+    for e in touching:
         # matched nodes represent the same place: the drop-to-keep transform
         # is the identity, so rewired edges keep their pose
-        return e if (src == e.src and dst == e.dst) else Edge(src, dst, e.pose)
-
-    for e in carried.insert_edges:
-        offer(remap(e))
-    for nid in delete_ids:
-        for e in side.in_edges(nid):
-            offer(remap(e))
-        for e in side.out_edges(nid):
-            offer(remap(e))
-
-    edge_inserts = []
-    for (src, dst), cands in candidates.items():
-        # remap yields only endpoints that are present after, none deleted
-        if side.has_edge(src, dst):
-            continue  # survives as-is
-        # the other side holds a carried edge as it is, so it beats rewired
-        # ones; ties go to the smallest record
-        edge_inserts.append(cands[0] if len(cands) == 1 else
-                            min(cands, key=lambda e: (e not in carried.insert_edges,
-                                                      e.content_bytes())))
-
-    return build_patch(side, insert_nodes=insert_nodes, insert_edges=edge_inserts,
-                       delete_ids=delete_ids)
+        src, dst = drop_map.get(e.src, e.src), drop_map.get(e.dst, e.dst)
+        if src == dst or (src, dst) in taken or side.has_edge(src, dst) \
+                or not (present_after(src) and present_after(dst)):
+            continue
+        e = Edge(src, dst, e.pose)
+        if (other := rewired.get((src, dst))) is None \
+                or e.content_bytes() < other.content_bytes():
+            rewired[src, dst] = e
+    return build_patch(side, insert_nodes=insert_nodes,
+                       insert_edges=kept + list(rewired.values()), delete_ids=delete_ids)
 
 
 def commute(incoming: Inserts, outgoing: Inserts, policy: CommutationPolicy,
@@ -194,16 +185,18 @@ def commute(incoming: Inserts, outgoing: Inserts, policy: CommutationPolicy,
     Under UNION each side's patch carries its diff content verbatim. Under
     MATCH, the localiser pairs up closely matching content across the two
     sides, the choice policy picks each pair's survivor, and both sides'
-    patches are derived from that one shared decision.
+    patches are derived from that one shared decision. A MATCH merge that
+    pairs nothing drops nothing, so it is the UNION merge.
     """
-    if policy.kind is Commutation.UNION:
+    matches = MatchSet()
+    if policy.kind is Commutation.MATCH:
+        matches = match_patches(outgoing, incoming, policy.localiser, counter)
+    if not matches:
         return ConvergentPatchPair(
             for_left=build_patch(left, insert_nodes=incoming.insert_nodes.values(),
                                  insert_edges=incoming.insert_edges),
             for_right=build_patch(right, insert_nodes=outgoing.insert_nodes.values(),
                                   insert_edges=outgoing.insert_edges))
-
-    matches = match_patches(outgoing, incoming, policy.localiser, counter)
     drops_left: dict[NodeId, NodeId] = {}
     drops_right: dict[NodeId, NodeId] = {}
     for pair in sorted(matches.pairs, key=lambda p: (p.left, p.right)):
@@ -289,22 +282,23 @@ def execute_trade(left: Repository, right: Repository, policy: CommutationPolicy
     buffers are byte-equal (``commute``).
 
     Two repositories with equal digests hold the same content, so the trade
-    between them is decided at once: two empty patches, with no ``diff`` or
-    ``commute``. Otherwise, with no product scope, the two end in the same
-    state (digest-checked), and ``diff`` reads only each side's patches
-    since the newest state both histories hold (``patches_since_common``),
-    falling back to a scan of every item hash when there is none or when
-    either side deleted anything since it. A product scope restricts the
-    exchange to catalogue sections on the buyer's shopping list, converging
-    those sections only, and keeps the scan.
+    between them is decided at once: two empty patches at that state, built
+    directly, with no ``diff``, ``commute`` or ``build_patch``. Otherwise,
+    with no product scope, the two end in the same state (digest-checked),
+    and ``diff`` reads only each side's patches since the newest state both
+    histories hold (``patches_since_common``), falling back to a scan of
+    every item hash when there is none or when either side deleted anything
+    since it. A product scope restricts the exchange to catalogue sections
+    on the buyer's shopping list, converging those sections only, and keeps
+    the scan.
     ``enforce=False`` skips the convergence and reconnection checks so the
     Monte Carlo sweep can count a misbehaving policy's divergences instead
     of crashing on them. A failed check raises ``IntegrityViolation`` naming
     ``k``, the buyer and the seller.
     """
     policy.require_symmetric()
-    if left.digest() == right.digest():
-        pair = ConvergentPatchPair(build_patch(left.graph), build_patch(right.graph))
+    if (state := left.digest()) == right.digest():
+        pair = ConvergentPatchPair(Patch(state, state, {}, {}), Patch(state, state, {}, {}))
     else:
         since = patches_since_common(left, right) if products is None else None
         incoming, outgoing = diff(left.graph, right.graph, products=products, since=since)

@@ -100,14 +100,16 @@ class World:
         self._bits = np.random.PCG64(0)
         self._gen = np.random.Generator(self._bits)
 
-    def _draw(self, seeds: Sequence[int], scale: float) -> np.ndarray:
+    def _draw(self, seeds: Sequence[int], scale) -> np.ndarray:
         """Row i is ``Generator(PCG64(seeds[i])).normal(0, scale, dim)``, bit
-        for bit: the world's one ``PCG64`` takes each seed's full state, as
-        ``pcg64_set_seed`` derives it from the seed's four SeedSequence words,
-        and fills the row with standard normals. ``normal`` returns
+        for bit, with ``scale`` one for every row or one per row: the
+        world's one ``PCG64`` takes each seed's full state, as
+        ``pcg64_set_seed`` derives it from the seed's four SeedSequence
+        words, and fills the row with standard normals. ``normal`` returns
         ``0 + scale * z``, which is scaled here once for the whole batch."""
-        if scale < 0:
-            raise ValueError(f"scale {scale} is negative")
+        scales = np.asarray(scale, dtype=np.float64).reshape(-1, 1)
+        if (scales < 0).any():
+            raise ValueError(f"scale {scales[scales < 0][0]} is negative")
         out = np.empty((len(seeds), self.config.descriptor_dim))
         pcg = {"state": 0, "inc": 0}
         full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
@@ -118,22 +120,35 @@ class World:
             pcg["inc"] = inc
             bits.state = full
             fill(out=row)
-        out *= scale
+        out *= scales
         out += 0.0  # as in 0 + scale * z: a -0.0 product becomes 0.0
         return out
 
-    def _latents(self, buckets: Sequence[int]) -> list[np.ndarray]:
-        """Each bucket's latent descriptor; the uncached ones in one draw."""
-        cache = self._latent
-        missing = [b for b in dict.fromkeys(buckets) if b not in cache]
-        if missing:
-            rows = self._draw([derive_seed(self.seed, "latent", b) for b in missing],
-                              self.config.latent_scale)
-            cache.update(zip(missing, rows))
-        return [cache[b] for b in buckets]
+    def _fill(self, sections, epoch: int, buckets, seeds: Sequence[int] = (),
+              scale: float = 0.0) -> np.ndarray:
+        """Draw in one batch every drift step of ``sections`` up to ``epoch``
+        and every latent of ``buckets`` not drawn yet, and keep them, along
+        with ``seeds`` at ``scale``, whose rows are returned."""
+        cfg = self.config
+        steps = []
+        for s in dict.fromkeys(sections):
+            walk = self._drift.setdefault(s, [np.zeros(cfg.descriptor_dim)])
+            steps += [(s, j) for j in range(len(walk), epoch + 1)]
+        missing = [b for b in dict.fromkeys(buckets) if b not in self._latent]
+        rows = self._draw(
+            [derive_seed(self.seed, "drift", s, j) for s, j in steps]
+            + [derive_seed(self.seed, "latent", b) for b in missing] + list(seeds),
+            [cfg.drift_sigma] * len(steps) + [cfg.latent_scale] * len(missing)
+            + [scale] * len(seeds))
+        for (s, _), step in zip(steps, rows):
+            walk = self._drift[s]
+            walk.append(walk[-1] + step)
+        self._latent.update(zip(missing, rows[len(steps):]))
+        return rows[len(steps) + len(missing):]
 
     def latent(self, bucket: int) -> np.ndarray:
-        return self._latents([bucket])[0]
+        self._fill((), 0, [bucket])
+        return self._latent[bucket]
 
     def drift(self, section: int, epoch: int) -> np.ndarray:
         """Cumulative appearance offset of a section at a given epoch; the
@@ -141,22 +156,17 @@ class World:
         ``ValueError``."""
         if epoch < 0:
             raise ValueError(f"epoch {epoch} is negative")
-        walk = self._drift.setdefault(section, [np.zeros(self.config.descriptor_dim)])
-        if len(walk) <= epoch:
-            steps = self._draw([derive_seed(self.seed, "drift", section, j)
-                                for j in range(len(walk), epoch + 1)],
-                               self.config.drift_sigma)
-            for step in steps:
-                walk.append(walk[-1] + step)
-        return walk[epoch]
+        self._fill([section], epoch, ())
+        return self._drift[section][epoch]
 
     def observe(self, robot: RobotId, epoch: int,
                 positions: Sequence[float]) -> list[Observation]:
         """What a robot sees at each of a route's positions during an epoch:
         ``(latent(bucket) + drift(section, epoch)) + noise`` per stop, summed
         as one ``(n, dim)`` array, the same whatever batch a stop comes in.
-        Every stop's noise is one draw. A position below 0, at or past the
-        end, or NaN raises ``OutOfWorld``; a negative epoch ``ValueError``."""
+        The foray's noise, and the latents and drift steps it is the first
+        to need, are one draw. A position below 0, at or past the end, or
+        NaN raises ``OutOfWorld``; a negative epoch ``ValueError``."""
         if epoch < 0:
             raise ValueError(f"epoch {epoch} is negative")
         extent, bounds = self.catalogue.total_metres, self._bounds
@@ -168,11 +178,11 @@ class World:
         if not sections:
             return []
         buckets = [int(p // self.config.node_spacing_m) for p in positions]
-        drift = {s: self.drift(s, epoch) for s in set(sections)}
         noise_seed = seed_stream(self.seed, "noise", robot, epoch)
-        desc = (np.array(self._latents(buckets))
-                + np.array([drift[s] for s in sections])
-                + self._draw([noise_seed(b) for b in buckets], self.config.noise_sigma))
+        noise = self._fill(sections, epoch, buckets, [noise_seed(b) for b in buckets],
+                           self.config.noise_sigma)
+        desc = (np.array([self._latent[b] for b in buckets])
+                + np.array([self._drift[s][epoch] for s in sections]) + noise)
         return [Observation(descriptor=tuple(row), true_position=p, product=s)
                 for row, p, s in zip(desc.tolist(), positions, sections)]
 

@@ -279,6 +279,17 @@ def test_match_convergence_output_ignores_string_hash_seed(tmp_path):
     assert trees[0]
 
 
+def test_the_package_runs_as_a_module_from_a_checkout():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "expmarket", "verify-convergence",
+                           "--robots", "2", "--forays", "2", "--trials", "1"],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "divergence_events=0" in proc.stdout
+
+
 def test_run_scenario_rejects_out_of_range_config_values(tmp_path, capsys):
     cases = [{"strategies.shopping": "WINDOW", "strategies.window_radius": -1},
              {"network.latency_low_ms": float("nan")},
