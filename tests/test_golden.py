@@ -75,6 +75,20 @@ def test_run_scenario_tree_is_pinned(tmp_path, name):
     assert _tree_hash(out) == expected
 
 
+def test_long_horizon_fleet_tree_is_pinned(tmp_path):
+    """The scaling fleet at R=8 over 48 forays: every epoch of MATCH trades
+    deletes nodes, so a map's products lose and gain nodes many times over."""
+    doc = bundled_scenario("scaling")
+    doc["team"]["robots"] = 8
+    doc["sim"]["forays"] = 48
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps(doc, indent=2, sort_keys=True))
+    out = tmp_path / "run"
+    assert main(["run-scenario", "--config", str(config), "--seed", "0",
+                 "--out", str(out)]) == 0
+    assert _tree_hash(out) == "6d7748fa42d2464831ef514dfebd62b99a0e929a0b5f67863e9e8bf8d727a5b0"
+
+
 def test_float_choice_tree_ignores_string_hash_seed(tmp_path):
     """The FAB-MAP choice sums float scores in patch order, so a patch's
     iteration order must not follow the interpreter's string-hash seed."""
