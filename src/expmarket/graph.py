@@ -25,20 +25,26 @@ nothing again. ``_hashed`` keeps the last buffer hashed and its digest, and
 a byte-equal buffer takes both: the two sides of a converging trade run one
 SHA-256 pass between them and share one buffer. The digest bytes are the
 same as hashing every item afresh (``compute_digest_from_scratch``).
-``Graph.items_missing_from`` finds the items one graph holds and another
-lacks by a C-level scan of the hashes; a trade between equal digests
+A graph keeps its node hashes and its edge hashes in two dicts, each item
+once. ``Graph.items_missing_from`` finds the items one graph holds and
+another lacks by a C-level scan of both; a trade between equal digests
 never asks (``merging.execute_trade``). ``Graph.listed_missing_from``
 tests only a given list instead: the items inserted since a state both
-graphs held, when neither deleted anything since (``patches.diff``).
+graphs held, when neither deleted anything since (``patches.diff``). A
+product-scoped trade reads no node hash: each graph indexes its node ids
+by product, in insertion order, and ``Graph.product_nodes_missing_from``
+reads the scope's nodes from that index; it scans only the edge hashes
+(``Graph.edges_missing_from``).
 
 A graph belongs to one owner, a ``Repository`` or a caller that built it,
 which changes it in place. What a graph shares with its copies is never
 changed in place: each node's out-edge dict and in-neighbour ``frozenset``,
 the hash buffer and the descriptor index are replaced, not edited, so
-``Graph.copy`` copies only the dicts that map ids and hashes to them. Its
-mutators refuse content that does not fit, by type: ``MissingTarget`` (a
-``KeyError``), ``DanglingEdge``, ``DuplicateContent`` and ``SelfLoop``
-(each a ``ValueError``). The patch layer shares their base ``PatchError``.
+``Graph.copy`` copies only the dicts that map ids and hashes to them (the
+product index's too). Its mutators refuse content that does not fit, by
+type: ``MissingTarget`` (a ``KeyError``), ``DanglingEdge``,
+``DuplicateContent`` and ``SelfLoop`` (each a ``ValueError``). The patch
+layer shares their base ``PatchError``.
 
 The digest of the empty graph is SHA-256 of the empty string:
 ``e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855``.
@@ -236,21 +242,25 @@ class Graph:
     a copy may share them. A mutator refuses content that does not fit
     before it changes anything.
 
-    ``_items`` maps every item hash to its node or edge. ``_sorted`` is one
-    ``bytes`` buffer of the hashes as sorted 32-byte records. ``_delta``
-    holds the hashes added (True) or dropped (False) since the buffer was
-    last brought up to date, which ``_sorted_hashes`` does by one splice
-    (``_spliced``) into a new buffer, whatever the delta's size. ``digest``
-    hashes the buffer, and ``digest_after`` splices the buffer an item delta
-    leads to and hashes it, both through the memo ``_hashed``, which takes
-    the last buffer hashed in place of a byte-equal one. ``_after`` keeps
-    the last ``digest_after`` result as (delta, digest, buffer) over the
-    current buffer; every fold clears it, as the buffer it was computed over
-    is then gone. A fold while ``_delta`` equals that delta installs the
-    kept buffer and digest instead of splicing; any other delta is spliced
-    and hashed. Kept buffers are immutable ``bytes``, so copies that share
-    ``_after`` may each adopt the same one. A node entry in ``_items`` may
-    carry a stale ``path_memory``; the current record is in ``_nodes``.
+    ``_node_hashes`` maps every node's item hash to its id, and ``_edges``
+    every edge's item hash to the edge. ``_products`` is the product index:
+    for each product that labels a node, a dict of its node ids in
+    insertion order, each with its serial (the count of node inserts before
+    it, ``_serial`` being the next), so several products' nodes merge back
+    into insertion order. ``_sorted`` is one ``bytes`` buffer of the hashes
+    as sorted 32-byte records. ``_delta`` holds the hashes added (True) or
+    dropped (False) since the buffer was last brought up to date, which
+    ``_sorted_hashes`` does by one splice (``_spliced``) into a new buffer,
+    whatever the delta's size. ``digest`` hashes the buffer, and
+    ``digest_after`` splices the buffer an item delta leads to and hashes
+    it, both through the memo ``_hashed``, which takes the last buffer
+    hashed in place of a byte-equal one. ``_after`` keeps the last
+    ``digest_after`` result as (delta, digest, buffer) over the current
+    buffer; every fold clears it, as the buffer it was computed over is then
+    gone. A fold while ``_delta`` equals that delta installs the kept buffer
+    and digest instead of splicing; any other delta is spliced and hashed.
+    Kept buffers are immutable ``bytes``, so copies that share ``_after``
+    may each adopt the same one.
 
     ``_desc_index`` caches ``descriptor_index``: the first nodes of
     ``_nodes`` in insertion order, which ``descriptor_index`` extends by the
@@ -259,14 +269,17 @@ class Graph:
     Copies share it, so an extension builds new objects.
     """
 
-    __slots__ = ("_nodes", "_out", "_in", "_items", "_sorted", "_delta", "_digest",
-                 "_after", "_desc_index")
+    __slots__ = ("_nodes", "_out", "_in", "_node_hashes", "_edges", "_products", "_serial",
+                 "_sorted", "_delta", "_digest", "_after", "_desc_index")
 
     def __init__(self) -> None:
         self._nodes: dict[NodeId, Node] = {}
         self._out: dict[NodeId, dict[NodeId, Edge]] = {}
         self._in: dict[NodeId, frozenset[NodeId]] = {}
-        self._items: dict[bytes, Node | Edge] = {}
+        self._node_hashes: dict[bytes, NodeId] = {}
+        self._edges: dict[bytes, Edge] = {}
+        self._products: dict[int, dict[NodeId, int]] = {}
+        self._serial = 0
         self._sorted = b""
         self._delta: dict[bytes, bool] = {}
         self._digest: StateDigest | None = EMPTY_GRAPH_DIGEST
@@ -291,7 +304,7 @@ class Graph:
         return iter(self._nodes.values())
 
     def edge_count(self) -> int:
-        return len(self._items) - len(self._nodes)
+        return len(self._edges)
 
     def edges(self) -> Iterator[Edge]:
         for out in self._out.values():
@@ -312,19 +325,28 @@ class Graph:
     def items_missing_from(self, other: "Graph") -> tuple[list[Node], list[Edge]]:
         """This graph's nodes and edges whose item hash ``other`` lacks.
 
-        The scan over the hashes runs in C; only the missing items are
+        The scans over the hashes run in C; only the missing items are
         visited in Python. They come in this graph's insertion order.
         """
-        nodes: list[Node] = []
-        edges: list[Edge] = []
-        items = self._items
-        for h in filterfalse(other._items.__contains__, items):
-            item = items[h]
-            if type(item) is Edge:
-                edges.append(item)
-            else:
-                nodes.append(self._nodes[item.id])
-        return nodes, edges
+        nodes = self._nodes
+        ids = map(self._node_hashes.__getitem__,
+                  filterfalse(other._node_hashes.__contains__, self._node_hashes))
+        return [nodes[nid] for nid in ids], self.edges_missing_from(other)
+
+    def edges_missing_from(self, other: "Graph") -> list[Edge]:
+        """This graph's edges whose item hash ``other`` lacks, in insertion
+        order, by a C-level scan of the edge hashes."""
+        edges = self._edges
+        return list(map(edges.__getitem__, filterfalse(other._edges.__contains__, edges)))
+
+    def product_nodes_missing_from(self, other: "Graph", products: Iterable[int]) -> list[Node]:
+        """This graph's nodes labelled with one of ``products`` whose id
+        ``other`` lacks, in this graph's insertion order. They are read from
+        the product index, so the cost is that of the products' nodes."""
+        index = [ids for p in products if (ids := self._products.get(p))]
+        serials = index[0] if len(index) == 1 else dict(chain(*map(dict.items, index)))
+        missing = sorted(filterfalse(other._nodes.__contains__, serials), key=serials.__getitem__)
+        return list(map(self._nodes.__getitem__, missing))
 
     def listed_missing_from(self, other: "Graph", nodes: Iterable[Node],
                             edges: Iterable[Edge]) -> tuple[list[Node], list[Edge]]:
@@ -332,9 +354,9 @@ class Graph:
         ``other`` lacks, in the order given; nodes come as this graph holds
         them (with its ``path_memory``). ``items_missing_from`` narrowed to a
         list known to hold every missing item, at a cost of O(len(list))."""
-        theirs = other._items
-        return ([self._nodes[n.id] for n in nodes if n.item_hash not in theirs],
-                [e for e in edges if e.item_hash not in theirs])
+        their_nodes, their_edges = other._node_hashes, other._edges
+        return ([self._nodes[n.id] for n in nodes if n.item_hash not in their_nodes],
+                [e for e in edges if e.item_hash not in their_edges])
 
     # -- mutation (used by the patch layer and the owning agent) ---------
 
@@ -344,7 +366,9 @@ class Graph:
         self._nodes[node.id] = node
         self._out[node.id] = {}
         self._in[node.id] = frozenset()
-        self._items[node.item_hash] = node
+        self._node_hashes[node.item_hash] = node.id
+        self._products.setdefault(node.product, {})[node.id] = self._serial
+        self._serial += 1
         self._track(node.item_hash, True)
 
     def remove_node(self, node_id: NodeId) -> Node:
@@ -356,7 +380,11 @@ class Graph:
         node = self._nodes.pop(node_id)
         del self._out[node_id]
         del self._in[node_id]
-        del self._items[node.item_hash]
+        del self._node_hashes[node.item_hash]
+        ids = self._products[node.product]
+        del ids[node_id]
+        if not ids:
+            del self._products[node.product]
         self._track(node.item_hash, False)
         self._desc_index = None
         return node
@@ -373,7 +401,7 @@ class Graph:
                 f"edge {id_text(edge.src)}->{id_text(edge.dst)} already present")
         self._out[edge.src] = {**out, edge.dst: edge}
         self._in[edge.dst] |= {edge.src}
-        self._items[edge.item_hash] = edge
+        self._edges[edge.item_hash] = edge
         self._track(edge.item_hash, True)
 
     def remove_edge(self, src: NodeId, dst: NodeId) -> Edge:
@@ -383,7 +411,7 @@ class Graph:
         edge = out.pop(dst)
         self._out[src] = out
         self._in[dst] -= {src}
-        del self._items[edge.item_hash]
+        del self._edges[edge.item_hash]
         self._track(edge.item_hash, False)
         return edge
 
@@ -397,13 +425,16 @@ class Graph:
     def copy(self) -> "Graph":
         """An independent graph with this one's content and iteration orders.
 
-        Only the five dicts are copied. The values they hold, the hash
-        buffer and the descriptor index are shared: neither graph ever
-        changes them in place. This graph is left as it was.
+        Only the dicts are copied: the six top-level ones and each of the
+        product index's. The values they hold, the hash buffer and the
+        descriptor index are shared: neither graph ever changes them in
+        place. This graph is left as it was.
         """
         g = Graph.__new__(Graph)
         g._nodes, g._out, g._in = self._nodes.copy(), self._out.copy(), self._in.copy()
-        g._items, g._delta = self._items.copy(), self._delta.copy()
+        g._node_hashes, g._edges = self._node_hashes.copy(), self._edges.copy()
+        g._products = {p: ids.copy() for p, ids in self._products.items()}
+        g._serial, g._delta = self._serial, self._delta.copy()
         g._sorted, g._digest, g._after = self._sorted, self._digest, self._after
         g._desc_index = self._desc_index
         return g

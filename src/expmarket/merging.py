@@ -289,8 +289,9 @@ def execute_trade(left: Repository, right: Repository, policy: CommutationPolicy
     histories hold (``patches_since_common``), falling back to a scan of
     every item hash when there is none or when either side deleted anything
     since it. A product scope restricts the exchange to catalogue sections
-    on the buyer's shopping list, converging those sections only, and keeps
-    the scan.
+    on the buyer's shopping list, converging those sections only: ``diff``
+    takes the sections' nodes from the product index and scans only the
+    edge hashes.
     ``enforce=False`` skips the convergence and reconnection checks so the
     Monte Carlo sweep can count a misbehaving policy's divergences instead
     of crashing on them. A failed check raises ``IntegrityViolation`` naming

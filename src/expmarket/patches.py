@@ -236,31 +236,39 @@ def diff(mine: Graph, theirs: Graph, products: set[int] | None = None,
     ``since`` (my patches and their patches since a state S both graphs
     held, all insert-only, as ``patches_since_common`` finds them), only
     what each side inserted since S is tested, in O(|patches|): B∖A ⊆
-    (B∖S) ∪ (S∖A), and S∖A is empty when A deleted nothing since S.
+    (B∖S) ∪ (S∖A), and S∖A is empty when A deleted nothing since S. With
+    a product scope and no ``since``, the candidate nodes are the scope's
+    nodes the receiver lacks, read from the sender's product index
+    (``Graph.product_nodes_missing_from``), and only the edge hashes are
+    scanned: an edge between two nodes the receiver already holds may be
+    carried under any scope, so the scope's nodes do not find every edge.
     Otherwise every item hash is scanned (``Graph.items_missing_from``).
-    Both give the candidates in the source graph's insertion order, which
+    Each gives the candidates in the source graph's insertion order, which
     is the order its patches since S were applied in.
     """
 
     def one_way(dst_graph: Graph, src_graph: Graph, inserted: Sequence[Patch] | None) -> Inserts:
         # every item carried is one whose hash dst_graph lacks
-        if inserted is None:
-            cand_nodes, cand_edges = src_graph.items_missing_from(dst_graph)
-        else:
+        if inserted is not None:
             cand_nodes, cand_edges = src_graph.listed_missing_from(
                 dst_graph, chain.from_iterable(p.insert_nodes.values() for p in inserted),
                 chain.from_iterable(p.insert_edges for p in inserted))
+        elif products is not None:
+            cand_nodes = src_graph.product_nodes_missing_from(dst_graph, products)
+            cand_edges = src_graph.edges_missing_from(dst_graph)
+        else:
+            cand_nodes, cand_edges = src_graph.items_missing_from(dst_graph)
         if not (cand_nodes or cand_edges):
             return _NOTHING  # a no-op trade's side: no filters, no new objects
+        held, held_out = dst_graph._nodes, dst_graph._out
         nodes = [n for n in cand_nodes
-                 if n.id not in dst_graph and (products is None or n.product in products)]
+                 if n.id not in held and (products is None or n.product in products)]
         new_ids = {n.id for n in nodes}
         edges = {
             e
             for e in cand_edges
-            if (e.dst in dst_graph or e.dst in new_ids)
-            and (e.src in new_ids
-                 or (e.src in dst_graph and not dst_graph.has_edge(e.src, e.dst)))
+            if (e.dst in held or e.dst in new_ids)
+            and (e.src in new_ids or (e.src in held and e.dst not in held_out[e.src]))
         }
         return Inserts({n.id: n for n in nodes}, frozenset(edges))
 

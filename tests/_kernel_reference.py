@@ -4,8 +4,11 @@
 forms of ``merging._side_patch``, ``localiser.match_patches`` and
 ``graph._spliced``: every carried edge remapped and ranked, every pair
 within threshold read out of numpy one at a time, and every splice cut
-sorted. ``commute`` is ``merging.commute`` built from them. The package's
-versions must give the same results.
+sorted. ``commute`` is ``merging.commute`` built from them. ``scan_diff``
+is ``patches.diff`` as it was before the product index: every item hash of
+both graphs scanned, scoped or not, and the receiver probed through
+``Graph.__contains__`` and ``Graph.has_edge``. The package's versions must
+give the same results.
 """
 
 from __future__ import annotations
@@ -136,3 +139,22 @@ def spliced(buf: bytes, dropped: Iterable[bytes], added: Iterable[bytes]) -> byt
         start = at + skip
     parts.append(view[start:])
     return b"".join(parts)
+
+
+def scan_diff(mine: Graph, theirs: Graph, products: set[int] | None = None
+              ) -> tuple[Inserts, Inserts]:
+    def one_way(dst_graph: Graph, src_graph: Graph) -> Inserts:
+        cand_nodes, cand_edges = src_graph.items_missing_from(dst_graph)
+        nodes = [n for n in cand_nodes
+                 if n.id not in dst_graph and (products is None or n.product in products)]
+        new_ids = {n.id for n in nodes}
+        edges = {
+            e
+            for e in cand_edges
+            if (e.dst in dst_graph or e.dst in new_ids)
+            and (e.src in new_ids
+                 or (e.src in dst_graph and not dst_graph.has_edge(e.src, e.dst)))
+        }
+        return Inserts({n.id: n for n in nodes}, frozenset(edges))
+
+    return one_way(mine, theirs), one_way(theirs, mine)

@@ -24,6 +24,7 @@ from expmarket.pose import Pose
 from expmarket.serialize import patch_to_bytes
 
 from _builders import built, chain_graph, diff_patches, mknode, random_graph
+from _kernel_reference import scan_diff
 
 # -- a graph and its copies under random mutation -----------------------------
 
@@ -170,6 +171,56 @@ def test_bulk_build_matches_scratch_digest():
     assert len(g) == 120
 
 
+# -- the item-hash dicts and the product index -----------------------------------
+
+
+def _index_state(g: Graph):
+    """What ``g`` keeps by item hash and by product, in order."""
+    return (list(g._node_hashes.items()), list(g._edges.items()),
+            {p: list(ids.items()) for p, ids in g._products.items()}, g._serial)
+
+
+def _assert_fresh_product_index(g: Graph) -> None:
+    """``g``'s hash dicts and product index equal ones built afresh from its content."""
+    grouped: dict[int, list] = {}
+    for n in g.nodes():
+        grouped.setdefault(n.product, []).append(n.id)
+    assert {p: list(ids) for p, ids in g._products.items()} == grouped
+    serials = [g._products[n.product][n.id] for n in g.nodes()]
+    assert serials == sorted(set(serials)) and all(s < g._serial for s in serials)
+    assert list(g._node_hashes.items()) == [(n.item_hash, n.id) for n in g.nodes()]
+    assert g._edges == {e.item_hash: e for e in g.edges()}
+    assert g.edge_count() == len(g._edges)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       ops=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=80))
+def test_product_index_matches_a_fresh_grouping(seed, ops):
+    """After any inserts, removes, path-memory bumps and copies, each
+    product's index holds its nodes in insertion order and the hash dicts
+    hold exactly the graph's items; changing one graph leaves its copies
+    and originals as they were."""
+    rng = random.Random(seed)
+    gen = NodeIdGenerator(seed, 0)
+    graphs, models = [Graph()], [_Model()]
+    states = [_index_state(graphs[0])]
+    for which, op in ops:
+        i = which % len(graphs)
+        if op >= 6:
+            graphs.append(graphs[i].copy())
+            models.append(models[i].copy())
+            states.append(None)
+            i = len(graphs) - 1
+        else:
+            _mutate(graphs[i], models[i], op, rng, gen)
+        for j, g in enumerate(graphs):
+            if j != i:
+                assert _index_state(g) == states[j]
+        _assert_fresh_product_index(graphs[i])
+        states[i] = _index_state(graphs[i])
+
+
 # -- hash-indexed diff against the full edge scan ------------------------------
 
 
@@ -238,6 +289,90 @@ def test_diff_matches_full_edge_scan(seed, size, products):
     # the inputs are values: diffing changed neither side
     assert left.digest() == compute_digest_from_scratch(left)
     assert right.digest() == compute_digest_from_scratch(right)
+
+
+def _as_model(g: Graph) -> _Model:
+    return _Model({n.id: n for n in g.nodes()},
+                  {n.id: {e.dst: e for e in g.out_edges(n.id)} for n in g.nodes()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(0, 14),
+       ops=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 7)), max_size=60),
+       scope=st.one_of(st.none(), st.sets(st.integers(0, 4), max_size=4)))
+def test_indexed_diff_matches_the_scan(seed, size, ops, scope):
+    """Graphs that share a past and diverge by inserts, node deletes, edge
+    changes, path-memory bumps and copies diff as the full scan does, under
+    no scope or a scope of one or several products: the same content, nodes
+    in the same order, edges in the same order, the same wire bytes. Some
+    edges clash: another graph holds an edge on the same node pair with
+    another pose."""
+    rng = random.Random(seed)
+    gen = NodeIdGenerator(seed, 5)
+    base = random_graph(seed % 1000, size, dim=2, edge_prob=0.3)
+    graphs = [base, base.copy(), base.copy()]
+    models = [_as_model(base) for _ in graphs]
+    for which, op in ops:
+        g, other = graphs[which], graphs[(which + 1) % 3]
+        if op >= 6:
+            graphs[which], models[which] = other.copy(), models[(which + 1) % 3].copy()
+        elif op == 5:  # re-pose, or add, an edge on one of the other graph's node pairs
+            pairs = [(e.src, e.dst) for e in other.edges() if e.src in g and e.dst in g]
+            if pairs:
+                src, dst = rng.choice(pairs)
+                if g.has_edge(src, dst):
+                    g.remove_edge(src, dst)
+                clash = Edge(src, dst, Pose.from_translation(rng.uniform(20, 30)))
+                g.insert_edge(clash)
+                models[which].out[src][dst] = clash
+        else:
+            _mutate(g, models[which], op, rng, gen)
+    for mine in graphs:
+        for theirs in graphs:
+            if theirs is mine:
+                continue
+            got, want = diff(mine, theirs, scope), scan_diff(mine, theirs, scope)
+            for dst, a, b in zip((mine, theirs), got, want):
+                assert a == b
+                assert list(a.insert_nodes.values()) == list(b.insert_nodes.values())
+                assert list(a.insert_edges) == list(b.insert_edges)
+                assert patch_to_bytes(built(dst, a)) == patch_to_bytes(built(dst, b))
+
+
+def test_a_scoped_diff_carries_an_edge_between_two_held_nodes():
+    """An edge the receiver lacks between two nodes it holds is carried
+    under a scope that names neither node's product: the scope's nodes do
+    not lead to it."""
+    gen = NodeIdGenerator(31, 0)
+    a, b = mknode(gen, [0.0], product=0), mknode(gen, [1.0], product=1)
+    c = mknode(gen, [2.0], product=2)
+    mine = graph_module.graph_from_content([a, b], [])
+    theirs = graph_module.graph_from_content([a, b, c], [Edge(a.id, b.id, Pose.identity())])
+    for scope in ({2}, {3}, {2, 3}):
+        incoming, outgoing = diff(mine, theirs, scope)
+        assert list(incoming.insert_nodes) == ([c.id] if 2 in scope else [])
+        assert incoming.insert_edges == {Edge(a.id, b.id, Pose.identity())}
+        assert incoming == scan_diff(mine, theirs, scope)[0]
+        assert outgoing.is_empty()
+
+
+def test_a_scope_of_several_products_keeps_insertion_order():
+    """The nodes of several products come in the sender's insertion order,
+    not product by product: a node deleted by the receiver keeps its place
+    among those inserted after it."""
+    gen = NodeIdGenerator(32, 0)
+    held = [mknode(gen, [float(i)], product=i % 3) for i in range(6)]
+    mine = graph_module.graph_from_content(held, [])
+    theirs = mine.copy()
+    for nid in (held[4].id, held[1].id):
+        mine.remove_node(nid)
+    new = [mknode(gen, [9.0 + i], product=p) for i, p in enumerate((2, 1, 0, 1, 2))]
+    for n in new:
+        theirs.insert_node(n)
+    incoming, _ = diff(mine, theirs, {1, 2, 7})
+    assert list(incoming.insert_nodes.values()) == [held[1], held[4], new[0], new[1], new[3],
+                                                    new[4]]
+    assert incoming == scan_diff(mine, theirs, {1, 2, 7})[0]
 
 
 # -- diff from the patches since the last common state --------------------------

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from expmarket import merging
+from expmarket import merging, sim
+from expmarket.config import bundled_scenario, parse_scenario_config
 from expmarket.graph import Edge, Graph, compute_digest_from_scratch, connected_components
 from expmarket.ids import NodeIdGenerator, derive_seed
 from expmarket.localiser import LocaliserConfig, MatchCounter
@@ -507,6 +508,43 @@ def test_a_delete_since_the_common_state_brings_the_scan_back(monkeypatch, delet
     assert len(scans) == 2
     assert left.digest() == right.digest() == compute_digest_from_scratch(left.graph)
     assert out.stats.nodes_in == 3
+
+
+def _sub_map(graph: Graph, products: set[int]) -> set[bytes]:
+    """The item hashes of the products' nodes and of the edges between them."""
+    held = {n.id for n in graph.nodes() if n.product in products}
+    return ({graph.node(nid).item_hash for nid in held}
+            | {e.item_hash for e in graph.edges() if e.src in held and e.dst in held})
+
+
+@pytest.mark.parametrize("bundled, overrides", [
+    ("scaling", {"team": {"robots": 4}}),  # MATCH, one product a trade
+    ("robustness", {}),  # UNION, a window of several products
+    ("robustness", {"strategies": {"trading": "BANDIT_EXPLORE_EXPLOIT", "shopping": "RECOMMEND"}}),
+])
+def test_scoped_trades_read_the_index_and_converge_the_products(monkeypatch, bundled, overrides):
+    """Every product-scoped trade of a trial takes its nodes from the product
+    index, so it scans no node hash, and leaves the products bought equal
+    on both sides."""
+    doc = bundled_scenario(bundled)
+    doc["sim"]["forays"] = 4
+    for section, values in overrides.items():
+        doc[section].update(values)
+    scans, scoped = _count_scans(monkeypatch), []
+
+    def checked(left, right, policy, *, products=None, **kw):
+        before = len(scans)
+        out = execute_trade(left, right, policy, products=products, **kw)
+        if products is not None:
+            assert len(scans) == before
+            assert _sub_map(left.graph, products) == _sub_map(right.graph, products)
+            scoped.append((len(products), out.stats.nodes_in))
+        return out
+
+    monkeypatch.setattr(sim, "execute_trade", checked)
+    sim.run_trial(parse_scenario_config(doc), seed=3, trial=0)
+    assert len(scoped) >= 10 and any(nodes_in for _, nodes_in in scoped)
+    assert max(width for width, _ in scoped) == (1 if bundled == "scaling" else 5)
 
 
 def test_trade_invariant_error_names_the_trade():
