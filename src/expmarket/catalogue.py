@@ -98,8 +98,8 @@ class ShoppingStrategy:
 
 @dataclass(frozen=True)
 class Advisory:
-    """What the team gossips at barrier points: per product, who to buy from
-    (the sender's favourite seller), and each vendor's best-selling product."""
+    """What the team gossips after each MERGING: per product, who to buy
+    from (the sender's favourite seller), and each vendor's best-selling product."""
 
     favourite_sellers: dict  # ProductIndex -> RobotId
     advertisement: ProductIndex | None
@@ -230,11 +230,3 @@ def bundled_catalogue(name: str) -> Catalogue:
     """Load one of the catalogues shipped with the package (e.g. "table1")."""
     data = resources.files("expmarket").joinpath(f"data/{name}.catalogue")
     return parse_catalogue(data.read_text())
-
-
-def catalogue_to_text(catalogue: Catalogue) -> str:
-    lines = [f"{s.name}, {s.category}, {s.stock_items}, {s.metres:g}"
-             for s in catalogue.sections]
-    if catalogue.cyclic:
-        lines.append("cyclic")
-    return "\n".join(lines) + "\n"

@@ -41,6 +41,17 @@ _MAX_FORAYS = 10_000
 # ``summary.json`` cannot hold as standard JSON. A day keeps it finite.
 _MAX_LATENCY_MS = 8.64e7
 _MAX_DESCRIPTOR_DIM = 1024
+# A descriptor component is a latent draw plus up to ``_MAX_FORAYS`` drift
+# steps plus noise, each a normal draw at its scale, and localisation sums
+# ``descriptor_dim`` squared components into squared norms that must stay
+# finite. At this bound a component stays under 1e106 and a squared norm
+# under 1e216; the bundled scenarios use scales of 0.01 to 1.
+_MAX_DESCRIPTOR_SCALE = 1e100
+# A node's inlier count is drawn around its robot's mean, a tenth of the
+# mean its deviation, and packed as an int64 in every node record, which a
+# mean near 1e18 would overflow. Matchers count tens to thousands of
+# inliers; the bundled scenarios use means of 30 to 45.
+_MAX_INLIER_MEAN = 1e9
 # A foray observes one stop every ``node_spacing_m`` along a route inside the
 # catalogue, and ``Route.positions`` lists a route's stops at once, so a tiny
 # spacing would exhaust memory before the first observation. The bound is
@@ -147,8 +158,8 @@ def parse_scenario_config(doc: dict, base_dir: Path | None = None) -> ScenarioCo
     if world_cfg.node_spacing_m <= 0:
         raise ConfigError("world.node_spacing_m: must be positive")
     for key in ("latent_scale", "drift_sigma", "noise_sigma"):
-        if getattr(world_cfg, key) < 0:
-            raise ConfigError(f"world.{key}: must be non-negative")
+        if not 0 <= getattr(world_cfg, key) <= _MAX_DESCRIPTOR_SCALE:
+            raise ConfigError(f"world.{key}: need 0 to {_MAX_DESCRIPTOR_SCALE:g}")
     try:
         if cat_name.endswith(".catalogue"):
             path = Path(cat_name)
@@ -180,6 +191,8 @@ def parse_scenario_config(doc: dict, base_dir: Path | None = None) -> ScenarioCo
     route_shift = t.take("route_shift", int, 1)
     t.finish()
     inlier_means = _means("team.quality_inlier_means", inlier_means, robots)
+    if max(inlier_means) > _MAX_INLIER_MEAN:
+        raise ConfigError(f"team.quality_inlier_means: need at most {_MAX_INLIER_MEAN:g}")
     fabmap_means = _means("team.quality_fabmap_means", fabmap_means, robots)
     if not 1 <= route_width <= len(catalogue):
         raise ConfigError("team.route_width: must fit inside the catalogue")

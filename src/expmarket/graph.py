@@ -605,40 +605,3 @@ def neighbourhood(graph: Graph, seeds: Iterable[NodeId], depth: int) -> set[Node
             break
         seen |= frontier
     return seen
-
-
-def connected_components(graph: Graph) -> list[set[NodeId]]:
-    """Partition of the node set under undirected edge connectivity."""
-    unvisited = set(graph._nodes)
-    parts: list[set[NodeId]] = []
-    while unvisited:
-        start = unvisited.pop()
-        comp = {start}
-        stack = [start]
-        while stack:
-            nid = stack.pop()
-            for other in chain(graph._out.get(nid, ()), graph._in.get(nid, ())):
-                if other in unvisited:
-                    unvisited.discard(other)
-                    comp.add(other)
-                    stack.append(other)
-        parts.append(comp)
-    return parts
-
-
-def export_text(graph: Graph) -> str:
-    """Line-oriented dump: one node or edge per line, tab-separated."""
-    lines = []
-    for nid in sorted(graph._nodes):
-        n = graph._nodes[nid]
-        desc = ",".join(repr(v) for v in n.descriptor)
-        lines.append(
-            f"node\t{id_text(n.id)}\t{desc}\t{n.inlier_count}\t{n.fabmap_score!r}"
-            f"\t{n.path_memory}\t{n.product}\t{n.creator}\t{n.foray}"
-        )
-    for src in sorted(graph._out):
-        for dst in sorted(graph._out[src]):
-            e = graph._out[src][dst]
-            pose = ",".join(repr(v) for v in e.pose)
-            lines.append(f"edge\t{id_text(src)}\t{id_text(dst)}\t{pose}")
-    return "\n".join(lines) + ("\n" if lines else "")

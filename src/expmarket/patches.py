@@ -160,12 +160,6 @@ def compose(first: Patch, second: Patch) -> Patch:
                  node_inserts, node_deletes, edge_inserts, edge_deletes)
 
 
-def patches_equal(a: Patch, b: Patch) -> bool:
-    """Same transformation: equal insert/delete sets by id and full payload."""
-    return (a.insert_nodes == b.insert_nodes and a.delete_nodes == b.delete_nodes
-            and a.insert_edges == b.insert_edges and a.delete_edges == b.delete_edges)
-
-
 def build_patch(
     base: Graph,
     *,

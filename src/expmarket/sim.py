@@ -1,19 +1,17 @@
 """The deterministic fleet simulator.
 
 Each epoch every robot maps its route, then the team walks the trade
-pipeline through the shared finite-state machine: size its market query,
-tender it to the sellers the trading strategy selects, settle a shopping
-list, and merge the exchanged patches. Every strategy but ALL selects at
-most one seller, and ALL buys from every seller it tendered to, so a
-tender's reply carries no offer, only its bytes. Barriers demand identical
-(state, semaphore) across the team before anyone advances. Everything is
-driven by streams derived from (seed, trial), so a scenario run is a pure
-function of its config and seed.
+pipeline in lockstep, one phase function after another: size its market
+query, tender it to the sellers the trading strategy selects, settle a
+shopping list, and merge the exchanged patches. Every strategy but ALL
+selects at most one seller, and ALL buys from every seller it tendered to,
+so a tender's reply carries no offer, only its bytes. Everything is driven
+by streams derived from (seed, trial), so a scenario run is a pure function
+of its config and seed.
 """
 
 from __future__ import annotations
 
-import enum
 import os
 import random
 from dataclasses import dataclass, field
@@ -45,53 +43,6 @@ from .world import Route, World
 
 TENDER_REPLY_BYTES = 16
 ADVISORY_BYTES = 64
-
-
-class DesyncDetected(Exception):
-    """Two robots share a semaphore value but disagree on the state."""
-
-
-class Phase(enum.Enum):
-    IDLE = "IDLE"
-    MAPPING = "MAPPING"
-    SAMPLING = "SAMPLING"
-    TENDERING = "TENDERING"
-    PURCHASING = "PURCHASING"
-    MERGING = "MERGING"
-
-
-_CYCLE = [Phase.MAPPING, Phase.SAMPLING, Phase.TENDERING,
-          Phase.PURCHASING, Phase.MERGING, Phase.IDLE]
-
-
-@dataclass(frozen=True)
-class FsmState:
-    """Published robot state: descriptor plus iteration semaphore."""
-
-    theta: Phase = Phase.IDLE
-    psi: int = 0
-
-    def advance(self) -> "FsmState":
-        if self.theta is Phase.IDLE:
-            return FsmState(Phase.MAPPING, self.psi + 1)
-        nxt = _CYCLE[_CYCLE.index(self.theta) + 1]
-        return FsmState(nxt, self.psi)
-
-
-def barrier_sync(team_states: dict[RobotId, FsmState]) -> bool:
-    """Proceed only when the whole team publishes one (state, semaphore)."""
-    states = list(team_states.values())
-    if not states:
-        return True
-    by_psi: dict[int, set[Phase]] = {}
-    for st in states:
-        by_psi.setdefault(st.psi, set()).add(st.theta)
-    for psi, thetas in by_psi.items():
-        if len(thetas) > 1:
-            raise DesyncDetected(f"semaphore {psi} reported with states "
-                                 f"{sorted(t.value for t in thetas)}")
-    first = states[0]
-    return all(st == first for st in states)
 
 
 @dataclass
@@ -231,7 +182,6 @@ class _Agent:
         self.counter = MatchCounter()  # this epoch's descriptor comparisons
         self.ids = NodeIdGenerator(trial_seed, robot)
         self.partner_rng = random.Random(derive_seed(trial_seed, "partners", robot))
-        self.fsm = FsmState()
         # this epoch's work, published phase by phase
         self.foray: Patch | None = None  # MAPPING: what the foray recorded
         self.position = 0.0  # MAPPING: where the route ended
@@ -273,17 +223,6 @@ class _Trial:
         self.advisories: dict[RobotId, Advisory] = {}
 
 
-def _advance_all(agents: list[_Agent], expected: Phase) -> None:
-    """Step every robot's FSM and hold the barrier at the expected phase."""
-    for a in agents:
-        a.fsm = a.fsm.advance()
-    states = {a.robot: a.fsm for a in agents}
-    if not barrier_sync(states):
-        raise DesyncDetected("lockstep pipeline lost synchronization")
-    if agents and agents[0].fsm.theta is not expected:
-        raise DesyncDetected(f"expected {expected}, at {agents[0].fsm.theta}")
-
-
 def _quality(config: ScenarioConfig, robot: RobotId, seeds: Callable[[int], int],
              m: int) -> tuple[int, float]:
     """Seeded (inliers, FAB-MAP score) of a robot's m-th node, from its foray's ``seeds``."""
@@ -297,7 +236,6 @@ def _quality(config: ScenarioConfig, robot: RobotId, seeds: Callable[[int], int]
 
 def _mapping(t: _Trial, k: int) -> None:
     """MAPPING: every robot walks its route and commits what it recorded."""
-    _advance_all(t.agents, Phase.MAPPING)
     for a in t.agents:
         route = t.config.routes.route_for(a.robot, k)
         quality_seeds = seed_stream(t.trial_seed, "quality", a.robot, k)
@@ -313,7 +251,6 @@ def _mapping(t: _Trial, k: int) -> None:
 
 def _sampling(t: _Trial) -> None:
     """SAMPLING: each robot sizes the market query its new content makes."""
-    _advance_all(t.agents, Phase.SAMPLING)
     for a in t.agents:
         a.sample = query_bytes(a.foray, t.config.budget)
 
@@ -321,7 +258,6 @@ def _sampling(t: _Trial) -> None:
 def _tendering(t: _Trial) -> None:
     """TENDERING: each buyer selects its sellers and sends each its query;
     each seller's fixed-size reply is charged to the network."""
-    _advance_all(t.agents, Phase.TENDERING)
     config, net = t.config, t.net
     arrivals = [net.clock_ms]
     for a in t.agents:
@@ -337,7 +273,6 @@ def _tendering(t: _Trial) -> None:
 
 def _purchasing(t: _Trial) -> None:
     """PURCHASING: each buyer with a seller settles its shopping list."""
-    _advance_all(t.agents, Phase.PURCHASING)
     config = t.config
     for a in t.agents:
         if a.sellers:
@@ -348,7 +283,6 @@ def _purchasing(t: _Trial) -> None:
 
 def _merging(t: _Trial, k: int) -> None:
     """MERGING: every buyer trades with its sellers, then advisories go out."""
-    _advance_all(t.agents, Phase.MERGING)
     config, net = t.config, t.net
     arrivals = [net.clock_ms]
     for a_buy in t.agents:
@@ -373,7 +307,7 @@ def _merging(t: _Trial, k: int) -> None:
                 me.ledger.bought(received)
                 me.ledger.sold(delivered)
 
-    # advisories travel at the barrier out of MERGING
+    # advisories travel at the end of MERGING
     if config.trading.kind is not Strategy.NONE:
         for a in t.agents:
             favourites = {}
@@ -393,7 +327,6 @@ def _merging(t: _Trial, k: int) -> None:
 
 def _snapshot(t: _Trial, k: int) -> None:
     """IDLE: record the epoch, check its invariants, open the next epoch's ledgers."""
-    _advance_all(t.agents, Phase.IDLE)
     net, metrics = t.net, t.metrics
     for a in t.agents:
         metrics.map_sizes.append((k, a.robot, len(a.repo.graph),

@@ -15,7 +15,6 @@ from expmarket.catalogue import (
     ShoppingStrategy,
     advise,
     bundled_catalogue,
-    catalogue_to_text,
     parse_catalogue,
     product_of,
     shopping_list,
@@ -26,6 +25,7 @@ from expmarket.market import Belief
 from expmarket.patches import build_patch
 
 from _builders import mknode
+from _oracles import catalogue_to_text
 
 
 def toy_catalogue(n=9, metres=100.0, cyclic=False):

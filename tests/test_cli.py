@@ -301,7 +301,12 @@ def test_run_scenario_rejects_out_of_range_config_values(tmp_path, capsys):
              {"world.drift_sigma": -0.05},
              {"world.latent_scale": -1.0},
              {"world.node_spacing_m": 1e-9},
-             {"network.latency_low_ms": 1e308, "network.latency_high_ms": 1.7e308}]
+             {"network.latency_low_ms": 1e308, "network.latency_high_ms": 1.7e308},
+             {"team.quality_inlier_means": [1e30, 35, 40, 45]},
+             {"world.latent_scale": 1e308},
+             {"world.latent_scale": 1e200},
+             {"world.drift_sigma": 1e200},
+             {"world.noise_sigma": 1e200}]
     for overrides in cases:
         path = _write_scenario(tmp_path, **overrides)
         code = main(["run-scenario", "--config", str(path), "--out", str(tmp_path / "out")])

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expmarket.config import (
+    _MAX_DESCRIPTOR_SCALE,
+    _MAX_INLIER_MEAN,
     _MAX_STOPS,
     ConfigError,
     ScenarioConfig,
@@ -129,6 +131,8 @@ def test_asymmetric_choice_rejected_for_scenarios():
     ("world", "latent_scale", -1.0),
     ("world", "node_spacing_m", 1e-9),
     ("network", "latency_high_ms", 1.7e308),
+    ("world", "drift_sigma", 1e101),
+    ("team", "quality_inlier_means", [30, 35, 40, 1.01e9]),
 ])
 def test_out_of_range_values_are_config_errors(section, key, value):
     doc = bundled_scenario("robustness")  # WINDOW shopping, four robots
@@ -140,12 +144,17 @@ def test_out_of_range_values_are_config_errors(section, key, value):
 @pytest.mark.parametrize("section, key, value", [
     ("sim", "forays", 10_000),
     ("world", "descriptor_dim", 1024),
+    ("world", "noise_sigma", 1e100),
+    ("team", "quality_inlier_means", [30, 35, 40, 1e9]),
 ])
 def test_largest_accepted_values_parse(section, key, value):
     doc = bundled_scenario("robustness")
     doc[section][key] = value
     cfg = parse_scenario_config(doc)
-    assert (cfg.forays if key == "forays" else cfg.world.descriptor_dim) == value
+    parsed = {"forays": cfg.forays, "descriptor_dim": cfg.world.descriptor_dim,
+              "noise_sigma": cfg.world.noise_sigma,
+              "quality_inlier_means": cfg.quality_inlier_means}
+    assert parsed[key] == value
 
 
 def test_unreadable_json_is_a_config_error(tmp_path):
@@ -195,5 +204,7 @@ def test_any_value_of_one_field_parses_or_is_a_config_error(name, field, value):
                localiser.tau_loc, localiser.tau_m,
                *cfg.quality_inlier_means, *cfg.quality_fabmap_means]
     assert all(math.isfinite(v) for v in numbers)
-    assert min(world.latent_scale, world.drift_sigma, world.noise_sigma) >= 0
+    scales = (world.latent_scale, world.drift_sigma, world.noise_sigma)
+    assert 0 <= min(scales) and max(scales) <= _MAX_DESCRIPTOR_SCALE
+    assert max(cfg.quality_inlier_means) <= _MAX_INLIER_MEAN
     assert cfg.catalogue.total_metres / world.node_spacing_m <= _MAX_STOPS

@@ -12,14 +12,13 @@ from expmarket.graph import (
     MissingTarget,
     UnknownNode,
     compute_digest_from_scratch,
-    connected_components,
-    export_text,
     neighbourhood,
 )
 from expmarket.ids import NodeIdGenerator, derive_seed
 from expmarket.pose import Pose
 
 from _builders import chain_graph, mknode, random_graph
+from _oracles import connected_components, export_text
 
 
 def test_neighbourhood_chain_one_hop():

@@ -14,17 +14,18 @@ from hypothesis import strategies as st
 from expmarket import graph as graph_module
 from expmarket import merging as merging_module
 from expmarket.graph import (DanglingEdge, DuplicateContent, Edge, Graph, MissingTarget,
-                             compute_digest_from_scratch, export_text)
+                             compute_digest_from_scratch)
 from expmarket.ids import NodeIdGenerator
 from expmarket.merging import Commutation, CommutationPolicy, IntegrityViolation, execute_trade
 from expmarket.localiser import LocaliserConfig
 from expmarket.patches import (Inserts, Repository, StateMismatch, _apply_in_place, apply_patch,
-                               build_patch, diff, patches_equal, patches_since_common)
+                               build_patch, diff, patches_since_common)
 from expmarket.pose import Pose
 from expmarket.serialize import patch_to_bytes
 
 from _builders import built, chain_graph, diff_patches, mknode, random_graph
 from _kernel_reference import scan_diff
+from _oracles import export_text, patches_equal
 
 # -- a graph and its copies under random mutation -----------------------------
 

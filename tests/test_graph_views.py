@@ -11,9 +11,10 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expmarket.graph import Graph, compute_digest_from_scratch, export_text, graph_from_content
+from expmarket.graph import Graph, compute_digest_from_scratch, graph_from_content
 from expmarket.ids import NodeIdGenerator
 
+from _oracles import export_text
 from test_graph_properties import _Model, _mutate
 
 # _mutate's ops: 0 inserts a node, 1 removes a node with its edges, 2 inserts

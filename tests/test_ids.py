@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expmarket.graph import Edge, Graph, Node, PatchError, export_text
+from expmarket.graph import Edge, Graph, Node, PatchError
 from expmarket.ids import NodeIdGenerator, derive_seed, id_text, seed_stream
 from expmarket.patches import apply_patch, build_patch
 from expmarket.pose import Pose
 from expmarket.serialize import (graph_from_bytes, graph_to_bytes, patch_from_bytes,
                                  patch_to_bytes)
+
+from _oracles import export_text
 
 _UUID_TEXT = "12345678-1234-4678-9234-567812345678"
 _NODE = Node(UUID(_UUID_TEXT).int, (1.0, 2.0), 3, 0.5, 7, 1, 2, 4)

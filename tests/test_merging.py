@@ -6,7 +6,7 @@ import pytest
 
 from expmarket import merging, sim
 from expmarket.config import bundled_scenario, parse_scenario_config
-from expmarket.graph import Edge, Graph, compute_digest_from_scratch, connected_components
+from expmarket.graph import Edge, Graph, compute_digest_from_scratch
 from expmarket.ids import NodeIdGenerator, derive_seed
 from expmarket.localiser import LocaliserConfig, MatchCounter
 from expmarket.merging import (
@@ -23,11 +23,12 @@ from expmarket.merging import (
     gamma_score,
     trade_merge,
 )
-from expmarket.patches import Repository, apply_patch, build_patch, diff, patches_equal
+from expmarket.patches import Repository, apply_patch, build_patch, diff
 from expmarket.pose import Pose
 from expmarket.serialize import graph_to_bytes, patch_wire_size
 
 from _builders import built, chain_graph, mknode, random_graph, random_insert_patch
+from _oracles import connected_components, patches_equal
 
 INLIERS = ChoicePolicy(Choice.INLIERS)
 

@@ -30,12 +30,12 @@ from expmarket.patches import (
     compose,
     diff,
     invert_patch,
-    patches_equal,
 )
 from expmarket.pose import Pose
 from expmarket.serialize import graph_to_bytes
 
 from _builders import chain_graph, diff_patches, mknode, random_graph, random_insert_patch
+from _oracles import patches_equal
 
 
 def gen(seed=0, robot=0):

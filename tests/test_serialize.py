@@ -14,7 +14,6 @@ from expmarket.patches import (
     Patch,
     apply_patch,
     build_patch,
-    patches_equal,
 )
 from expmarket.pose import Pose
 from expmarket.serialize import (
@@ -26,6 +25,7 @@ from expmarket.serialize import (
 )
 
 from _builders import random_graph, random_insert_patch
+from _oracles import patches_equal
 
 
 def test_graph_round_trip_preserves_digest():

@@ -1,4 +1,4 @@
-"""World, forays, FSM, network, and the scenario engine."""
+"""World, forays, network, and the scenario engine."""
 
 import math
 import random
@@ -10,25 +10,23 @@ import pytest
 from expmarket import sim
 from expmarket.catalogue import OutOfWorld, bundled_catalogue, product_of
 from expmarket.config import bundled_scenario, parse_scenario_config
-from expmarket.graph import Observation, connected_components
+from expmarket.graph import Observation
 from expmarket.ids import NodeIdGenerator, derive_seed
 from expmarket.localiser import LocaliserConfig
 from expmarket.merging import IntegrityViolation
 from expmarket.patches import Repository
 from expmarket.sim import (
     ADVISORY_BYTES,
-    DesyncDetected,
-    FsmState,
     NetworkModel,
-    Phase,
     _check_byte_conservation,
-    barrier_sync,
     deliver,
     failure_distribution,
     run_foray,
     run_trial,
 )
 from expmarket.world import Route, RoutePlan, World
+
+from _oracles import connected_components
 
 
 # -- world ----------------------------------------------------------------------
@@ -200,37 +198,6 @@ def test_foray_bumps_path_memory():
     repo.commit(first.patch)
     run_foray(repo, world, Route(0.0, 50.0), 1, LocaliserConfig(), ids)
     assert sum(n.path_memory for n in repo.graph.nodes()) == 10
-
-
-# -- FSM and barrier ---------------------------------------------------------------
-
-
-def test_fsm_cycle_and_semaphore():
-    st = FsmState()
-    assert (st.theta, st.psi) == (Phase.IDLE, 0)
-    seen = []
-    for _ in range(12):
-        st = st.advance()
-        seen.append((st.theta, st.psi))
-    assert seen[:6] == [(Phase.MAPPING, 1), (Phase.SAMPLING, 1), (Phase.TENDERING, 1),
-                        (Phase.PURCHASING, 1), (Phase.MERGING, 1), (Phase.IDLE, 1)]
-    assert seen[6] == (Phase.MAPPING, 2)  # semaphore bumps on re-entry
-
-
-def test_barrier_proceeds_when_identical():
-    states = {0: FsmState(Phase.MAPPING, 3), 1: FsmState(Phase.MAPPING, 3)}
-    assert barrier_sync(states)
-
-
-def test_barrier_waits_on_lagging_semaphore():
-    states = {0: FsmState(Phase.MAPPING, 3), 1: FsmState(Phase.MAPPING, 2)}
-    assert not barrier_sync(states)
-
-
-def test_barrier_detects_desync():
-    states = {0: FsmState(Phase.MAPPING, 3), 1: FsmState(Phase.MERGING, 3)}
-    with pytest.raises(DesyncDetected):
-        barrier_sync(states)
 
 
 # -- network ------------------------------------------------------------------------
